@@ -15,7 +15,7 @@ height controls the loss rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -260,118 +260,83 @@ def potential_matrix(
     return w[0] if scalar else w
 
 
+def symmetry_blocks(system: CollisionSystem, l_max: int) -> list[ChannelBasis]:
+    """All non-empty (M >= 0, parity) blocks allowed by the exchange symmetry."""
+    if l_max < 0:
+        raise ValueError("l_max must be non-negative")
+    out = []
+    for parity in system.allowed_parities():
+        for m in range(0, l_max + 1):
+            try:
+                out.append(build_basis(m, parity, l_max))
+            except ValueError:
+                continue  # no L of this parity supports this M
+    return out
+
+
+def _block_eigenvalues(
+    system: CollisionSystem, basis: ChannelBasis, r: float | np.ndarray
+) -> np.ndarray:
+    """Sorted eigenvalues of the block at r, shape np.shape(r) + (n,).
+
+    A one-channel block needs no diagonalization: its single eigenvalue is
+    the diagonal element, evaluated in closed form.
+    """
+    if len(basis) == 1:
+        (c,) = basis.channels
+        r_arr = np.asarray(r, dtype=float)
+        v = (
+            c.L * (c.L + 1) / (2.0 * system.reduced_mass * r_arr**2)
+            + C6_SIGN * system.c6 / r_arr**6
+            - system.c3 * p2_matrix_element(c.L, c.L, c.M) / r_arr**3
+        )
+        return v[..., None]
+    return np.linalg.eigvalsh(potential_matrix(system, basis, r))
+
+
 @dataclass
 class AdiabaticCurve:
     """One adiabatic eigenvalue branch of a (M, parity) block.
 
     ``index`` is the rank of the eigenvalue within the block (0 = lowest);
     since curves of one block do not cross, the rank labels the curve at
-    every radius.  ``channel`` is the partial wave the curve correlates to
-    as R -> infinity.
+    every radius.  As R -> infinity the centrifugal term orders the curves
+    by L, so rank i correlates with the partial wave ``basis.channels[i]``.
     """
 
     system: CollisionSystem
     basis: ChannelBasis
     index: int
-    channel: Channel
     r_grid: np.ndarray
     values: np.ndarray
-    asymptotic_weight: float
-    vectors: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def channel(self) -> Channel:
+        """The partial wave the curve correlates to as R -> infinity."""
+        return self.basis.channels[self.index]
 
     def __call__(self, r: float | np.ndarray) -> float | np.ndarray:
         """Exact eigenvalue at arbitrary radius (re-diagonalizes the block)."""
-        if len(self.basis) == 1:
-            c = self.channel
-            r_arr = np.asarray(r, dtype=float)
-            return (
-                c.L * (c.L + 1) / (2.0 * self.system.reduced_mass * r_arr**2)
-                + C6_SIGN * self.system.c6 / r_arr**6
-                - self.system.c3 * p2_matrix_element(c.L, c.L, c.M) / r_arr**3
-            )
-        w = potential_matrix(self.system, self.basis, r)
-        vals = np.linalg.eigvalsh(w)
-        return vals[..., self.index]
+        return _block_eigenvalues(self.system, self.basis, r)[..., self.index]
 
 
 def adiabatic_curves(
-    system: CollisionSystem,
-    basis: ChannelBasis,
-    r_grid: np.ndarray,
-    min_asymptotic_weight: float = 0.99,
+    system: CollisionSystem, basis: ChannelBasis, r_grid: np.ndarray
 ) -> list[AdiabaticCurve]:
-    """Diagonalize the block on a grid and label each branch asymptotically.
-
-    The grid must extend far enough that every eigenvector has at least
-    ``min_asymptotic_weight`` of its norm in a single partial wave at the
-    outermost point; otherwise the labeling is ambiguous and GridError is
-    raised.
-    """
+    """Diagonalize the block on a grid; curve i is the i-th lowest eigenvalue."""
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) < 2:
         raise ValueError("r_grid must be a 1-D array with at least two points")
     if np.any(np.diff(r_grid) <= 0):
         raise ValueError("r_grid must be strictly increasing")
-    w = potential_matrix(system, basis, r_grid)
     try:
-        vals, vecs = np.linalg.eigh(w)
+        vals = _block_eigenvalues(system, basis, r_grid)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on the block sampling: {exc}") from exc
-    # fix the eigenvector gauge: largest component positive at the first
-    # sample, then non-negative overlap with the previous sample
-    first = vecs[0]
-    flip = np.sign(first[np.argmax(np.abs(first), axis=0), np.arange(first.shape[1])])
-    flip[flip == 0] = 1.0
-    vecs[0] = first * flip
-    overlaps = np.einsum("rij,rij->rj", vecs[1:], vecs[:-1])
-    signs = np.where(overlaps < 0, -1.0, 1.0)
-    vecs[1:] *= np.cumprod(signs, axis=0)[:, None, :]
-    curves = []
-    weights = vecs[-1] ** 2  # (component, curve) at the outermost radius
-    taken = set()
-    for idx in range(len(basis)):
-        comp = int(np.argmax(weights[:, idx]))
-        weight = float(weights[comp, idx])
-        if weight < min_asymptotic_weight:
-            raise GridError(
-                f"curve {idx} of block M={basis.m_projection} has only "
-                f"{weight:.3f} asymptotic weight at R={r_grid[-1]:.1f}; "
-                "extend the grid"
-            )
-        if comp in taken:
-            raise GridError(
-                f"two curves of block M={basis.m_projection} map to the same "
-                f"asymptotic channel; extend the grid"
-            )
-        taken.add(comp)
-        curves.append(
-            AdiabaticCurve(
-                system=system,
-                basis=basis,
-                index=idx,
-                channel=basis.channels[comp],
-                r_grid=r_grid,
-                values=vals[:, idx].copy(),
-                asymptotic_weight=weight,
-                vectors=vecs[:, :, idx].copy(),
-            )
-        )
-    return curves
-
-
-def lowest_curves(
-    system: CollisionSystem, l_max: int, r_grid: np.ndarray
-) -> dict[tuple[int, int], list[AdiabaticCurve]]:
-    """Adiabatic curves for every (M >= 0, parity) block of the system."""
-    out = {}
-    for parity in system.allowed_parities():
-        for m in range(0, l_max + 1):
-            try:
-                basis = build_basis(m, parity, l_max)
-            except ValueError:
-                continue
-            out[(m, parity)] = adiabatic_curves(system, basis, r_grid)
-    return out
+    return [
+        AdiabaticCurve(system, basis, idx, r_grid, vals[:, idx].copy())
+        for idx in range(len(basis))
+    ]
 
 
 def single_channel_curve(
@@ -383,16 +348,7 @@ def single_channel_curve(
         # wide default so barrier bracketing works out of the box
         r_grid = np.geomspace(10.0, 10000.0, 800)
     r_grid = np.asarray(r_grid, dtype=float)
-    curve = AdiabaticCurve(
-        system=system,
-        basis=basis,
-        index=0,
-        channel=channel,
-        r_grid=r_grid,
-        values=np.zeros_like(r_grid),
-        asymptotic_weight=1.0,
-        vectors=np.ones((len(r_grid), 1)),
-    )
+    curve = AdiabaticCurve(system, basis, 0, r_grid, np.zeros_like(r_grid))
     curve.values = np.asarray(curve(r_grid))
     return curve
 

@@ -11,12 +11,16 @@ absorber, y = 0 a lossless wall.  The phase delta_sr is not a free input:
 it is calibrated so that the y = 0 zero-energy s-wave scattering length
 equals s * abar, after which the same (s, y, delta_sr) triple is reused
 at every field, energy and partial wave.
+
+One path propagates every curve: the eigenvalue ranks of one (M, parity)
+block on a shared grid.  A single curve is a block with one rank.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +32,8 @@ from .potential import (
     Channel,
     ChannelBasis,
     CollisionSystem,
-    potential_matrix,
-    single_channel_curve,
+    _block_eigenvalues,
+    build_basis,
 )
 from .qdt import (
     ScatteringResult,
@@ -186,28 +190,10 @@ def apply_log_derivative(m: np.ndarray, y: complex) -> complex:
     return num / den
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Complex log-derivative of the absorbing WKB wave at R_m."""
-
-    s: float
-    y: float
-    delta_sr: float
-    log_derivative: complex
-    reflection: complex
-    kappa: float
-    r_match: float
-
-
-def _boundary_from_values(
-    params: ShortRangeParams,
-    delta_sr: float,
-    energy: float,
-    v: float,
-    v_slope: float,
-    reduced_mass: float,
-) -> BoundaryCondition:
-    r_match = params.r_match
+def _wkb_wavenumber(
+    energy: float, v: float, v_slope: float, r_match: float, reduced_mass: float
+) -> tuple[float, float]:
+    """Local wavenumber kappa at R_m and its radial derivative kappa'."""
     if energy <= v:
         raise MatchingError(
             f"short-range boundary at R = {r_match:.3g} is classically forbidden "
@@ -220,37 +206,38 @@ def _boundary_from_values(
             "condition is marginal",
             stacklevel=3,
         )
-    dkappa = -reduced_mass * v_slope / kappa
+    return kappa, -reduced_mass * v_slope / kappa
+
+
+def boundary_log_derivative(
+    params: ShortRangeParams,
+    delta_sr: float,
+    energy: float,
+    v: float,
+    v_slope: float,
+    reduced_mass: float,
+) -> complex:
+    """Complex log-derivative at R_m of the absorbing WKB wave.
+
+    ``v`` and ``v_slope`` are the adiabatic potential and its radial
+    derivative at R_m.  The wave carries unit incoming flux and the
+    reflected amplitude (1 - y)/(1 + y) * exp(2 i delta_sr).
+    """
+    kappa, dkappa = _wkb_wavenumber(energy, v, v_slope, params.r_match, reduced_mass)
     refl = (1.0 - params.y) / (1.0 + params.y) * complex(
         math.cos(2.0 * delta_sr), math.sin(2.0 * delta_sr)
     )
     # psi = exp(-i int kappa)/sqrt(kappa) + refl * exp(+i int kappa)/sqrt(kappa)
-    y0 = -1j * kappa * (1.0 - refl) / (1.0 + refl) - dkappa / (2.0 * kappa)
-    return BoundaryCondition(
-        s=params.s,
-        y=params.y,
-        delta_sr=delta_sr,
-        log_derivative=y0,
-        reflection=refl,
-        kappa=kappa,
-        r_match=r_match,
-    )
+    return -1j * kappa * (1.0 - refl) / (1.0 + refl) - dkappa / (2.0 * kappa)
 
 
-def short_range_boundary(
-    params: ShortRangeParams,
-    curve: AdiabaticCurve,
-    energy: float,
-    delta_sr: float,
-) -> BoundaryCondition:
-    """Boundary condition on ``curve`` at R_m for the (s, y) model."""
-    r_match = params.r_match
-    dr = 1e-4 * r_match
-    v = float(curve(r_match))
-    v_slope = float(curve(r_match + dr) - curve(r_match - dr)) / (2.0 * dr)
-    return _boundary_from_values(
-        params, delta_sr, energy, v, v_slope, curve.system.reduced_mass
-    )
+def _riccati_bessel(L: int, x: float) -> tuple[float, float, float, float]:
+    """s_L = x j_L(x), its derivative, c_L = -x y_L(x) and its derivative."""
+    j = spherical_jn(L, x)
+    jp = spherical_jn(L, x, derivative=True)
+    yn = spherical_yn(L, x)
+    ynp = spherical_yn(L, x, derivative=True)
+    return x * j, j + x * jp, -x * yn, -(yn + x * ynp)
 
 
 def match_free_solution(y_out: complex, k: float, L: int, r: float) -> complex:
@@ -259,13 +246,7 @@ def match_free_solution(y_out: complex, k: float, L: int, r: float) -> complex:
     Matches psi to s_L(kr) + t c_L(kr) with Riccati-Bessel functions
     s_L = x j_L(x), c_L = -x y_L(x).
     """
-    x = k * r
-    j = spherical_jn(L, x)
-    jp = spherical_jn(L, x, derivative=True)
-    yn = spherical_yn(L, x)
-    ynp = spherical_yn(L, x, derivative=True)
-    sf, sf_p = x * j, j + x * jp
-    cf, cf_p = -x * yn, -(yn + x * ynp)
+    sf, sf_p, cf, cf_p = _riccati_bessel(L, k * r)
     num = k * sf_p - y_out * sf
     den = y_out * cf - k * cf_p
     if abs(den) < 1e-300:
@@ -309,27 +290,92 @@ def _check_r_match(params: ShortRangeParams, system: CollisionSystem) -> None:
         )
 
 
-def _propagate_from_w(
+def _edge_values(
+    system: CollisionSystem, basis: ChannelBasis, r_match: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's potential at R_m and its central-difference slope."""
+    dr = 1e-4 * r_match
+    v = _block_eigenvalues(system, basis, np.array([r_match - dr, r_match, r_match + dr]))
+    return v[1], (v[2] - v[0]) / (2.0 * dr)
+
+
+def _segment_transfers(
     system: CollisionSystem,
-    channel: Channel,
-    boundary: BoundaryCondition,
+    basis: ChannelBasis,
+    ranks: Sequence[int],
+    l_env: int,
     energy: float,
-    segments: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    radii: list[float],
-) -> ScatteringResult:
-    """Common tail of the propagation: chain the segments, match at each end."""
+    grid: RadialGrid,
+    r_start: float,
+    r_stop: float,
+) -> tuple[list[np.ndarray], int]:
+    """(psi, psi') transfer matrix of each rank over [r_start, r_stop].
+
+    All ranks share one grid, built for partial wave ``l_env``, and one
+    batched diagonalization per Gauss node.  Also returns the step count.
+    """
+    starts, steps = grid.build_steps(system, l_env, energy, r_start, r_stop)
+    g1, g2 = gauss_nodes(starts, steps)
+    v1 = _block_eigenvalues(system, basis, g1)
+    v2 = _block_eigenvalues(system, basis, g2)
+    two_mu = 2.0 * system.reduced_mass
+    transfers = [
+        chain_product(
+            step_matrices(steps, two_mu * (v1[:, i] - energy), two_mu * (v2[:, i] - energy))
+        )
+        for i in ranks
+    ]
+    return transfers, len(steps)
+
+
+def _propagate_ranks(
+    system: CollisionSystem,
+    basis: ChannelBasis,
+    ranks: Sequence[int],
+    params: ShortRangeParams,
+    energy: float,
+    deltas: Sequence[float],
+    grid: RadialGrid,
+) -> list[ScatteringResult]:
+    """Scattering results for the given eigenvalue ranks of one block.
+
+    Rank i is the adiabat of channel ``basis.channels[i]``: the adiabats of
+    one (M, parity) block do not cross, and at large R the centrifugal term
+    orders them by L.  ``deltas`` holds the short-range phase of each rank.
+    The grid is built for the largest L among the ranks, which slightly
+    over-resolves the lower ones; matching is as described in ``propagate``.
+    """
+    if energy <= 0:
+        raise ValueError("collision energy must be positive")
+    _check_r_match(params, system)
+    channels = [basis.channels[i] for i in ranks]
+    l_env = max(c.L for c in channels)
     k = math.sqrt(2.0 * system.reduced_mass * energy)
-    y = boundary.log_derivative
+    v, v_slope = _edge_values(system, basis, params.r_match)
+    y = [
+        boundary_log_derivative(
+            params, delta, energy, float(v[i]), float(v_slope[i]), system.reduced_mass
+        )
+        for i, delta in zip(ranks, deltas)
+    ]
+    r1 = grid.outer_radius(system, energy, params.r_match)
     t_values = []
     n_points = 0
-    for (steps, w1, w2), r_m in zip(segments, radii):
-        m = chain_product(step_matrices(steps, w1, w2))
-        y = apply_log_derivative(m, y)
-        t_values.append(match_free_solution(y, k, channel.L, r_m))
-        n_points += len(steps)
-    t = t_values[0]
-    spread = abs(t_values[-1] - t_values[0]) if len(t_values) > 1 else 0.0
-    return _result_from_t(t, k, energy, channel, system, n_points, spread)
+    r_start = params.r_match
+    for r_stop in (r1, grid.match_factor * r1):
+        transfers, n_steps = _segment_transfers(
+            system, basis, ranks, l_env, energy, grid, r_start, r_stop
+        )
+        y = [apply_log_derivative(m, y_i) for m, y_i in zip(transfers, y)]
+        t_values.append(
+            [match_free_solution(y_i, k, c.L, r_stop) for y_i, c in zip(y, channels)]
+        )
+        n_points += n_steps
+        r_start = r_stop
+    return [
+        _result_from_t(t1, k, energy, c, system, n_points, abs(t2 - t1))
+        for c, t1, t2 in zip(channels, *t_values)
+    ]
 
 
 def propagate(
@@ -345,107 +391,17 @@ def propagate(
     Propagates the log-derivative from R_m to the tail-criterion radius,
     matches to Riccati-Bessel functions there and once more ``match_factor``
     further out; the spread between the two extractions is reported in
-    ``match_spread`` as an error estimate.
+    ``match_spread`` as an error estimate.  The curve enters only through
+    its block and rank: it is propagated as a block of one rank.
     """
-    if energy <= 0:
-        raise ValueError("collision energy must be positive")
-    _check_r_match(params, system)
-    grid = grid or RadialGrid()
-    channel = curve.channel
-    two_mu = 2.0 * system.reduced_mass
-    r1 = grid.outer_radius(system, energy, params.r_match)
-    r2 = grid.match_factor * r1
-    segments = []
-    for a, b in ((params.r_match, r1), (r1, r2)):
-        starts, steps = grid.build_steps(system, channel.L, energy, a, b)
-        g1, g2 = gauss_nodes(starts, steps)
-        w1 = two_mu * (np.asarray(curve(g1)) - energy)
-        w2 = two_mu * (np.asarray(curve(g2)) - energy)
-        segments.append((steps, w1, w2))
-    boundary = short_range_boundary(params, curve, energy, delta_sr)
-    return _propagate_from_w(system, channel, boundary, energy, segments, [r1, r2])
-
-
-def propagate_block(
-    system: CollisionSystem,
-    curves: list[AdiabaticCurve],
-    params: ShortRangeParams,
-    energy: float,
-    delta_sr: float,
-    grid: RadialGrid | None = None,
-    phase_overrides: dict[Channel, float] | None = None,
-) -> list[ScatteringResult]:
-    """Propagate every curve of one (M, parity) block on a shared grid.
-
-    The curves of a block come from the same matrix, so the potential at
-    the Gauss nodes is obtained from a single batched diagonalization; the
-    grid is built for the largest L in the block, which over-resolves the
-    lower curves slightly.
-    """
-    if not curves:
-        return []
-    if energy <= 0:
-        raise ValueError("collision energy must be positive")
-    _check_r_match(params, system)
-    grid = grid or RadialGrid()
-    basis = curves[0].basis
-    two_mu = 2.0 * system.reduced_mass
-    l_env = max(c.channel.L for c in curves)
-    r1 = grid.outer_radius(system, energy, params.r_match)
-    r2 = grid.match_factor * r1
-    node_values = []
-    seg_steps = []
-    for a, b in ((params.r_match, r1), (r1, r2)):
-        starts, steps = grid.build_steps(system, l_env, energy, a, b)
-        g1, g2 = gauss_nodes(starts, steps)
-        node_values.append(
-            (_block_eigenvalues(system, basis, g1), _block_eigenvalues(system, basis, g2))
-        )
-        seg_steps.append(steps)
-    dr = 1e-4 * params.r_match
-    v_edge = _block_eigenvalues(
-        system,
-        basis,
-        np.array([params.r_match - dr, params.r_match, params.r_match + dr]),
+    (result,) = _propagate_ranks(
+        system, curve.basis, [curve.index], params, energy, [delta_sr],
+        grid or RadialGrid(),
     )
-    results = []
-    for curve in curves:
-        idx = curve.index
-        segments = [
-            (steps, two_mu * (v1[:, idx] - energy), two_mu * (v2[:, idx] - energy))
-            for steps, (v1, v2) in zip(seg_steps, node_values)
-        ]
-        delta = delta_sr
-        if phase_overrides and curve.channel in phase_overrides:
-            delta = phase_overrides[curve.channel]
-        boundary = _boundary_from_values(
-            params,
-            delta,
-            energy,
-            float(v_edge[1, idx]),
-            float(v_edge[2, idx] - v_edge[0, idx]) / (2.0 * dr),
-            system.reduced_mass,
-        )
-        results.append(
-            _propagate_from_w(system, curve.channel, boundary, energy, segments, [r1, r2])
-        )
-    return results
-
-
-def _block_eigenvalues(
-    system: CollisionSystem, basis: ChannelBasis, r: np.ndarray
-) -> np.ndarray:
-    """Sorted eigenvalues of the block at every radius, shape (len(r), n)."""
-    w = potential_matrix(system, basis, r)
-    if len(basis) == 1:
-        return w[:, :, 0]
-    return np.linalg.eigvalsh(w)
+    return result
 
 
 # --- short-range phase calibration -----------------------------------------
-
-_CAL_SCAN_POINTS = 64
-_CAL_BISECTIONS = 52
 
 
 def _calibration_grid(grid: RadialGrid) -> RadialGrid:
@@ -463,70 +419,54 @@ def calibrate_phase(
     energy_fraction: float = 1e-4,
     tolerance: float = 1e-3,
 ) -> float:
-    """Short-range phase delta_sr reproducing a = s * abar at zero field.
+    """Short-range phase delta_sr in [0, pi) reproducing a = s * abar at zero field.
 
-    Propagates the bare van der Waals s wave with y = 0 at a near-threshold
-    energy and root-finds the real scattering length over one pi period of
-    delta_sr by bisection.  Sign changes caused by poles of a(delta_sr) are
-    rejected by checking the converged residual, so exactly the physical
-    branch is returned.  Only ``params.s`` and ``params.r_match`` matter
-    here; y plays no role at the calibration stage.
+    The bare van der Waals s wave is taken with y = 0 at a near-threshold
+    energy.  There the boundary log-derivative is real,
+    -kappa tan(delta_sr) - kappa'/(2 kappa), and both the transfer matrix to
+    the matching radius and the Riccati-Bessel match are Moebius maps.  The
+    scattering length is therefore a Moebius function of tan(delta_sr) (the
+    quantum-defect separation of Idziaszek and Julienne, PRL 104, 113202
+    (2010)), which is inverted in closed form.  One forward evaluation
+    checks the result and raises CalibrationError if it misses s * abar by
+    more than ``tolerance`` relative.  Only ``params.s`` and
+    ``params.r_match`` matter here.
     """
     if not 0 < energy_fraction <= 1e-2:
         raise ValueError("energy_fraction must lie in (0, 1e-2]")
     _check_r_match(params, system)
     grid = _calibration_grid(grid or RadialGrid())
     bare = dataclasses.replace(system, dipole=0.0)
-    abar = mean_scattering_length(bare.reduced_mass, bare.c6)
-    e_cal = energy_fraction * characteristic_energies(bare.reduced_mass, bare.c6).e_swave
-    k = math.sqrt(2.0 * bare.reduced_mass * e_cal)
-    probe_params = ShortRangeParams(s=params.s, y=0.0, r_match=params.r_match)
-    curve = single_channel_curve(bare, Channel(0, 0))
-
-    r1 = grid.outer_radius(bare, e_cal, params.r_match)
-    starts, steps = grid.build_steps(bare, 0, e_cal, params.r_match, r1)
-    g1, g2 = gauss_nodes(starts, steps)
-    two_mu = 2.0 * bare.reduced_mass
-    w1 = two_mu * (np.asarray(curve(g1)) - e_cal)
-    w2 = two_mu * (np.asarray(curve(g2)) - e_cal)
-    # the transfer matrix is independent of delta_sr: build it once and
-    # sweep only the boundary condition
-    m_total = chain_product(step_matrices(steps, w1, w2))
-    v0 = float(curve(params.r_match))
-    dr = 1e-4 * params.r_match
-    v_slope = float(curve(params.r_match + dr) - curve(params.r_match - dr)) / (2 * dr)
-
-    def scattering_length(delta: float) -> float:
-        bc = _boundary_from_values(
-            probe_params, delta, e_cal, v0, v_slope, bare.reduced_mass
-        )
-        y_out = apply_log_derivative(m_total, bc.log_derivative)
-        t = match_free_solution(y_out, k, 0, r1)
-        return float((-t / k).real)
-
+    mu, r_match = bare.reduced_mass, params.r_match
+    abar = mean_scattering_length(mu, bare.c6)
+    e_cal = energy_fraction * characteristic_energies(mu, bare.c6).e_swave
+    k = math.sqrt(2.0 * mu * e_cal)
+    swave = build_basis(0, 0, 0)
+    r1 = grid.outer_radius(bare, e_cal, r_match)
+    (m_total,), _ = _segment_transfers(bare, swave, [0], 0, e_cal, grid, r_match, r1)
+    v, v_slope = (float(x[0]) for x in _edge_values(bare, swave, r_match))
+    kappa, dkappa = _wkb_wavenumber(e_cal, v, v_slope, r_match, mu)
+    sf, sf_p, cf, cf_p = _riccati_bessel(0, k * r1)
+    # with tau = tan(delta_sr) the wall state is (psi, psi') = wall @ (tau, 1);
+    # m_total carries it to r1 and match gives (num, den) of t = -k a, so
+    # t = (g00 tau + g01) / (g10 tau + g11)
+    wall = np.array([[0.0, 1.0], [-kappa, -dkappa / (2.0 * kappa)]])
+    match = np.array([[k * sf_p, -sf], [-k * cf_p, cf]])
+    g = match @ m_total @ wall
     target = params.s * abar
-    accept = tolerance * abar * max(1.0, abs(params.s))
-    deltas = [math.pi * i / _CAL_SCAN_POINTS for i in range(_CAL_SCAN_POINTS + 1)]
-    values = [scattering_length(d) - target for d in deltas]
-    for i in range(_CAL_SCAN_POINTS):
-        f_lo, f_hi = values[i], values[i + 1]
-        if f_lo == 0.0:
-            return deltas[i]
-        if f_lo * f_hi > 0:
-            continue
-        lo, hi = deltas[i], deltas[i + 1]
-        for _ in range(_CAL_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            f_mid = scattering_length(mid) - target
-            if f_lo * f_mid <= 0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        root = 0.5 * (lo + hi)
-        # a(delta) has poles with sign changes; keep only true roots
-        if abs(scattering_length(root) - target) <= accept:
-            return root
-    raise CalibrationError(
-        f"no delta_sr in [0, pi) reproduces a = {params.s:.4g} * abar within "
-        f"{tolerance:.1e} relative; check R_m and the radial grid"
+    t = -k * target
+    delta = math.atan2(t * g[1, 1] - g[0, 1], g[0, 0] - t * g[1, 0]) % math.pi
+    delta = delta if delta < math.pi else 0.0  # a tiny negative angle rounds to pi
+
+    probe = ShortRangeParams(s=params.s, y=0.0, r_match=r_match)
+    y_out = apply_log_derivative(
+        m_total, boundary_log_derivative(probe, delta, e_cal, v, v_slope, mu)
     )
+    a = float((-match_free_solution(y_out, k, 0, r1) / k).real)
+    if not abs(a - target) <= tolerance * abar * max(1.0, abs(params.s)):
+        raise CalibrationError(
+            f"delta_sr = {delta:.6g} gives a = {a / abar:.6g} * abar instead of "
+            f"{params.s:.4g} * abar within {tolerance:.1e} relative; check R_m and "
+            "the radial grid"
+        )
+    return delta

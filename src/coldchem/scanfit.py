@@ -1,11 +1,12 @@
 """Grid sweeps over dipole and energy, resonance detection, and fitting.
 
-A dipole scan rebuilds the adiabatic curves of every symmetry-allowed
-(M, parity) block at each grid point, propagates all of them, and sums the
-quenching rates into a total loss rate versus induced dipole moment.  On
-top of the scans sit three analysis stages: peak detection against a
-running-median baseline, the confluent-series fit for resonance positions,
-and the (s, y) short-range fit to measured rate-versus-dipole data.
+A dipole scan propagates every eigenvalue rank of every symmetry-allowed
+(M, parity) block at each grid point, rank i standing for the block's
+channel i, and sums the quenching rates into a total loss rate versus
+induced dipole moment.  On top of the scans sit three analysis stages:
+peak detection against a running-median baseline, the confluent-series fit
+for resonance positions, and the (s, y) short-range fit to measured
+rate-versus-dipole data.
 """
 from __future__ import annotations
 
@@ -21,32 +22,11 @@ from scipy import ndimage, optimize
 
 from . import units
 from .errors import ColdchemError, FitError, ScanError
-from .potential import (
-    Channel,
-    ChannelBasis,
-    CollisionSystem,
-    adiabatic_curves,
-    build_basis,
-)
-from .propagator import RadialGrid, calibrate_phase, propagate_block
+from .potential import Channel, CollisionSystem, symmetry_blocks
+from .propagator import RadialGrid, _propagate_ranks, calibrate_phase
 from .qdt import ScatteringResult, ShortRangeParams
 
 DEFAULT_L_MAX = 7
-_LABEL_SAMPLES = 240
-
-
-def symmetry_blocks(system: CollisionSystem, l_max: int) -> list[ChannelBasis]:
-    """All non-empty (M >= 0, parity) blocks allowed by the exchange symmetry."""
-    if l_max < 0:
-        raise ValueError("l_max must be non-negative")
-    out = []
-    for parity in system.allowed_parities():
-        for m in range(0, l_max + 1):
-            try:
-                out.append(build_basis(m, parity, l_max))
-            except ValueError:
-                continue  # no L of this parity supports this M
-    return out
 
 
 def _channel_weight(channel: Channel) -> int:
@@ -65,17 +45,19 @@ def rate_point(
 ) -> dict[Channel, ScatteringResult]:
     """Scattering results for every channel (M >= 0) at one (E, d) point.
 
-    Rates in the returned results are per channel; the +/-M degeneracy
-    weight is applied by the scan aggregation, not here.
+    Each (M, parity) block is propagated in one pass over all its
+    eigenvalue ranks, rank i standing for ``basis.channels[i]``;
+    ``phase_overrides`` replaces delta_sr for the channels it names.  Rates
+    in the returned results are per channel; the +/-M degeneracy weight is
+    applied by the scan aggregation, not here.
     """
     grid = grid or RadialGrid()
-    r_label = grid.outer_radius(system, energy, params.r_match)
-    r_grid = np.geomspace(params.r_match, r_label, _LABEL_SAMPLES)
+    overrides = phase_overrides or {}
     out: dict[Channel, ScatteringResult] = {}
     for basis in symmetry_blocks(system, l_max):
-        curves = adiabatic_curves(system, basis, r_grid)
-        for res in propagate_block(
-            system, curves, params, energy, delta_sr, grid, phase_overrides
+        deltas = [overrides.get(c, delta_sr) for c in basis.channels]
+        for res in _propagate_ranks(
+            system, basis, range(len(basis)), params, energy, deltas, grid
         ):
             out[Channel(res.L, res.M)] = res
     return out

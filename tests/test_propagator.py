@@ -11,21 +11,20 @@ from coldchem.potential import Channel, CollisionSystem, single_channel_curve
 from coldchem.propagator import (
     RadialGrid,
     apply_log_derivative,
+    boundary_log_derivative,
     calibrate_phase,
     chain_product,
     gauss_nodes,
     match_free_solution,
     propagate,
-    propagate_block,
-    short_range_boundary,
     step_matrices,
 )
-from coldchem.potential import adiabatic_curves, build_basis
 from coldchem.qdt import (
     ShortRangeParams,
     characteristic_energies,
     mean_scattering_length,
 )
+from coldchem.scanfit import rate_point
 
 MU = units.mass_from_amu(63.4968)
 C6 = 16130.0
@@ -37,6 +36,20 @@ def krb(**kw):
 
 E0, E1 = characteristic_energies(MU, C6)
 ABAR = mean_scattering_length(MU, C6)
+
+
+def edge_values(curve, r):
+    """The curve's potential at r and its central-difference slope."""
+    dr = 1e-4 * r
+    return float(curve(r)), float(curve(r + dr) - curve(r - dr)) / (2.0 * dr)
+
+
+def boundary(params, curve, energy, delta):
+    """Boundary log-derivative at R_m from the curve's V and V' there."""
+    v, v_slope = edge_values(curve, params.r_match)
+    return boundary_log_derivative(
+        params, delta, energy, v, v_slope, curve.system.reduced_mass
+    )
 
 
 def reference_log_derivative(curve, energy, y0, a, b, rtol=1e-11):
@@ -64,18 +77,16 @@ def test_propagation_matches_solve_ivp():
     energy = E0 / 100.0
     delta = 1.234
     grid = RadialGrid()
-    bc = short_range_boundary(params, curve, energy, delta)
+    y0 = boundary(params, curve, energy, delta)
     r1 = grid.outer_radius(system, energy, params.r_match)
     starts, steps = grid.build_steps(system, 0, energy, params.r_match, r1)
     g1, g2 = gauss_nodes(starts, steps)
     w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
     w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
     y_prop = apply_log_derivative(
-        chain_product(step_matrices(steps, w1, w2)), bc.log_derivative
+        chain_product(step_matrices(steps, w1, w2)), y0
     )
-    y_ref = reference_log_derivative(
-        curve, energy, bc.log_derivative, params.r_match, r1
-    )
+    y_ref = reference_log_derivative(curve, energy, y0, params.r_match, r1)
     assert abs(y_prop - y_ref) / abs(y_ref) < 5e-5
 
 
@@ -85,18 +96,16 @@ def test_propagation_matches_solve_ivp_high_resolution():
     curve = single_channel_curve(system, Channel(0, 0))
     energy = E0 / 100.0
     grid = RadialGrid(points_per_wavelength=120.0)
-    bc = short_range_boundary(params, curve, energy, 1.234)
+    y0 = boundary(params, curve, energy, 1.234)
     r1 = grid.outer_radius(system, energy, params.r_match)
     starts, steps = grid.build_steps(system, 0, energy, params.r_match, r1)
     g1, g2 = gauss_nodes(starts, steps)
     w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
     w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
     y_prop = apply_log_derivative(
-        chain_product(step_matrices(steps, w1, w2)), bc.log_derivative
+        chain_product(step_matrices(steps, w1, w2)), y0
     )
-    y_ref = reference_log_derivative(
-        curve, energy, bc.log_derivative, params.r_match, r1
-    )
+    y_ref = reference_log_derivative(curve, energy, y0, params.r_match, r1)
     assert abs(y_prop - y_ref) / abs(y_ref) < 2e-6
 
 
@@ -157,21 +166,28 @@ def test_apply_log_derivative_infinite_boundary():
 def test_boundary_reflection_magnitude():
     system = krb()
     curve = single_channel_curve(system, Channel(0, 0))
+    energy = E0 / 50.0
     for y in (0.0, 0.3, 0.83, 1.0):
         params = ShortRangeParams(s=0.0, y=y)
-        bc = short_range_boundary(params, curve, E0 / 50.0, 0.7)
-        assert abs(bc.reflection) == pytest.approx((1.0 - y) / (1.0 + y), rel=1e-12)
+        v, v_slope = edge_values(curve, params.r_match)
+        kappa = math.sqrt(2.0 * MU * (energy - v))
+        dkappa = -MU * v_slope / kappa
+        y0 = boundary_log_derivative(params, 0.7, energy, v, v_slope, MU)
+        # invert y0 = -i kappa (1 - R)/(1 + R) - kappa'/(2 kappa) for R
+        u = 1j * (y0 + dkappa / (2.0 * kappa)) / kappa
+        reflection = (1.0 - u) / (1.0 + u)
+        assert abs(reflection) == pytest.approx((1.0 - y) / (1.0 + y), rel=1e-12)
 
 
 def test_full_absorber_boundary_ignores_phase():
     system = krb()
     curve = single_channel_curve(system, Channel(0, 0))
     params = ShortRangeParams(s=0.0, y=1.0)
-    bc1 = short_range_boundary(params, curve, E0 / 50.0, 0.0)
-    bc2 = short_range_boundary(params, curve, E0 / 50.0, 2.5)
-    assert bc1.log_derivative == bc2.log_derivative
+    y1 = boundary(params, curve, E0 / 50.0, 0.0)
+    y2 = boundary(params, curve, E0 / 50.0, 2.5)
+    assert y1 == y2
     # purely incoming wave: negative imaginary part carries flux inward
-    assert bc1.log_derivative.imag < 0
+    assert y1.imag < 0
 
 
 def test_lossless_boundary_is_real():
@@ -179,8 +195,8 @@ def test_lossless_boundary_is_real():
     curve = single_channel_curve(system, Channel(0, 0))
     params = ShortRangeParams(s=0.0, y=0.0)
     for delta in (0.0, 0.4, 1.1, 2.9):
-        bc = short_range_boundary(params, curve, E0 / 50.0, delta)
-        assert abs(bc.log_derivative.imag) < 1e-12 * abs(bc.log_derivative.real)
+        y0 = boundary(params, curve, E0 / 50.0, delta)
+        assert abs(y0.imag) < 1e-12 * abs(y0.real)
 
 
 def test_boundary_rejects_forbidden_region():
@@ -191,7 +207,7 @@ def test_boundary_rejects_forbidden_region():
     )
     params = ShortRangeParams(s=0.0, y=1.0, r_match=0.5)
     with pytest.raises(MatchingError):
-        short_range_boundary(params, curve, 1e-6, 0.0)
+        boundary(params, curve, 1e-6, 0.0)
 
 
 def test_boundary_warns_when_wkb_marginal():
@@ -199,7 +215,7 @@ def test_boundary_warns_when_wkb_marginal():
     curve = single_channel_curve(system, Channel(0, 0), np.geomspace(0.1, 50.0, 200))
     params = ShortRangeParams(s=0.0, y=1.0, r_match=0.5)
     with pytest.warns(UserWarning, match="WKB"):
-        short_range_boundary(params, curve, 1e-6, 0.0)
+        boundary(params, curve, 1e-6, 0.0)
 
 
 # --- end-to-end observables ----------------------------------------------------
@@ -331,15 +347,12 @@ def test_block_propagation_matches_single_channel_at_zero_dipole():
     params = ShortRangeParams(s=0.2, y=0.4)
     grid = RadialGrid()
     delta = calibrate_phase(system, params, grid)
-    basis = build_basis(0, 1, 5)
-    r_grid = np.geomspace(params.r_match, 1e5, 80)
-    curves = adiabatic_curves(system, basis, r_grid)
     energy = E0 / 10.0
-    block = propagate_block(system, curves, params, energy, delta, grid)
-    by_channel = {r.L: r for r in block}
-    for curve in curves:
+    block = rate_point(system, params, delta, energy, grid, l_max=5)
+    assert set(block) == {Channel(L, M) for L in (1, 3, 5) for M in range(L + 1)}
+    for channel, got in block.items():
+        curve = single_channel_curve(system, channel)
         single = propagate(system, curve, params, energy, delta, grid)
-        got = by_channel[curve.channel.L]
         assert got.s_matrix == pytest.approx(single.s_matrix, rel=1e-6)
         assert got.loss_probability == pytest.approx(
             single.loss_probability, rel=1e-5
@@ -351,22 +364,17 @@ def test_block_phase_overrides():
     params = ShortRangeParams(s=0.2, y=0.4)
     grid = RadialGrid()
     delta = calibrate_phase(system, params, grid)
-    basis = build_basis(0, 1, 3)
-    r_grid = np.geomspace(params.r_match, 1e5, 60)
-    curves = adiabatic_curves(system, basis, r_grid)
     energy = E0 / 10.0
-    base = propagate_block(system, curves, params, energy, delta, grid)
-    tweaked = propagate_block(
-        system,
-        curves,
-        params,
-        energy,
-        delta,
-        grid,
+    base = rate_point(system, params, delta, energy, grid, l_max=3)
+    tweaked = rate_point(
+        system, params, delta, energy, grid, l_max=3,
         phase_overrides={Channel(3, 0): delta + 0.3},
     )
-    assert tweaked[0].s_matrix == base[0].s_matrix
-    assert tweaked[1].s_matrix != base[1].s_matrix
+    for channel, res in base.items():
+        if channel == Channel(3, 0):
+            assert tweaked[channel].s_matrix != res.s_matrix
+        else:
+            assert tweaked[channel].s_matrix == res.s_matrix
 
 
 def test_validation_errors():
@@ -409,6 +417,12 @@ def test_build_steps_cover_interval():
     assert np.all(steps > 0)
     # step ceiling: never more than r/scale_fraction
     assert np.all(steps <= starts / grid.scale_fraction + 1e-12)
+
+
+def test_calibration_forward_check_raises():
+    # the closed form is exact only to rounding; a tighter bound must fail
+    with pytest.raises(CalibrationError):
+        calibrate_phase(krb(), ShortRangeParams(s=0.5, y=0.0), tolerance=1e-300)
 
 
 def test_calibration_rejects_when_no_root():

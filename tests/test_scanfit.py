@@ -5,7 +5,7 @@ import pytest
 
 from coldchem import units
 from coldchem.errors import FitError, ScanError
-from coldchem.potential import Channel, CollisionSystem, Symmetry
+from coldchem.potential import Channel, CollisionSystem, Symmetry, symmetry_blocks
 from coldchem.propagator import RadialGrid, calibrate_phase
 from coldchem.qdt import ShortRangeParams, characteristic_energies, resonance_position
 from coldchem.scanfit import (
@@ -18,7 +18,6 @@ from coldchem.scanfit import (
     rate_point,
     scan_dipole,
     scan_energy,
-    symmetry_blocks,
 )
 
 MU = units.mass_from_amu(63.4968)
@@ -62,6 +61,20 @@ def test_symmetry_blocks_distinguishable():
 
 
 # --- scans ----------------------------------------------------------------------
+
+
+def test_rate_point_fermions_at_high_field_and_energy(fermi_calibration):
+    # eigenvector labelling raised GridError here (0.98 asymptotic weight at
+    # the outer radius); rank labelling needs no asymptotic decoupling
+    system, params, grid, delta = fermi_calibration
+    import dataclasses
+
+    hot = dataclasses.replace(system, dipole=units.dipole_from_debye(0.5))
+    results = rate_point(
+        hot, params, delta, units.energy_from_microkelvin(2400.0), grid, l_max=7
+    )
+    assert set(results) == {Channel(L, M) for L in (1, 3, 5, 7) for M in range(L + 1)}
+    assert all(abs(r.s_matrix) ** 2 <= 1.0 + 1e-9 for r in results.values())
 
 
 def test_rate_point_channels(fermi_calibration):
