@@ -156,25 +156,28 @@ def step_matrices(steps: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
     return m
 
 
-def chain_product(matrices: np.ndarray) -> np.ndarray:
-    """Ordered product M[n-1] @ ... @ M[0] by pairwise reduction.
+def chain_product(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered product M[n-1] @ ... @ M[0] by pairwise reduction, as (m, e).
 
-    Each round multiplies adjacent pairs and renormalizes by the largest
-    entry magnitude; the positive scale factor cancels in the Moebius map
-    of the log-derivative, so only overflow protection is at stake.
+    The product is m * 2**e, with e an integer per leading batch index.
+    Each round multiplies adjacent pairs and divides each product by the
+    power of two nearest its largest entry.  That division is exact, so the
+    scale is pure bookkeeping: the Moebius map of the log-derivative ignores
+    it, and since every Magnus step has determinant 1, det(m) = 2**(-2 e).
     """
     m = matrices
+    e = np.zeros(m.shape[1:-2], dtype=np.int64)
     if m.shape[0] == 0:
-        return np.eye(2)
+        return np.broadcast_to(np.eye(2), m.shape[1:]).copy(), e
     while m.shape[0] > 1:
         n = m.shape[0]
         even = n - (n % 2)
         prod = m[1:even:2] @ m[0:even:2]
-        if n % 2:
-            prod = np.concatenate([prod, m[-1:]], axis=0)
-        scale = np.max(np.abs(prod), axis=(-2, -1), keepdims=True)
-        m = prod / scale
-    return m[0]
+        _, exps = np.frexp(np.max(np.abs(prod), axis=(-2, -1)))
+        prod = np.ldexp(prod, -exps[..., None, None])
+        e = e + exps.sum(axis=0)
+        m = np.concatenate([prod, m[-1:]], axis=0) if n % 2 else prod
+    return m[0], e
 
 
 def apply_log_derivative(m: np.ndarray, y: complex) -> complex:
@@ -188,6 +191,21 @@ def apply_log_derivative(m: np.ndarray, y: complex) -> complex:
     if den == 0:
         raise MatchingError("log-derivative pole exactly at the matching radius")
     return num / den
+
+
+def _carry_log_derivative(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Image of y under the transfer m * 2**e, with Im y carried by the flux.
+
+    The flux Im(psi* psi') is conserved by the real transfer, which has
+    determinant 1: Im y_out = det(m * 2**e) Im y / |m00 + m01 y|^2 with
+    det(m) = 2**(-2 e).  The Moebius quotient alone would lose a small
+    Im y to cancellation against the real part.
+    """
+    den = m[..., 0, 0] + m[..., 0, 1] * y
+    if np.any(den == 0):
+        raise MatchingError("log-derivative pole exactly at the matching radius")
+    num = m[..., 1, 0] + m[..., 1, 1] * y
+    return (num / den).real + 1j * np.ldexp(y.imag / np.abs(den) ** 2, -2 * e)
 
 
 def _wkb_wavenumber(
@@ -251,7 +269,10 @@ def match_free_solution(y_out: complex, k: float, L: int, r: float) -> complex:
     den = y_out * cf - k * cf_p
     if abs(den) < 1e-300:
         raise MatchingError("degenerate asymptotic match (irregular solution absent)")
-    return num / den
+    # Im t from the Wronskian sf cf' - sf' cf: the flux of y, free of the
+    # cancellation in the quotient
+    im_t = k * (sf * cf_p - sf_p * cf) * y_out.imag / abs(den) ** 2
+    return complex((num / den).real, im_t)
 
 
 def _result_from_t(
@@ -267,6 +288,7 @@ def _result_from_t(
     # algebraically identical to 1 - |S|^2 but immune to cancellation
     p_loss = 4.0 * t.imag / abs(1.0 - 1j * t) ** 2
     rates = rates_from_s_matrix(s_el, k, system)
+    pref = system.statistical_factor * math.pi / (system.reduced_mass * k)
     return ScatteringResult(
         L=channel.L,
         M=channel.M,
@@ -275,7 +297,7 @@ def _result_from_t(
         s_matrix=s_el,
         loss_probability=p_loss,
         elastic_rate=rates.elastic,
-        quenching_rate=rates.quenching,
+        quenching_rate=pref * p_loss,
         n_points=n_points,
         match_spread=match_spread,
     )
@@ -309,7 +331,7 @@ def _segment_transfers(
     r_start: float,
     r_stop: float,
 ) -> tuple[list[np.ndarray], int]:
-    """(psi, psi') transfer matrix of each rank over [r_start, r_stop].
+    """(psi, psi') transfer (m, e) of each rank over [r_start, r_stop].
 
     All ranks share one grid, built for partial wave ``l_env``, and one
     batched diagonalization per Gauss node.  Also returns the step count.
@@ -366,7 +388,10 @@ def _propagate_ranks(
         transfers, n_steps = _segment_transfers(
             system, basis, ranks, l_env, energy, grid, r_start, r_stop
         )
-        y = [apply_log_derivative(m, y_i) for m, y_i in zip(transfers, y)]
+        y = [
+            complex(_carry_log_derivative(m, e, np.complex128(y_i)))
+            for (m, e), y_i in zip(transfers, y)
+        ]
         t_values.append(
             [match_free_solution(y_i, k, c.L, r_stop) for y_i, c in zip(y, channels)]
         )
@@ -443,7 +468,7 @@ def calibrate_phase(
     k = math.sqrt(2.0 * mu * e_cal)
     swave = build_basis(0, 0, 0)
     r1 = grid.outer_radius(bare, e_cal, r_match)
-    (m_total,), _ = _segment_transfers(bare, swave, [0], 0, e_cal, grid, r_match, r1)
+    ((m_total, _),), _ = _segment_transfers(bare, swave, [0], 0, e_cal, grid, r_match, r1)
     v, v_slope = (float(x[0]) for x in _edge_values(bare, swave, r_match))
     kappa, dkappa = _wkb_wavenumber(e_cal, v, v_slope, r_match, mu)
     sf, sf_p, cf, cf_p = _riccati_bessel(0, k * r1)
