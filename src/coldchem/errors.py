@@ -5,10 +5,17 @@ only be detected at run time (a calibration that fails to bracket, a grid
 that cannot reach the asymptotic region, a scattering matrix that breaches
 unitarity) derives from ColdchemError so callers can catch one base class.
 """
+from __future__ import annotations
 
 
 class ColdchemError(Exception):
-    """Base class for runtime failures of the scattering engine."""
+    """Base class for runtime failures of the scattering engine.
+
+    ``row`` is the index of the failing point when a batch of points was
+    computed together, and None otherwise.
+    """
+
+    row: int | None = None
 
 
 class NumericalError(ColdchemError):

@@ -14,6 +14,7 @@ height controls the loss rate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -228,36 +229,47 @@ def build_basis(m_projection: int, parity: int, l_max: int) -> ChannelBasis:
 
 def coupling_matrix(basis: ChannelBasis) -> np.ndarray:
     """Dimensionless P2 coupling matrix over the basis (symmetric)."""
+    return _coupling(basis).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _coupling(basis: ChannelBasis) -> np.ndarray:
     n = len(basis)
     w = np.zeros((n, n))
     for i, ci in enumerate(basis.channels):
         for j in range(i, n):
             cj = basis.channels[j]
             w[i, j] = w[j, i] = p2_matrix_element(ci.L, cj.L, basis.m_projection)
+    w.setflags(write=False)  # one cached array serves every caller
     return w
 
 
 def potential_matrix(
-    system: CollisionSystem, basis: ChannelBasis, r: float | np.ndarray
+    system: CollisionSystem,
+    basis: ChannelBasis,
+    r: float | np.ndarray,
+    c3: float | np.ndarray | None = None,
 ) -> np.ndarray:
-    """Interaction matrix W(R) in hartree; batched over a radial array.
+    """Interaction matrix W(R) in hartree, batched over radii and field.
 
-    Shape (n, n) for scalar r, (len(r), n, n) for 1-D r.
+    ``c3`` overrides the system's R^-3 strength, one value per point;
+    ``r`` and ``c3`` broadcast against each other, and the result has
+    their broadcast shape + (n, n): (n, n) for scalars, (len(r), n, n)
+    for a 1-D r.
     """
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
         raise ValueError("radius must be positive")
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
+    c3_arr = np.asarray(system.c3 if c3 is None else c3, dtype=float)
     n = len(basis)
     ell = np.array([c.L for c in basis.channels], dtype=float)
     diag = (
-        ell * (ell + 1.0) / (2.0 * system.reduced_mass * r_arr[:, None] ** 2)
-        + C6_SIGN * system.c6 / r_arr[:, None] ** 6
+        ell * (ell + 1.0) / (2.0 * system.reduced_mass * r_arr[..., None] ** 2)
+        + C6_SIGN * system.c6 / r_arr[..., None] ** 6
     )
-    w = -system.c3 * coupling_matrix(basis) / r_arr[:, None, None] ** 3
-    w[:, np.arange(n), np.arange(n)] += diag
-    return w[0] if scalar else w
+    w = -c3_arr[..., None, None] * _coupling(basis) / r_arr[..., None, None] ** 3
+    w[..., np.arange(n), np.arange(n)] += diag
+    return w
 
 
 def symmetry_blocks(system: CollisionSystem, l_max: int) -> list[ChannelBasis]:
@@ -275,23 +287,29 @@ def symmetry_blocks(system: CollisionSystem, l_max: int) -> list[ChannelBasis]:
 
 
 def _block_eigenvalues(
-    system: CollisionSystem, basis: ChannelBasis, r: float | np.ndarray
+    system: CollisionSystem,
+    basis: ChannelBasis,
+    r: float | np.ndarray,
+    c3: float | np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sorted eigenvalues of the block at r, shape np.shape(r) + (n,).
+    """Sorted eigenvalues of the block, shape broadcast(r, c3) + (n,).
 
-    A one-channel block needs no diagonalization: its single eigenvalue is
-    the diagonal element, evaluated in closed form.
+    ``c3`` overrides the system's R^-3 strength per point, as in
+    ``potential_matrix``; one batched diagonalization covers every point.
+    A one-channel block needs none: its single eigenvalue is the diagonal
+    element, evaluated in closed form.
     """
     if len(basis) == 1:
         (c,) = basis.channels
         r_arr = np.asarray(r, dtype=float)
+        c3_arr = np.asarray(system.c3 if c3 is None else c3, dtype=float)
         v = (
             c.L * (c.L + 1) / (2.0 * system.reduced_mass * r_arr**2)
             + C6_SIGN * system.c6 / r_arr**6
-            - system.c3 * p2_matrix_element(c.L, c.L, c.M) / r_arr**3
+            - c3_arr * p2_matrix_element(c.L, c.L, c.M) / r_arr**3
         )
         return v[..., None]
-    return np.linalg.eigvalsh(potential_matrix(system, basis, r))
+    return np.linalg.eigvalsh(potential_matrix(system, basis, r, c3))
 
 
 @dataclass

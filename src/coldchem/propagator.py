@@ -12,8 +12,11 @@ it is calibrated so that the y = 0 zero-energy s-wave scattering length
 equals s * abar, after which the same (s, y, delta_sr) triple is reused
 at every field, energy and partial wave.
 
-One path propagates every curve: the eigenvalue ranks of one (M, parity)
-block on a shared grid.  A single curve is a block with one rank.
+One batched core propagates every curve.  A row is one point, an
+(energy, c3) pair; a block is the eigenvalue ranks of one (M, parity)
+basis.  Rows are taken in chunks, and every block of a chunk whose grid
+has the same envelope shares one lockstep grid per segment.  A single
+curve at a single point is a chunk of one row and a block of one rank.
 """
 from __future__ import annotations
 
@@ -22,14 +25,14 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from .errors import CalibrationError, GridError, MatchingError
+from .errors import CalibrationError, ColdchemError, GridError, MatchingError, UnitarityError
 from .potential import (
     AdiabaticCurve,
-    Channel,
     ChannelBasis,
     CollisionSystem,
     _block_eigenvalues,
@@ -40,11 +43,16 @@ from .qdt import (
     ShortRangeParams,
     characteristic_energies,
     mean_scattering_length,
-    rates_from_s_matrix,
 )
 
 _SQRT3 = math.sqrt(3.0)
 _MAX_STEPS = 10_000_000
+# Rows per chunk, and rows times grid steps per fold: with the 4-channel
+# blocks of l_max = 7 every live intermediate of the core stays near 1 MB.
+_CHUNK_ROWS = 64
+_FOLD_SIZE = 4096
+# up to this many rows a grid is built row by row in Python floats
+_SCALAR_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -76,48 +84,106 @@ class RadialGrid:
             raise ValueError("match_factor must exceed 1")
 
     def outer_radius(
-        self, system: CollisionSystem, energy: float, r_match: float
-    ) -> float:
-        """Smallest radius beyond which all potential tails are negligible."""
-        if energy <= 0:
+        self,
+        system: CollisionSystem,
+        energy: float | np.ndarray,
+        r_match: float,
+        c3: float | np.ndarray | None = None,
+    ) -> float | np.ndarray:
+        """Smallest radius beyond which all potential tails are negligible.
+
+        ``energy`` and ``c3`` (by default the system's) may hold one value
+        per row.
+        """
+        energy = np.asarray(energy, dtype=float)
+        if np.any(energy <= 0):
             raise ValueError("energy must be positive")
         cut = self.tail_tolerance * energy
         r6 = (system.c6 / cut) ** (1.0 / 6.0)
-        r3 = (system.c3 / cut) ** (1.0 / 3.0) if system.c3 > 0 else 0.0
-        return max(r6, r3, 3.0 * r_match)
+        r3 = (np.asarray(system.c3 if c3 is None else c3, dtype=float) / cut) ** (1.0 / 3.0)
+        return np.maximum(np.maximum(r6, r3), 3.0 * r_match)
 
     def build_steps(
         self,
         system: CollisionSystem,
         L: int,
-        energy: float,
-        r_start: float,
-        r_stop: float,
+        energy: float | np.ndarray,
+        r_start: float | np.ndarray,
+        r_stop: float | np.ndarray,
+        c3: float | np.ndarray | None = None,
+        max_steps: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Step starts and sizes covering [r_start, r_stop]."""
-        if r_stop <= r_start:
+        """Step starts and sizes covering [r_start, r_stop], in lockstep over rows.
+
+        ``energy``, ``r_start``, ``r_stop`` and ``c3`` (by default the
+        system's) broadcast to one value per row; the arrays returned have
+        shape (steps, rows), or (steps,) for scalar inputs, and a row that
+        has reached its r_stop is padded with zero-length steps there.  At
+        most ``max_steps`` steps are built, so a long grid can be taken fold
+        by fold; without it a grid beyond the step budget raises GridError.
+        """
+        energy, r, r_stop, c3 = np.broadcast_arrays(
+            *(np.asarray(x, dtype=float) for x in (energy, r_start, r_stop,
+                                                   system.c3 if c3 is None else c3))
+        )
+        if max_steps is None and np.any(r_stop <= r):
             raise GridError(
-                f"outer radius {r_stop:.3g} does not exceed inner radius {r_start:.3g}"
+                f"outer radius {np.min(r_stop):.3g} does not exceed inner radius "
+                f"{np.max(r):.3g}"
             )
+        # q^2 = a + b/r^6 + c/r^3 + ll/r^2 with a, b, c = 2 mu (E, C6, C3)
         two_mu = 2.0 * system.reduced_mass
-        c6, c3 = system.c6, system.c3
-        ll = float(L * (L + 1))
-        two_pi = 2.0 * math.pi
-        ppw, frac = self.points_per_wavelength, self.scale_fraction
-        starts: list[float] = []
-        steps: list[float] = []
-        r = r_start
-        while r < r_stop:
-            if len(starts) >= _MAX_STEPS:
-                raise GridError("radial grid exceeds the step budget")
-            q2 = two_mu * (energy + c6 / r**6 + c3 / r**3) + ll / (r * r)
-            h = min(two_pi / (ppw * math.sqrt(q2)), r / frac, r_stop - r)
-            if r + h <= r:
-                break  # step underflow at the very last point
-            starts.append(r)
-            steps.append(h)
-            r += h
-        return np.asarray(starts), np.asarray(steps)
+        terms = (two_mu * energy, two_mu * system.c6, two_mu * c3, float(L * (L + 1)),
+                 2.0 * math.pi / self.points_per_wavelength, self.scale_fraction)
+        limit = _MAX_STEPS if max_steps is None else max_steps
+        if r.size <= _SCALAR_ROWS:
+            # a few rows step faster one by one in Python floats; the same
+            # correctly rounded operations give the same grid as the lockstep
+            rows = [
+                _row_radii(*args, limit)
+                for args in zip(*(np.broadcast_to(x, r.shape).flat for x in terms),
+                                r.flat, r_stop.flat)
+            ]
+            n = max(len(x) for x, _ in rows)
+            radii = np.array([x + x[-1:] * (n - len(x)) for x, _ in rows])
+            radii = radii.T.reshape((n,) + r.shape)
+            unfinished = any(more for _, more in rows)
+        else:
+            radii = [r]
+            while True:
+                r_next = _next_radius(*terms, r, r_stop)
+                unfinished = bool(np.any(r_next > r))
+                if not unfinished or len(radii) > limit:
+                    break
+                radii.append(r_next)
+                r = r_next
+            radii = np.stack(radii)
+        if max_steps is None and unfinished:
+            raise GridError("radial grid exceeds the step budget")
+        return radii[:-1], np.diff(radii, axis=0)
+
+
+def _next_radius(a, b, c, ll, wave, frac, r, r_stop):
+    """Every row's next grid radius; a row stays put once it has stopped."""
+    r3 = r * r * r
+    q2 = a + b / (r3 * r3) + c / r3 + ll / (r * r)
+    h = np.minimum(np.minimum(wave / np.sqrt(q2), r / frac), r_stop - r)
+    # stopping at r_stop, or on step underflow at the very last point
+    return np.maximum(r + h, r)
+
+
+def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
+    """``_next_radius`` for one row in Python floats: its radii, and
+    whether it stopped short of r_stop after ``limit`` steps."""
+    radii = [r]
+    while True:
+        r3 = r * r * r
+        q2 = a + b / (r3 * r3) + c / r3 + ll / (r * r)
+        r_next = max(r + min(wave / math.sqrt(q2), r / frac, r_stop - r), r)
+        if not r_next > r or len(radii) > limit:
+            return radii, r_next > r
+        radii.append(r_next)
+        r = r_next
 
 
 def gauss_nodes(starts: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +200,8 @@ def step_matrices(steps: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
     For psi'' = W(R) psi the generator over one step h is the traceless
     matrix [[a, h], [h (W1+W2)/2, -a]] with a = sqrt(3) h^2 (W1 - W2) / 12,
     where W1, W2 are samples at the Gauss nodes.  The exponential is closed
-    form because the square of a traceless 2x2 matrix is scalar.
+    form because the square of a traceless 2x2 matrix is scalar.  The
+    arguments broadcast; a zero-length step gives the exact identity.
     """
     h = steps
     a = _SQRT3 / 12.0 * h * h * (w1 - w2)
@@ -148,7 +215,7 @@ def step_matrices(steps: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
         sc = np.where(oscillatory, np.sin(om), np.sinh(om)) / om
     # sinhc(om) -> 1 + om^2/6 for small argument, same series both branches
     sc = np.where(om < 1e-8, 1.0 + om2 / 6.0, sc)
-    m = np.empty(h.shape + (2, 2))
+    m = np.empty(np.broadcast_shapes(np.shape(h), np.shape(w1), np.shape(w2)) + (2, 2))
     m[..., 0, 0] = ch + sc * a
     m[..., 0, 1] = sc * b
     m[..., 1, 0] = sc * c
@@ -193,7 +260,9 @@ def apply_log_derivative(m: np.ndarray, y: complex) -> complex:
     return num / den
 
 
-def _carry_log_derivative(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _carry_log_derivative(
+    m: np.ndarray, e: np.ndarray, y: np.ndarray, where: Sequence[str] | None = None
+) -> np.ndarray:
     """Image of y under the transfer m * 2**e, with Im y carried by the flux.
 
     The flux Im(psi* psi') is conserved by the real transfer, which has
@@ -203,24 +272,62 @@ def _carry_log_derivative(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.nda
     """
     den = m[..., 0, 0] + m[..., 0, 1] * y
     if np.any(den == 0):
-        raise MatchingError("log-derivative pole exactly at the matching radius")
+        raise _row_failure(
+            MatchingError, "log-derivative pole exactly at the matching radius",
+            den == 0, where,
+        )
     num = m[..., 1, 0] + m[..., 1, 1] * y
     return (num / den).real + 1j * np.ldexp(y.imag / np.abs(den) ** 2, -2 * e)
 
 
+def _point_labels(energy: np.ndarray, c3: np.ndarray) -> list[str]:
+    """One label per row, naming its energy and dipole."""
+    return [
+        f"E = {e:.6g} hartree, d = {math.sqrt(c / 2.0):.6g} a.u."
+        for e, c in zip(np.ravel(energy), np.ravel(c3))
+    ]
+
+
+def _row_failure(
+    cls: type[ColdchemError], message: str, bad: np.ndarray, where: Sequence[str] | None
+) -> ColdchemError:
+    """``cls(message)`` for the first row (axis 0) where ``bad`` holds.
+
+    With row labels the message names the row; the error's ``row`` is its
+    index, or None for scalar input.
+    """
+    row = int(np.argwhere(bad)[0][0]) if np.ndim(bad) else None
+    exc = cls(message if row is None or where is None else f"{message} (at {where[row]})")
+    exc.row = row
+    return exc
+
+
 def _wkb_wavenumber(
-    energy: float, v: float, v_slope: float, r_match: float, reduced_mass: float
-) -> tuple[float, float]:
+    energy: np.ndarray,
+    v: np.ndarray,
+    v_slope: np.ndarray,
+    r_match: float,
+    reduced_mass: float,
+    where: Sequence[str] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Local wavenumber kappa at R_m and its radial derivative kappa'."""
-    if energy <= v:
-        raise MatchingError(
+    energy, v = np.broadcast_arrays(np.asarray(energy, dtype=float), v)
+    forbidden = energy <= v
+    if np.any(forbidden):
+        i = tuple(np.argwhere(forbidden)[0])
+        raise _row_failure(
+            MatchingError,
             f"short-range boundary at R = {r_match:.3g} is classically forbidden "
-            f"(E = {energy:.3e}, V = {v:.3e})"
+            f"(E = {energy[i]:.3e}, V = {v[i]:.3e})",
+            forbidden, where,
         )
-    kappa = math.sqrt(2.0 * reduced_mass * (energy - v))
-    if kappa * r_match < 10.0:
+    kappa = np.sqrt(2.0 * reduced_mass * (energy - v))
+    marginal = kappa * r_match < 10.0
+    if np.any(marginal):
+        i = tuple(np.argwhere(marginal)[0])
+        at = f" at {where[i[0]]}" if where is not None and i else ""
         warnings.warn(
-            f"kappa * R_m = {kappa * r_match:.2f} is small; the WKB boundary "
+            f"kappa * R_m = {kappa[i] * r_match:.2f} is small{at}; the WKB boundary "
             "condition is marginal",
             stacklevel=3,
         )
@@ -229,28 +336,34 @@ def _wkb_wavenumber(
 
 def boundary_log_derivative(
     params: ShortRangeParams,
-    delta_sr: float,
-    energy: float,
-    v: float,
-    v_slope: float,
+    delta_sr: float | np.ndarray,
+    energy: float | np.ndarray,
+    v: float | np.ndarray,
+    v_slope: float | np.ndarray,
     reduced_mass: float,
-) -> complex:
+    where: Sequence[str] | None = None,
+) -> complex | np.ndarray:
     """Complex log-derivative at R_m of the absorbing WKB wave.
 
     ``v`` and ``v_slope`` are the adiabatic potential and its radial
     derivative at R_m.  The wave carries unit incoming flux and the
-    reflected amplitude (1 - y)/(1 + y) * exp(2 i delta_sr).
+    reflected amplitude (1 - y)/(1 + y) * exp(2 i delta_sr).  Arguments
+    broadcast; ``where`` labels the rows (axis 0) in errors and warnings.
     """
-    kappa, dkappa = _wkb_wavenumber(energy, v, v_slope, params.r_match, reduced_mass)
-    refl = (1.0 - params.y) / (1.0 + params.y) * complex(
-        math.cos(2.0 * delta_sr), math.sin(2.0 * delta_sr)
+    kappa, dkappa = _wkb_wavenumber(
+        energy, v, v_slope, params.r_match, reduced_mass, where
     )
+    two_delta = 2.0 * np.asarray(delta_sr, dtype=float)
+    refl = (1.0 - params.y) / (1.0 + params.y) * (np.cos(two_delta) + 1j * np.sin(two_delta))
     # psi = exp(-i int kappa)/sqrt(kappa) + refl * exp(+i int kappa)/sqrt(kappa)
     return -1j * kappa * (1.0 - refl) / (1.0 + refl) - dkappa / (2.0 * kappa)
 
 
-def _riccati_bessel(L: int, x: float) -> tuple[float, float, float, float]:
-    """s_L = x j_L(x), its derivative, c_L = -x y_L(x) and its derivative."""
+def _riccati_bessel(L, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """s_L = x j_L(x), its derivative, c_L = -x y_L(x) and its derivative.
+
+    ``L`` and ``x`` broadcast, so one call serves every rank and row.
+    """
     j = spherical_jn(L, x)
     jp = spherical_jn(L, x, derivative=True)
     yn = spherical_yn(L, x)
@@ -258,49 +371,26 @@ def _riccati_bessel(L: int, x: float) -> tuple[float, float, float, float]:
     return x * j, j + x * jp, -x * yn, -(yn + x * ynp)
 
 
-def match_free_solution(y_out: complex, k: float, L: int, r: float) -> complex:
+def match_free_solution(y_out, k, L, r, where: Sequence[str] | None = None):
     """Tangent of the (complex) phase shift from the log-derivative at r.
 
     Matches psi to s_L(kr) + t c_L(kr) with Riccati-Bessel functions
-    s_L = x j_L(x), c_L = -x y_L(x).
+    s_L = x j_L(x), c_L = -x y_L(x).  Arguments broadcast; ``where``
+    labels the rows (axis 0) in errors.
     """
     sf, sf_p, cf, cf_p = _riccati_bessel(L, k * r)
     num = k * sf_p - y_out * sf
     den = y_out * cf - k * cf_p
-    if abs(den) < 1e-300:
-        raise MatchingError("degenerate asymptotic match (irregular solution absent)")
+    degenerate = np.abs(den) < 1e-300
+    if np.any(degenerate):
+        raise _row_failure(
+            MatchingError, "degenerate asymptotic match (irregular solution absent)",
+            degenerate, where,
+        )
     # Im t from the Wronskian sf cf' - sf' cf: the flux of y, free of the
     # cancellation in the quotient
-    im_t = k * (sf * cf_p - sf_p * cf) * y_out.imag / abs(den) ** 2
-    return complex((num / den).real, im_t)
-
-
-def _result_from_t(
-    t: complex,
-    k: float,
-    energy: float,
-    channel: Channel,
-    system: CollisionSystem,
-    n_points: int,
-    match_spread: float,
-) -> ScatteringResult:
-    s_el = (1.0 + 1j * t) / (1.0 - 1j * t)
-    # algebraically identical to 1 - |S|^2 but immune to cancellation
-    p_loss = 4.0 * t.imag / abs(1.0 - 1j * t) ** 2
-    rates = rates_from_s_matrix(s_el, k, system)
-    pref = system.statistical_factor * math.pi / (system.reduced_mass * k)
-    return ScatteringResult(
-        L=channel.L,
-        M=channel.M,
-        energy=energy,
-        wavenumber=k,
-        s_matrix=s_el,
-        loss_probability=p_loss,
-        elastic_rate=rates.elastic,
-        quenching_rate=pref * p_loss,
-        n_points=n_points,
-        match_spread=match_spread,
-    )
+    im_t = k * (sf * cf_p - sf_p * cf) * np.imag(y_out) / np.abs(den) ** 2
+    return (num / den).real + 1j * im_t
 
 
 def _check_r_match(params: ShortRangeParams, system: CollisionSystem) -> None:
@@ -313,94 +403,222 @@ def _check_r_match(params: ShortRangeParams, system: CollisionSystem) -> None:
 
 
 def _edge_values(
-    system: CollisionSystem, basis: ChannelBasis, r_match: float
+    system: CollisionSystem, basis: ChannelBasis, r_match: float, c3: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every rank's potential at R_m and its central-difference slope."""
+    """Every rank's potential at R_m and its central-difference slope, per row."""
     dr = 1e-4 * r_match
-    v = _block_eigenvalues(system, basis, np.array([r_match - dr, r_match, r_match + dr]))
+    r = np.array([r_match - dr, r_match, r_match + dr])[:, None]
+    v = _block_eigenvalues(system, basis, r, c3)
     return v[1], (v[2] - v[0]) / (2.0 * dr)
 
 
 def _segment_transfers(
     system: CollisionSystem,
-    basis: ChannelBasis,
-    ranks: Sequence[int],
-    l_env: int,
-    energy: float,
+    blocks: Sequence[tuple[ChannelBasis, Sequence[int]]],
+    energy: np.ndarray,
+    c3: np.ndarray,
     grid: RadialGrid,
-    r_start: float,
-    r_stop: float,
-) -> tuple[list[np.ndarray], int]:
-    """(psi, psi') transfer (m, e) of each rank over [r_start, r_stop].
+    r_start: np.ndarray,
+    r_stop: np.ndarray,
+    where: Sequence[str] | None = None,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """(psi, psi') transfer (m, e) of every block's ranks over [r_start, r_stop].
 
-    All ranks share one grid, built for partial wave ``l_env``, and one
-    batched diagonalization per Gauss node.  Also returns the step count.
+    ``blocks`` pairs each basis with the ranks to propagate; m has shape
+    (rows, ranks, 2, 2) and the transfer is m * 2**e.  The grid of a block
+    is built for the largest L among its ranks, which slightly
+    over-resolves the lower ones, so blocks with the same envelope share
+    one lockstep grid.  It is built and used in folds of _FOLD_SIZE // rows
+    steps, each multiplied into a running product; rows whose grid has
+    ended drop out of the work.  Also returns each block's step count per
+    row.
     """
-    starts, steps = grid.build_steps(system, l_env, energy, r_start, r_stop)
-    g1, g2 = gauss_nodes(starts, steps)
-    v1 = _block_eigenvalues(system, basis, g1)
-    v2 = _block_eigenvalues(system, basis, g2)
     two_mu = 2.0 * system.reduced_mass
-    transfers = [
-        chain_product(
-            step_matrices(steps, two_mu * (v1[:, i] - energy), two_mu * (v2[:, i] - energy))
-        )
-        for i in ranks
+    rows = len(energy)
+    fold = max(1, _FOLD_SIZE // rows)
+    envelopes = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks]
+    running = [
+        [np.broadcast_to(np.eye(2), (rows, len(ranks), 2, 2)).copy(),
+         np.zeros((rows, len(ranks)), dtype=np.int64)]
+        for _, ranks in blocks
     ]
-    return transfers, len(steps)
+    counts: list[np.ndarray] = [np.zeros(rows, dtype=np.int64)] * len(blocks)
+    for l_env in sorted(set(envelopes)):
+        members = [j for j, l in enumerate(envelopes) if l == l_env]
+        r = r_start
+        n_steps = np.zeros(rows, dtype=np.int64)
+        while True:
+            starts, steps = grid.build_steps(
+                system, l_env, energy, r, r_stop, c3, max_steps=fold
+            )
+            if len(steps) == 0:
+                break
+            r = starts[-1] + steps[-1]
+            n_steps += np.count_nonzero(steps, axis=0)
+            if n_steps.max() > _MAX_STEPS:
+                raise _row_failure(
+                    GridError, "radial grid exceeds the step budget",
+                    n_steps > _MAX_STEPS, where,
+                )
+            live = np.flatnonzero(steps[0])  # rows whose grid goes on
+            if len(live) == rows:
+                live = slice(None)
+            starts, steps = starts[:, live], steps[:, live]
+            e_live, c3_live = energy[live, None], c3[live]
+            g1, g2 = gauss_nodes(starts, steps)
+            for j in members:
+                basis, ranks = blocks[j]
+                v1 = _block_eigenvalues(system, basis, g1, c3_live)[..., ranks]
+                v2 = _block_eigenvalues(system, basis, g2, c3_live)[..., ranks]
+                m, e = chain_product(
+                    step_matrices(steps[..., None], two_mu * (v1 - e_live), two_mu * (v2 - e_live))
+                )
+                run_m, run_e = running[j]
+                run_m[live], e_fold = chain_product(np.stack([run_m[live], m]))
+                run_e[live] += e + e_fold
+            if len(steps) < fold:
+                break  # every row has reached r_stop
+        for j in members:
+            counts[j] = n_steps
+    return [(m, e) for m, e in running], counts
 
 
-def _propagate_ranks(
+class _BlockRows(NamedTuple):
+    """One block's scattering at every row, per rank (axis 1)."""
+
+    s_matrix: np.ndarray  # (rows, ranks)
+    loss: np.ndarray  # (rows, ranks), from the conserved flux
+    match_spread: np.ndarray  # (rows, ranks)
+    n_points: np.ndarray  # (rows,)
+
+
+def _propagate_chunk(
     system: CollisionSystem,
-    basis: ChannelBasis,
-    ranks: Sequence[int],
+    blocks: Sequence[tuple[ChannelBasis, Sequence[int], Sequence[float]]],
     params: ShortRangeParams,
-    energy: float,
-    deltas: Sequence[float],
+    energy: np.ndarray,
+    c3: np.ndarray,
     grid: RadialGrid,
-) -> list[ScatteringResult]:
-    """Scattering results for the given eigenvalue ranks of one block.
+    where: Sequence[str],
+) -> list[_BlockRows]:
+    mu = system.reduced_mass
+    k = np.sqrt(2.0 * mu * energy)[:, None]
+    # every boundary first: a forbidden one fails before any propagation
+    y = []
+    for basis, ranks, deltas in blocks:
+        v, v_slope = _edge_values(system, basis, params.r_match, c3)
+        y.append(boundary_log_derivative(
+            params, np.asarray(deltas, dtype=float), energy[:, None],
+            v[:, ranks], v_slope[:, ranks], mu, where,
+        ))
+    pairs = [(basis, ranks) for basis, ranks, _ in blocks]
+    ells = [np.array([basis.channels[i].L for i in ranks]) for basis, ranks in pairs]
+    r1 = grid.outer_radius(system, energy, params.r_match, c3)
+    t_values = []
+    n_points = [np.zeros(len(energy), dtype=np.int64)] * len(blocks)
+    r_start = np.full(len(energy), params.r_match)
+    for r_stop in (r1, grid.match_factor * r1):
+        transfers, counts = _segment_transfers(
+            system, pairs, energy, c3, grid, r_start, r_stop, where
+        )
+        y = [_carry_log_derivative(m, e, y_b, where) for (m, e), y_b in zip(transfers, y)]
+        t_values.append([
+            match_free_solution(y_b, k, ell, r_stop[:, None], where)
+            for y_b, ell in zip(y, ells)
+        ])
+        n_points = [n + c for n, c in zip(n_points, counts)]
+        r_start = r_stop
+    out = []
+    for t1, t2, n in zip(*t_values, n_points):
+        s_el = (1.0 + 1j * t1) / (1.0 - 1j * t1)
+        # algebraically identical to 1 - |S|^2 but immune to cancellation
+        loss = 4.0 * t1.imag / np.abs(1.0 - 1j * t1) ** 2
+        if np.any(loss < -1e-9):
+            raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, where)
+        out.append(_BlockRows(s_el, loss, np.abs(t2 - t1), n))
+    return out
 
-    Rank i is the adiabat of channel ``basis.channels[i]``: the adiabats of
-    one (M, parity) block do not cross, and at large R the centrifugal term
-    orders them by L.  ``deltas`` holds the short-range phase of each rank.
-    The grid is built for the largest L among the ranks, which slightly
-    over-resolves the lower ones; matching is as described in ``propagate``.
+
+def _propagate_rows(
+    system: CollisionSystem,
+    blocks: Sequence[tuple[ChannelBasis, Sequence[int], Sequence[float]]],
+    params: ShortRangeParams,
+    energy,
+    c3,
+    grid: RadialGrid,
+    where: Sequence[str] | None = None,
+) -> list[_BlockRows]:
+    """Scattering of every block's ranks at every row (energy[i], c3[i]).
+
+    ``blocks`` lists (basis, ranks, deltas): rank i is the adiabat of
+    channel ``basis.channels[i]`` (the adiabats of one (M, parity) block do
+    not cross, and at large R the centrifugal term orders them by L), and
+    ``deltas`` holds each rank's short-range phase.  The log-derivative is
+    propagated from R_m to the tail-criterion radius and matched to
+    Riccati-Bessel functions there and once more ``match_factor`` further
+    out; the spread between the two is the error estimate.  Rows run in
+    chunks of _CHUNK_ROWS.  A failure names its row by ``where[i]`` (by
+    default its energy and dipole) and carries its index as ``row``.
     """
-    if energy <= 0:
+    energy = np.atleast_1d(np.asarray(energy, dtype=float))
+    c3 = np.broadcast_to(np.asarray(c3, dtype=float), energy.shape)
+    if np.any(energy <= 0):
         raise ValueError("collision energy must be positive")
     _check_r_match(params, system)
-    channels = [basis.channels[i] for i in ranks]
-    l_env = max(c.L for c in channels)
-    k = math.sqrt(2.0 * system.reduced_mass * energy)
-    v, v_slope = _edge_values(system, basis, params.r_match)
-    y = [
-        boundary_log_derivative(
-            params, delta, energy, float(v[i]), float(v_slope[i]), system.reduced_mass
-        )
-        for i, delta in zip(ranks, deltas)
-    ]
-    r1 = grid.outer_radius(system, energy, params.r_match)
-    t_values = []
-    n_points = 0
-    r_start = params.r_match
-    for r_stop in (r1, grid.match_factor * r1):
-        transfers, n_steps = _segment_transfers(
-            system, basis, ranks, l_env, energy, grid, r_start, r_stop
-        )
-        y = [
-            complex(_carry_log_derivative(m, e, np.complex128(y_i)))
-            for (m, e), y_i in zip(transfers, y)
-        ]
-        t_values.append(
-            [match_free_solution(y_i, k, c.L, r_stop) for y_i, c in zip(y, channels)]
-        )
-        n_points += n_steps
-        r_start = r_stop
+    where = _point_labels(energy, c3) if where is None else where
+    parts = []
+    for start in range(0, len(energy), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        try:
+            parts.append(_propagate_chunk(
+                system, blocks, params, energy[rows], c3[rows], grid, where[rows]
+            ))
+        except ColdchemError as exc:
+            if exc.row is not None:
+                exc.row += start
+            raise
     return [
-        _result_from_t(t1, k, energy, c, system, n_points, abs(t2 - t1))
-        for c, t1, t2 in zip(channels, *t_values)
+        _BlockRows(*(np.concatenate(field) for field in zip(*chunks)))
+        for chunks in zip(*parts)
     ]
+
+
+def _rate_prefactor(system: CollisionSystem, k):
+    """g pi / (mu k): rates are this times |1 - S|^2 (elastic) and P_loss."""
+    return system.statistical_factor * math.pi / (system.reduced_mass * k)
+
+
+def _point_results(
+    system: CollisionSystem,
+    blocks: Sequence[tuple[ChannelBasis, Sequence[int], Sequence[float]]],
+    params: ShortRangeParams,
+    energy: float,
+    grid: RadialGrid,
+) -> list[list[ScatteringResult]]:
+    """Scattering results of every block's ranks at one point: a chunk of one row."""
+    k = math.sqrt(2.0 * system.reduced_mass * energy)
+    pref = _rate_prefactor(system, k)
+    out = []
+    for (basis, ranks, _), block in zip(
+        blocks, _propagate_rows(system, blocks, params, energy, system.c3, grid)
+    ):
+        results = []
+        for j, i in enumerate(ranks):
+            channel, s_el = basis.channels[i], complex(block.s_matrix[0, j])
+            results.append(ScatteringResult(
+                L=channel.L,
+                M=channel.M,
+                energy=energy,
+                wavenumber=k,
+                s_matrix=s_el,
+                loss_probability=float(block.loss[0, j]),
+                elastic_rate=pref * abs(1.0 - s_el) ** 2,
+                quenching_rate=pref * float(block.loss[0, j]),
+                n_points=int(block.n_points[0]),
+                match_spread=float(block.match_spread[0, j]),
+            ))
+        out.append(results)
+    return out
 
 
 def propagate(
@@ -417,10 +635,10 @@ def propagate(
     matches to Riccati-Bessel functions there and once more ``match_factor``
     further out; the spread between the two extractions is reported in
     ``match_spread`` as an error estimate.  The curve enters only through
-    its block and rank: it is propagated as a block of one rank.
+    its block and rank: it is one rank at one row of the batched core.
     """
-    (result,) = _propagate_ranks(
-        system, curve.basis, [curve.index], params, energy, [delta_sr],
+    ((result,),) = _point_results(
+        system, [(curve.basis, [curve.index], [delta_sr])], params, energy,
         grid or RadialGrid(),
     )
     return result
@@ -467,11 +685,15 @@ def calibrate_phase(
     e_cal = energy_fraction * characteristic_energies(mu, bare.c6).e_swave
     k = math.sqrt(2.0 * mu * e_cal)
     swave = build_basis(0, 0, 0)
-    r1 = grid.outer_radius(bare, e_cal, r_match)
-    ((m_total, _),), _ = _segment_transfers(bare, swave, [0], 0, e_cal, grid, r_match, r1)
-    v, v_slope = (float(x[0]) for x in _edge_values(bare, swave, r_match))
-    kappa, dkappa = _wkb_wavenumber(e_cal, v, v_slope, r_match, mu)
-    sf, sf_p, cf, cf_p = _riccati_bessel(0, k * r1)
+    r1 = float(grid.outer_radius(bare, e_cal, r_match))
+    ((m_total, _),), _ = _segment_transfers(
+        bare, [(swave, [0])], np.array([e_cal]), np.zeros(1), grid,
+        np.array([r_match]), np.array([r1]),
+    )
+    m_total = m_total[0, 0]
+    v, v_slope = (float(x[0, 0]) for x in _edge_values(bare, swave, r_match, np.zeros(1)))
+    kappa, dkappa = (float(x) for x in _wkb_wavenumber(e_cal, v, v_slope, r_match, mu))
+    sf, sf_p, cf, cf_p = (float(x) for x in _riccati_bessel(0, k * r1))
     # with tau = tan(delta_sr) the wall state is (psi, psi') = wall @ (tau, 1);
     # m_total carries it to r1 and match gives (num, den) of t = -k a, so
     # t = (g00 tau + g01) / (g10 tau + g11)

@@ -1,9 +1,10 @@
 """Grid sweeps over dipole and energy, resonance detection, and fitting.
 
 A dipole scan propagates every eigenvalue rank of every symmetry-allowed
-(M, parity) block at each grid point, rank i standing for the block's
+(M, parity) block at every grid point, rank i standing for the block's
 channel i, and sums the quenching rates into a total loss rate versus
-induced dipole moment.  On top of the scans sit three analysis stages:
+induced dipole moment.  The points of a scan are the rows of one batched
+propagation, run in-process.  On top of the scans sit three analysis stages:
 peak detection against a running-median baseline, the confluent-series fit
 for resonance positions, and the (s, y) short-range fit to measured
 rate-versus-dipole data.
@@ -11,10 +12,7 @@ rate-versus-dipole data.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +21,13 @@ from scipy import ndimage, optimize
 from . import units
 from .errors import ColdchemError, FitError, ScanError
 from .potential import Channel, CollisionSystem, symmetry_blocks
-from .propagator import RadialGrid, _propagate_ranks, calibrate_phase
+from .propagator import (
+    RadialGrid,
+    _point_results,
+    _propagate_rows,
+    _rate_prefactor,
+    calibrate_phase,
+)
 from .qdt import ScatteringResult, ShortRangeParams
 
 DEFAULT_L_MAX = 7
@@ -32,6 +36,15 @@ DEFAULT_L_MAX = 7
 def _channel_weight(channel: Channel) -> int:
     # blocks are built for M >= 0 only; M > 0 stands for the +/-M pair
     return 2 if channel.M > 0 else 1
+
+
+def _blocks(system, l_max, delta_sr, phase_overrides):
+    """Every (M, parity) block with all its ranks and each rank's phase."""
+    overrides = phase_overrides or {}
+    return [
+        (basis, range(len(basis)), [overrides.get(c, delta_sr) for c in basis.channels])
+        for basis in symmetry_blocks(system, l_max)
+    ]
 
 
 def rate_point(
@@ -45,20 +58,16 @@ def rate_point(
 ) -> dict[Channel, ScatteringResult]:
     """Scattering results for every channel (M >= 0) at one (E, d) point.
 
-    Each (M, parity) block is propagated in one pass over all its
-    eigenvalue ranks, rank i standing for ``basis.channels[i]``;
-    ``phase_overrides`` replaces delta_sr for the channels it names.  Rates
-    in the returned results are per channel; the +/-M degeneracy weight is
-    applied by the scan aggregation, not here.
+    The point is a batch of one row: every (M, parity) block is propagated
+    over all its eigenvalue ranks, rank i standing for
+    ``basis.channels[i]``; ``phase_overrides`` replaces delta_sr for the
+    channels it names.  Rates in the returned results are per channel; the
+    +/-M degeneracy weight is applied by the scan aggregation, not here.
     """
-    grid = grid or RadialGrid()
-    overrides = phase_overrides or {}
+    blocks = _blocks(system, l_max, delta_sr, phase_overrides)
     out: dict[Channel, ScatteringResult] = {}
-    for basis in symmetry_blocks(system, l_max):
-        deltas = [overrides.get(c, delta_sr) for c in basis.channels]
-        for res in _propagate_ranks(
-            system, basis, range(len(basis)), params, energy, deltas, grid
-        ):
+    for results in _point_results(system, blocks, params, energy, grid or RadialGrid()):
+        for res in results:
             out[Channel(res.L, res.M)] = res
     return out
 
@@ -93,82 +102,59 @@ class RateCurve:
         return sorted(self.per_channel)
 
 
-def _curve_from_points(
-    axis: str,
-    x: np.ndarray,
-    points: list[dict[tuple[int, int], tuple[float, float]]],
-    energy: float | None = None,
-    dipole: float | None = None,
-) -> RateCurve:
-    keys = sorted({key for pt in points for key in pt})
-    per_channel = {}
-    loss = {}
-    for lm in keys:
-        ch = Channel(*lm)
-        w = _channel_weight(ch)
-        per_channel[ch] = np.array(
-            [w * pt[lm][0] if lm in pt else 0.0 for pt in points]
-        )
-        loss[ch] = np.array([pt[lm][1] if lm in pt else 0.0 for pt in points])
-    total = sum(per_channel.values()) if per_channel else np.zeros(len(points))
+def _rate_curve(axis, x, system, blocks, rows, energies, channels, energy, dipole):
+    """RateCurve of a scan from the batched rows of every block."""
+    pref = _rate_prefactor(system, np.sqrt(2.0 * system.reduced_mass * energies))
+    columns = sorted(
+        (basis.channels[i], block.loss[:, j])
+        for (basis, ranks, _), block in zip(blocks, rows)
+        for j, i in enumerate(ranks)
+        if channels is None or basis.channels[i] in channels
+    )
+    per_channel = {c: _channel_weight(c) * (pref * loss) for c, loss in columns}
+    total = sum(per_channel.values()) if per_channel else np.zeros(len(x))
     return RateCurve(
         axis=axis,
-        x=np.asarray(x[: len(points)], dtype=float),
+        x=np.asarray(x, dtype=float),
         total=total,
         per_channel=per_channel,
-        loss=loss,
+        loss=dict(columns),
         energy=energy,
         dipole=dipole,
     )
 
 
-def _scan_worker(args) -> dict[tuple[int, int], tuple[float, float]]:
-    (axis, x_value, system, params, delta_sr, energy, grid, l_max, overrides,
-     channels) = args
-    if axis == "dipole":
-        system = dataclasses.replace(system, dipole=float(x_value))
-        e_point = energy
-        context = f"d = {x_value:.6g} a.u."
-    else:
-        e_point = float(x_value)
-        context = f"E = {x_value:.6g} hartree"
+def _run_scan(
+    axis, x, system, params, blocks, energies, c3, grid, where,
+    channels=None, energy=None, dipole=None,
+) -> RateCurve:
+    """Every point of a scan as one batch; a failure keeps the points before it."""
+
+    def curve(stop: int) -> RateCurve:
+        rows = _propagate_rows(
+            system, blocks, params, energies[:stop], c3[:stop], grid, where[:stop]
+        )
+        return _rate_curve(
+            axis, x[:stop], system, blocks, rows, energies[:stop], channels, energy, dipole
+        )
+
     try:
-        results = rate_point(system, params, delta_sr, e_point, grid, l_max, overrides)
+        result = curve(len(x))
     except ColdchemError as exc:
-        raise type(exc)(f"{exc} (at {context})") from exc
-    if channels is not None:
-        results = {c: r for c, r in results.items() if c in channels}
-    return {
-        (c.L, c.M): (r.quenching_rate, r.loss_probability)
-        for c, r in results.items()
-    }
-
-
-def _map_ordered(worker, tasks, threads: int):
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            yield worker(t)
-        return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(worker, tasks)
-
-
-def _run_scan(axis, x_values, tasks, threads, energy=None, dipole=None) -> RateCurve:
-    points = []
-    try:
-        for pt in _map_ordered(_scan_worker, tasks, threads):
-            points.append(pt)
-    except ColdchemError as exc:
-        partial = _curve_from_points(axis, x_values, points, energy, dipole)
+        failure, partial = exc, None
+        while failure.row:  # the points before the failing one may still complete
+            try:
+                partial = curve(failure.row)
+                break
+            except ColdchemError as earlier:
+                failure = earlier
+        done = 0 if partial is None else len(partial.x)
         raise ScanError(
-            f"{axis} scan aborted after {len(points)} of {len(x_values)} points: {exc}",
+            f"{axis} scan aborted after {done} of {len(x)} points: {failure}",
             partial=partial,
-        ) from exc
-    curve = _curve_from_points(axis, x_values, points, energy, dipole)
-    curve.validate()
-    return curve
+        ) from failure
+    result.validate()
+    return result
 
 
 def scan_dipole(
@@ -186,6 +172,8 @@ def scan_dipole(
 
     ``d_values`` are in atomic units, non-negative and increasing; the
     system's own dipole field is ignored and replaced point by point.
+    ``threads`` is accepted for compatibility and ignored: the points run
+    as the rows of one in-process batch.
     """
     d_values = np.asarray(d_values, dtype=float)
     if d_values.ndim != 1 or len(d_values) == 0:
@@ -197,12 +185,12 @@ def scan_dipole(
     grid = grid or RadialGrid()
     if delta_sr is None:
         delta_sr = calibrate_phase(system, params, grid)
-    tasks = [
-        ("dipole", d, system, params, delta_sr, energy, grid, l_max,
-         phase_overrides, None)
-        for d in d_values
-    ]
-    return _run_scan("dipole", d_values, tasks, threads, energy=energy)
+    return _run_scan(
+        "dipole", d_values, system, params,
+        _blocks(system, l_max, delta_sr, phase_overrides),
+        np.full(len(d_values), float(energy)), 2.0 * d_values**2, grid,
+        [f"d = {d:.6g} a.u." for d in d_values], energy=energy,
+    )
 
 
 def scan_energy(
@@ -216,7 +204,10 @@ def scan_energy(
     channels: list[Channel] | None = None,
     phase_overrides: dict[Channel, float] | None = None,
 ) -> RateCurve:
-    """Per-channel loss probabilities and rates over an energy grid."""
+    """Per-channel loss probabilities and rates over an energy grid.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
     e_values = np.asarray(e_values, dtype=float)
     if e_values.ndim != 1 or len(e_values) == 0:
         raise ValueError("e_values must be a non-empty 1-D array")
@@ -225,13 +216,13 @@ def scan_energy(
     grid = grid or RadialGrid()
     if delta_sr is None:
         delta_sr = calibrate_phase(system, params, grid)
-    selected = set(channels) if channels is not None else None
-    tasks = [
-        ("energy", e, system, params, delta_sr, None, grid, l_max,
-         phase_overrides, selected)
-        for e in e_values
-    ]
-    return _run_scan("energy", e_values, tasks, threads, dipole=system.dipole)
+    return _run_scan(
+        "energy", e_values, system, params,
+        _blocks(system, l_max, delta_sr, phase_overrides),
+        e_values, np.full(len(e_values), system.c3), grid,
+        [f"E = {e:.6g} hartree" for e in e_values],
+        channels=None if channels is None else set(channels), dipole=system.dipole,
+    )
 
 
 # --- resonance detection and series fitting ---------------------------------
@@ -450,6 +441,7 @@ def fit_short_range(
     fit sitting on that bound is flagged.  The covariance comes from a
     finite-difference Hessian of chi-squared at the optimum (scaled by the
     reduced chi-squared when the dataset carries no uncertainties).
+    ``threads`` is accepted for compatibility and ignored.
     """
     if not fit or any(name not in ("s", "y") for name in fit):
         raise ValueError("fit must be a non-empty subset of ('s', 'y')")
@@ -485,7 +477,6 @@ def fit_short_range(
                 d_unique,
                 grid=grid,
                 l_max=l_max,
-                threads=threads,
                 delta_sr=calibrations[params.s],
             )
         except ColdchemError as exc:
@@ -575,6 +566,8 @@ def _fd_covariance(
     except np.linalg.LinAlgError:
         cov = 2.0 * np.linalg.pinv(hess)
     if not has_sigma:
+        # the reduced chi-squared estimates the data variance; an exact fit
+        # bounds it only by the rounding of the log rates
         dof = max(n_points - p, 1)
-        cov = cov * (f0 / dof)
+        cov = cov * max(f0 / dof, np.finfo(float).eps ** 2)
     return cov

@@ -435,6 +435,26 @@ def test_build_steps_cover_interval():
     assert np.all(steps <= starts / grid.scale_fraction + 1e-12)
 
 
+def test_lockstep_grid_rows_equal_single_rows():
+    # wide batches step in numpy lockstep, single rows in Python floats; the
+    # same correctly rounded operations must give the same grid
+    grid = RadialGrid()
+    system = krb()
+    energy = E0 * np.geomspace(1e-3, 10.0, 20)
+    c3 = np.linspace(0.0, 0.05, 20)
+    r_out = grid.outer_radius(system, energy, 20.0, c3)
+    starts, steps = grid.build_steps(system, 3, energy, 20.0, r_out, c3)
+    assert starts.shape == steps.shape == (len(steps), 20)
+    for i in (0, 7, 19):
+        row_starts, row_steps = grid.build_steps(system, 3, energy[i], 20.0, r_out[i], c3[i])
+        n = len(row_steps)
+        assert np.array_equal(starts[:n, i], row_starts)
+        assert np.array_equal(steps[:n, i], row_steps)
+        # a row that has stopped is padded with zero steps at its end radius
+        assert np.all(steps[n:, i] == 0.0)
+        assert np.all(starts[n:, i] == row_starts[-1] + row_steps[-1])
+
+
 def test_calibration_forward_check_raises():
     # the closed form is exact only to rounding; a tighter bound must fail
     with pytest.raises(CalibrationError):

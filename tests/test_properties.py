@@ -1,13 +1,18 @@
 """Physical invariants of the propagation as properties over random inputs."""
+import dataclasses
 import math
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldchem import units
+from coldchem import propagator, units
 from coldchem.potential import Channel, CollisionSystem, single_channel_curve
 from coldchem.propagator import RadialGrid, calibrate_phase, propagate
 from coldchem.qdt import ShortRangeParams, characteristic_energies, mean_scattering_length
+from coldchem.scanfit import rate_point, scan_dipole
 
 MU = units.mass_from_amu(63.4968)
 C6 = 16130.0
@@ -16,6 +21,7 @@ E0 = characteristic_energies(MU, C6).e_swave
 ABAR = mean_scattering_length(MU, C6)
 
 PROPERTY = settings(max_examples=50, deadline=None, database=None)
+SCAN_PROPERTY = settings(max_examples=8, deadline=None, database=None)
 
 shorts = st.floats(-5.0, 5.0)
 phases = st.floats(0.0, math.pi, exclude_max=True)
@@ -58,3 +64,53 @@ def test_unitarity_bound(s, y, L, log_e):
     curve = single_channel_curve(KRB, Channel(L, 0))
     res = propagate(KRB, curve, params, E0 * 10.0**log_e, delta)
     assert abs(res.s_matrix) ** 2 <= 1.0 + 1e-9
+
+
+# --- the batched core: a row does not depend on the rows beside it -------------
+
+SCAN_PARAMS = ShortRangeParams(s=0.3, y=0.4)
+SCAN_DELTA = calibrate_phase(KRB, SCAN_PARAMS)
+E_250NK = units.energy_from_microkelvin(0.25)
+# strictly increasing dipole grids up to 0.3 D, in steps of 1 mD
+dipole_sets = st.lists(st.integers(0, 300), min_size=2, max_size=6, unique=True).map(
+    lambda ms: units.dipole_from_debye(1e-3 * np.array(sorted(ms)))
+)
+
+
+def scan(d):
+    return scan_dipole(KRB, SCAN_PARAMS, E_250NK, d, l_max=3, delta_sr=SCAN_DELTA)
+
+
+@SCAN_PROPERTY
+@given(d=dipole_sets)
+def test_scan_rows_equal_rate_point(d):
+    curve = scan(d)
+    for i, d_i in enumerate(d):
+        point = rate_point(
+            dataclasses.replace(KRB, dipole=float(d_i)), SCAN_PARAMS, SCAN_DELTA,
+            E_250NK, l_max=3,
+        )
+        assert set(point) == set(curve.per_channel)
+        for channel, res in point.items():
+            weight = 2 if channel.M > 0 else 1
+            assert curve.per_channel[channel][i] == pytest.approx(
+                weight * res.quenching_rate, rel=1e-12, abs=0.0
+            )
+            assert curve.loss[channel][i] == pytest.approx(
+                res.loss_probability, rel=1e-12, abs=0.0
+            )
+
+
+@SCAN_PROPERTY
+@given(d=dipole_sets, cut=st.floats(0.0, 1.0))
+def test_scan_equals_concatenated_halves(d, cut):
+    split = 1 + int(cut * (len(d) - 2))
+    # two-row chunks put chunk boundaries inside the whole scan as well
+    with mock.patch.object(propagator, "_CHUNK_ROWS", 2):
+        whole = scan(d)
+    first, second = scan(d[:split]), scan(d[split:])
+    assert np.allclose(whole.total, np.concatenate([first.total, second.total]),
+                       rtol=1e-12, atol=0.0)
+    for channel, rates in whole.per_channel.items():
+        halves = np.concatenate([first.per_channel[channel], second.per_channel[channel]])
+        assert np.allclose(rates, halves, rtol=1e-12, atol=0.0)

@@ -191,6 +191,28 @@ def test_scan_error_carries_partial_curve(fermi_calibration):
     assert np.all(partial.total > 0)
 
 
+def test_scan_step_budget_error_names_its_point(fermi_calibration, monkeypatch):
+    # the 0.5 D grid needs ~1100 steps at 250 nK, the zero-field one ~650
+    from coldchem import propagator
+
+    system, params, grid, delta = fermi_calibration
+    monkeypatch.setattr(propagator, "_MAX_STEPS", 800)
+    d = units.dipole_from_debye(np.array([0.0, 0.5]))
+    with pytest.raises(ScanError, match=r"step budget .*at d = 0\.19") as excinfo:
+        scan_dipole(system, params, E_250NK, d, grid=grid, l_max=1, delta_sr=delta)
+    assert len(excinfo.value.partial.x) == 1
+    assert excinfo.value.__cause__.row == 1
+
+
+def test_scan_warning_names_its_point():
+    # a light model system: kappa * R_m < 10 at the short-range boundary
+    system = CollisionSystem(reduced_mass=1.0, c6=1.0, symmetry=Symmetry.BOSONS)
+    params = ShortRangeParams(s=0.0, y=1.0, r_match=0.5)
+    with pytest.warns(UserWarning, match="WKB") as record:
+        scan_dipole(system, params, 1e-6, np.array([0.0, 0.01]), l_max=0, delta_sr=0.0)
+    assert any("at d = 0 a.u." in str(w.message) for w in record)
+
+
 # --- resonance detection --------------------------------------------------------
 
 
