@@ -222,7 +222,7 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
     if config["l_max"] < 0:
         raise ConfigError(["l_max must be non-negative"])
     if config["threads"] < 0:
-        raise ConfigError(["threads must be >= 0 (0 = auto)"])
+        raise ConfigError(["threads must be >= 0"])
 
     config["_system"] = system
     config["_params"] = params

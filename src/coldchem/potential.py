@@ -296,20 +296,10 @@ def _block_eigenvalues(
 
     ``c3`` overrides the system's R^-3 strength per point, as in
     ``potential_matrix``; one batched diagonalization covers every point.
-    A one-channel block needs none: its single eigenvalue is the diagonal
-    element, evaluated in closed form.
+    A one-channel block needs none: its eigenvalue is the matrix element.
     """
-    if len(basis) == 1:
-        (c,) = basis.channels
-        r_arr = np.asarray(r, dtype=float)
-        c3_arr = np.asarray(system.c3 if c3 is None else c3, dtype=float)
-        v = (
-            c.L * (c.L + 1) / (2.0 * system.reduced_mass * r_arr**2)
-            + C6_SIGN * system.c6 / r_arr**6
-            - c3_arr * p2_matrix_element(c.L, c.L, c.M) / r_arr**3
-        )
-        return v[..., None]
-    return np.linalg.eigvalsh(potential_matrix(system, basis, r, c3))
+    w = potential_matrix(system, basis, r, c3)
+    return w[..., 0, :] if len(basis) == 1 else np.linalg.eigvalsh(w)
 
 
 @dataclass

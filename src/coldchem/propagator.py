@@ -47,11 +47,12 @@ from .qdt import (
 
 _SQRT3 = math.sqrt(3.0)
 _MAX_STEPS = 10_000_000
-# Rows per chunk, and rows times grid steps per fold: with the 4-channel
-# blocks of l_max = 7 every live intermediate of the core stays near 1 MB.
-_CHUNK_ROWS = 64
-_FOLD_SIZE = 4096
-# up to this many rows a grid is built row by row in Python floats
+# Rows per chunk, and rows times grid steps times block size per fold.  The
+# fold keeps every live intermediate of the core near 1 MB; the chunk
+# bounds the per-row arrays and keeps folds of 4-channel blocks 8 steps long.
+_CHUNK_ROWS = 256
+_FOLD_SIZE = 8192
+# up to this many rows a grid is faster built row by row in Python floats
 _SCALAR_ROWS = 16
 
 
@@ -152,7 +153,7 @@ class RadialGrid:
             radii = [r]
             while True:
                 r_next = _next_radius(*terms, r, r_stop)
-                unfinished = bool(np.any(r_next > r))
+                unfinished = bool((r_next > r).any())
                 if not unfinished or len(radii) > limit:
                     break
                 radii.append(r_next)
@@ -428,14 +429,13 @@ def _segment_transfers(
     (rows, ranks, 2, 2) and the transfer is m * 2**e.  The grid of a block
     is built for the largest L among its ranks, which slightly
     over-resolves the lower ones, so blocks with the same envelope share
-    one lockstep grid.  It is built and used in folds of _FOLD_SIZE // rows
-    steps, each multiplied into a running product; rows whose grid has
-    ended drop out of the work.  Also returns each block's step count per
-    row.
+    one lockstep grid.  It is built and used in folds of _FOLD_SIZE //
+    (rows * block size) steps, each multiplied into a running product; rows
+    whose grid has ended drop out of the work.  Also returns each block's
+    step count per row.
     """
     two_mu = 2.0 * system.reduced_mass
     rows = len(energy)
-    fold = max(1, _FOLD_SIZE // rows)
     envelopes = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks]
     running = [
         [np.broadcast_to(np.eye(2), (rows, len(ranks), 2, 2)).copy(),
@@ -445,6 +445,7 @@ def _segment_transfers(
     counts: list[np.ndarray] = [np.zeros(rows, dtype=np.int64)] * len(blocks)
     for l_env in sorted(set(envelopes)):
         members = [j for j, l in enumerate(envelopes) if l == l_env]
+        fold = max(1, _FOLD_SIZE // (rows * max(len(blocks[j][0]) for j in members)))
         r = r_start
         n_steps = np.zeros(rows, dtype=np.int64)
         while True:
