@@ -5,7 +5,6 @@ only be detected at run time (a calibration that fails to bracket, a grid
 that cannot reach the asymptotic region, a scattering matrix that breaches
 unitarity) derives from ColdchemError so callers can catch one base class.
 """
-from __future__ import annotations
 
 
 class ColdchemError(Exception):

@@ -166,9 +166,10 @@ class RadialGrid:
 
 def _next_radius(a, b, c, ll, wave, frac, r, r_stop):
     """Every row's next grid radius; a row stays put once it has stopped."""
-    r3 = r * r * r
-    q2 = a + b / (r3 * r3) + c / r3 + ll / (r * r)
-    h = np.minimum(np.minimum(wave / np.sqrt(q2), r / frac), r_stop - r)
+    r2 = r * r
+    r3 = r2 * r
+    h = np.minimum(np.minimum(wave / np.sqrt(a + b / (r3 * r3) + c / r3 + ll / r2),
+                              r / frac), r_stop - r)
     # stopping at r_stop, or on step underflow at the very last point
     return np.maximum(r + h, r)
 
@@ -177,14 +178,16 @@ def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
     """``_next_radius`` for one row in Python floats: its radii, and
     whether it stopped short of r_stop after ``limit`` steps."""
     radii = [r]
-    while True:
-        r3 = r * r * r
-        q2 = a + b / (r3 * r3) + c / r3 + ll / (r * r)
-        r_next = max(r + min(wave / math.sqrt(q2), r / frac, r_stop - r), r)
-        if not r_next > r or len(radii) > limit:
-            return radii, r_next > r
+    for _ in range(limit + 1):
+        r2 = r * r
+        r3 = r2 * r
+        r_next = r + min(wave / math.sqrt(a + b / (r3 * r3) + c / r3 + ll / r2),
+                         r / frac, r_stop - r)
+        if not r_next > r:
+            return radii, False
         radii.append(r_next)
         r = r_next
+    return radii[:-1], True
 
 
 def gauss_nodes(starts: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

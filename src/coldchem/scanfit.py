@@ -105,12 +105,12 @@ class RateCurve:
 def _rate_curve(axis, x, system, blocks, rows, energies, channels, energy, dipole):
     """RateCurve of a scan from the batched rows of every block."""
     pref = _rate_prefactor(system, np.sqrt(2.0 * system.reduced_mass * energies))
-    columns = sorted(
+    columns = sorted((
         (basis.channels[i], block.loss[:, j])
         for (basis, ranks, _), block in zip(blocks, rows)
         for j, i in enumerate(ranks)
         if channels is None or basis.channels[i] in channels
-    )
+    ), key=lambda column: column[0])
     per_channel = {c: _channel_weight(c) * (pref * loss) for c, loss in columns}
     total = sum(per_channel.values()) if per_channel else np.zeros(len(x))
     return RateCurve(
