@@ -441,11 +441,11 @@ def _segment_transfers(
     rows = len(energy)
     envelopes = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks]
     running = [
-        [np.broadcast_to(np.eye(2), (rows, len(ranks), 2, 2)).copy(),
-         np.zeros((rows, len(ranks)), dtype=np.int64)]
+        (np.broadcast_to(np.eye(2), (rows, len(ranks), 2, 2)).copy(),
+         np.zeros((rows, len(ranks)), dtype=np.int64))
         for _, ranks in blocks
     ]
-    counts: list[np.ndarray] = [np.zeros(rows, dtype=np.int64)] * len(blocks)
+    counts = [None] * len(blocks)
     for l_env in sorted(set(envelopes)):
         members = [j for j, l in enumerate(envelopes) if l == l_env]
         fold = max(1, _FOLD_SIZE // (rows * max(len(blocks[j][0]) for j in members)))
@@ -484,7 +484,7 @@ def _segment_transfers(
                 break  # every row has reached r_stop
         for j in members:
             counts[j] = n_steps
-    return [(m, e) for m, e in running], counts
+    return running, counts
 
 
 class _BlockRows(NamedTuple):
