@@ -437,8 +437,9 @@ def fit_short_range(
     """Weighted least squares of (a subset of) s and y on log rates.
 
     Every objective evaluation runs a full dipole scan at the dataset's
-    dipole values; y is clipped into [0, 1] by the objective, and a best
-    fit sitting on that bound is flagged.  The covariance comes from a
+    dipole values.  The objective reflects y into [0, 1], y -> 1 - |1 -
+    (y mod 2)|, so the optimizer meets a mirror image at each bound rather
+    than a plateau beyond it; a best fit sitting on a bound is flagged.  The covariance comes from a
     finite-difference Hessian of chi-squared at the optimum (scaled by the
     reduced chi-squared when the dataset carries no uncertainties).
     ``threads`` is accepted for compatibility and ignored.
@@ -465,7 +466,7 @@ def fit_short_range(
         trial = {"s": initial.s, "y": initial.y}
         for name, val in zip(fit, x):
             trial[name] = float(val)
-        trial["y"] = min(1.0, max(0.0, trial["y"]))
+        trial["y"] = _reflect_unit(trial["y"])
         params = ShortRangeParams(s=trial["s"], y=trial["y"], r_match=initial.r_match)
         if params.s not in calibrations:
             calibrations[params.s] = calibrate_phase(system, params, grid)
@@ -503,7 +504,7 @@ def fit_short_range(
     best = result.x.copy()
     names = dict(zip(fit, best))
     if "y" in names:
-        names["y"] = min(1.0, max(0.0, names["y"]))
+        names["y"] = _reflect_unit(names["y"])
         best[fit.index("y")] = names["y"]
     params_best = ShortRangeParams(
         s=float(names.get("s", initial.s)), y=float(names.get("y", initial.y)),
@@ -522,6 +523,12 @@ def fit_short_range(
         n_evaluations=evaluations,
         on_bound=on_bound,
     )
+
+
+def _reflect_unit(y: float) -> float:
+    """y reflected into [0, 1] at both ends; values inside are kept exactly."""
+    y = y % 2.0
+    return 2.0 - y if y > 1.0 else y
 
 
 def _initial_simplex(x0: np.ndarray, fit: tuple[str, ...]) -> np.ndarray:
