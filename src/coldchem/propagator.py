@@ -12,11 +12,14 @@ it is calibrated so that the y = 0 zero-energy s-wave scattering length
 equals s * abar, after which the same (s, y, delta_sr) triple is reused
 at every field, energy and partial wave.
 
-One batched core propagates every curve.  A row is one point, an
-(energy, c3) pair; a block is the eigenvalue ranks of one (M, parity)
-basis.  Rows are taken in chunks, and every block of a chunk whose grid
-has the same envelope shares one lockstep grid per segment.  A single
-curve at a single point is a chunk of one row and a block of one rank.
+One batched core propagates every curve, in two steps.  ``build_table``
+propagates and keeps all that (y, delta_sr) do not touch; ``evaluate``
+turns a table and any (y, delta_sr) into scattering in closed form.  A row
+is one point, an (energy, c3) pair; a block is the eigenvalue ranks of one
+(M, parity) basis.  Rows are taken in chunks, and every block of a chunk
+whose grid has the same envelope shares one lockstep grid per segment.  A
+single curve at a single point is a chunk of one row and a block of one
+rank.  Scans, the fit and the phase calibration all use these two steps.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ from .qdt import (
     ScatteringResult,
     ShortRangeParams,
     characteristic_energies,
+    length_from_s_matrix,
     mean_scattering_length,
 )
 
@@ -251,19 +255,6 @@ def chain_product(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[0], e
 
 
-def apply_log_derivative(m: np.ndarray, y: complex) -> complex:
-    """Moebius action of a (psi, psi') transfer matrix on y = psi'/psi."""
-    if not np.isfinite(abs(y)):
-        # boundary at a node of psi: the image is m[1,1]/m[0,1]
-        num, den = m[1, 1], m[0, 1]
-    else:
-        num = m[1, 0] + m[1, 1] * y
-        den = m[0, 0] + m[0, 1] * y
-    if den == 0:
-        raise MatchingError("log-derivative pole exactly at the matching radius")
-    return num / den
-
-
 def _carry_log_derivative(
     m: np.ndarray, e: np.ndarray, y: np.ndarray, where: Sequence[str] | None = None
 ) -> np.ndarray:
@@ -338,27 +329,16 @@ def _wkb_wavenumber(
     return kappa, -reduced_mass * v_slope / kappa
 
 
-def boundary_log_derivative(
-    params: ShortRangeParams,
-    delta_sr: float | np.ndarray,
-    energy: float | np.ndarray,
-    v: float | np.ndarray,
-    v_slope: float | np.ndarray,
-    reduced_mass: float,
-    where: Sequence[str] | None = None,
-) -> complex | np.ndarray:
+def boundary_log_derivative(y: float, delta_sr, kappa, dkappa) -> complex | np.ndarray:
     """Complex log-derivative at R_m of the absorbing WKB wave.
 
-    ``v`` and ``v_slope`` are the adiabatic potential and its radial
-    derivative at R_m.  The wave carries unit incoming flux and the
-    reflected amplitude (1 - y)/(1 + y) * exp(2 i delta_sr).  Arguments
-    broadcast; ``where`` labels the rows (axis 0) in errors and warnings.
+    ``kappa`` and ``dkappa`` are the local wavenumber at R_m and its radial
+    derivative (``_wkb_wavenumber``).  The wave carries unit incoming flux
+    and the reflected amplitude (1 - y)/(1 + y) * exp(2 i delta_sr).
+    Arguments broadcast.
     """
-    kappa, dkappa = _wkb_wavenumber(
-        energy, v, v_slope, params.r_match, reduced_mass, where
-    )
     two_delta = 2.0 * np.asarray(delta_sr, dtype=float)
-    refl = (1.0 - params.y) / (1.0 + params.y) * (np.cos(two_delta) + 1j * np.sin(two_delta))
+    refl = (1.0 - y) / (1.0 + y) * (np.cos(two_delta) + 1j * np.sin(two_delta))
     # psi = exp(-i int kappa)/sqrt(kappa) + refl * exp(+i int kappa)/sqrt(kappa)
     return -1j * kappa * (1.0 - refl) / (1.0 + refl) - dkappa / (2.0 * kappa)
 
@@ -395,25 +375,6 @@ def match_free_solution(y_out, k, L, r, where: Sequence[str] | None = None):
     # cancellation in the quotient
     im_t = k * (sf * cf_p - sf_p * cf) * np.imag(y_out) / np.abs(den) ** 2
     return (num / den).real + 1j * im_t
-
-
-def _check_r_match(params: ShortRangeParams, system: CollisionSystem) -> None:
-    abar = mean_scattering_length(system.reduced_mass, system.c6)
-    if not params.r_match < abar:
-        raise ValueError(
-            f"r_match = {params.r_match:.3g} must lie below the mean scattering "
-            f"length abar = {abar:.3g}"
-        )
-
-
-def _edge_values(
-    system: CollisionSystem, basis: ChannelBasis, r_match: float, c3: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every rank's potential at R_m and its central-difference slope, per row."""
-    dr = 1e-4 * r_match
-    r = np.array([r_match - dr, r_match, r_match + dr])[:, None]
-    v = _block_eigenvalues(system, basis, r, c3)
-    return v[1], (v[2] - v[0]) / (2.0 * dr)
 
 
 def _segment_transfers(
@@ -496,95 +457,132 @@ class _BlockRows(NamedTuple):
     n_points: np.ndarray  # (rows,)
 
 
-def _propagate_chunk(
-    system: CollisionSystem,
-    blocks: Sequence[tuple[ChannelBasis, Sequence[int], Sequence[float]]],
-    params: ShortRangeParams,
-    energy: np.ndarray,
-    c3: np.ndarray,
-    grid: RadialGrid,
-    where: Sequence[str],
-) -> list[_BlockRows]:
+class _BlockTable(NamedTuple):
+    """One block's long-range response at every row: all that (y, delta_sr) do not touch."""
+
+    kappa: np.ndarray  # (rows, ranks): WKB wavenumber at R_m
+    dkappa: np.ndarray  # (rows, ranks): its radial derivative
+    ell: np.ndarray  # (rows, ranks): partial wave of each rank
+    k: np.ndarray  # (rows, 1): asymptotic wavenumber
+    r1: np.ndarray  # (rows, 1): matching radius
+    m1: np.ndarray  # (rows, ranks, 2, 2): transfer R_m -> r1 is m1 * 2**e1
+    e1: np.ndarray  # (rows, ranks)
+    r2: np.ndarray  # (rows, 1): second matching radius
+    m2: np.ndarray  # (rows, ranks, 2, 2): transfer r1 -> r2
+    e2: np.ndarray  # (rows, ranks)
+    n_points: np.ndarray  # (rows,)
+
+
+def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> list[_BlockTable]:
     mu = system.reduced_mass
-    k = np.sqrt(2.0 * mu * energy)[:, None]
-    # every boundary first: a forbidden one fails before any propagation
-    y = []
-    for basis, ranks, deltas in blocks:
-        v, v_slope = _edge_values(system, basis, params.r_match, c3)
-        y.append(boundary_log_derivative(
-            params, np.asarray(deltas, dtype=float), energy[:, None],
-            v[:, ranks], v_slope[:, ranks], mu, where,
+    # every boundary first: a forbidden one fails before any propagation;
+    # V' at R_m is a central difference
+    dr = 1e-4 * r_match
+    edge = np.array([r_match - dr, r_match, r_match + dr])[:, None]
+    walls = []
+    for basis, ranks in blocks:
+        v = _block_eigenvalues(system, basis, edge, c3)[..., ranks]
+        walls.append(_wkb_wavenumber(
+            energy[:, None], v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu, where
         ))
-    pairs = [(basis, ranks) for basis, ranks, _ in blocks]
-    ells = [np.array([basis.channels[i].L for i in ranks]) for basis, ranks in pairs]
-    r1 = grid.outer_radius(system, energy, params.r_match, c3)
-    t_values = []
-    n_points = [np.zeros(len(energy), dtype=np.int64)] * len(blocks)
-    r_start = np.full(len(energy), params.r_match)
-    for r_stop in (r1, grid.match_factor * r1):
-        transfers, counts = _segment_transfers(
-            system, pairs, energy, c3, grid, r_start, r_stop, where
-        )
-        y = [_carry_log_derivative(m, e, y_b, where) for (m, e), y_b in zip(transfers, y)]
-        t_values.append([
-            match_free_solution(y_b, k, ell, r_stop[:, None], where)
-            for y_b, ell in zip(y, ells)
-        ])
-        n_points = [n + c for n, c in zip(n_points, counts)]
-        r_start = r_stop
+    k = np.sqrt(2.0 * mu * energy)[:, None]
+    r1 = grid.outer_radius(system, energy, r_match, c3)
+    r2 = grid.match_factor * r1
+    seg1, n1 = _segment_transfers(
+        system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, where
+    )
+    seg2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, where)
+    return [
+        _BlockTable(kappa, dkappa, np.broadcast_to([basis.channels[i].L for i in ranks],
+                                                   kappa.shape),
+                    k, r1[:, None], m1, e1, r2[:, None], m2, e2, c1 + c2)
+        for (basis, ranks), (kappa, dkappa), (m1, e1), (m2, e2), c1, c2
+        in zip(blocks, walls, seg1, seg2, n1, n2)
+    ]
+
+
+def evaluate(table, y: float, deltas, where=None) -> list[_BlockRows]:
+    """Scattering of every block of a table for the short range (y, delta_sr).
+
+    ``deltas`` holds each block's delta_sr, one value or one per rank.  The
+    boundary log-derivative is carried to r1 and r2 and matched at both; S
+    and the loss come from r1, the spread between the two is the error
+    estimate.  ``where`` labels the rows in errors.
+    """
     out = []
-    for t1, t2, n in zip(*t_values, n_points):
+    for b, delta in zip(table, deltas):
+        y_b = _carry_log_derivative(
+            b.m1, b.e1, boundary_log_derivative(y, delta, b.kappa, b.dkappa), where
+        )
+        t1 = match_free_solution(y_b, b.k, b.ell, b.r1, where)
+        t2 = match_free_solution(
+            _carry_log_derivative(b.m2, b.e2, y_b, where), b.k, b.ell, b.r2, where
+        )
         s_el = (1.0 + 1j * t1) / (1.0 - 1j * t1)
         # algebraically identical to 1 - |S|^2 but immune to cancellation
         loss = 4.0 * t1.imag / np.abs(1.0 - 1j * t1) ** 2
         if np.any(loss < -1e-9):
             raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, where)
-        out.append(_BlockRows(s_el, loss, np.abs(t2 - t1), n))
+        out.append(_BlockRows(s_el, loss, np.abs(t2 - t1), b.n_points))
     return out
 
 
-def _propagate_rows(
-    system: CollisionSystem,
-    blocks: Sequence[tuple[ChannelBasis, Sequence[int], Sequence[float]]],
-    params: ShortRangeParams,
-    energy,
-    c3,
-    grid: RadialGrid,
-    where: Sequence[str] | None = None,
-) -> list[_BlockRows]:
-    """Scattering of every block's ranks at every row (energy[i], c3[i]).
+def _over_chunks(system, r_match, energy, c3, where, work) -> list:
+    """``work(energy, c3, where)`` on every chunk of rows, joined along the rows.
 
-    ``blocks`` lists (basis, ranks, deltas): rank i is the adiabat of
-    channel ``basis.channels[i]`` (the adiabats of one (M, parity) block do
-    not cross, and at large R the centrifugal term orders them by L), and
-    ``deltas`` holds each rank's short-range phase.  The log-derivative is
-    propagated from R_m to the tail-criterion radius and matched to
-    Riccati-Bessel functions there and once more ``match_factor`` further
-    out; the spread between the two is the error estimate.  Rows run in
-    chunks of _CHUNK_ROWS.  A failure names its row by ``where[i]`` (by
-    default its energy and dipole) and carries its index as ``row``.
+    A failure names its row by ``where[i]`` (by default its energy and
+    dipole) and carries its index as ``row``.
     """
     energy = np.atleast_1d(np.asarray(energy, dtype=float))
     c3 = np.broadcast_to(np.asarray(c3, dtype=float), energy.shape)
     if np.any(energy <= 0):
         raise ValueError("collision energy must be positive")
-    _check_r_match(params, system)
+    abar = mean_scattering_length(system.reduced_mass, system.c6)
+    if not r_match < abar:
+        raise ValueError(
+            f"r_match = {r_match:.3g} must lie below the mean scattering length "
+            f"abar = {abar:.3g}"
+        )
     where = _point_labels(energy, c3) if where is None else where
     parts = []
     for start in range(0, len(energy), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         try:
-            parts.append(_propagate_chunk(
-                system, blocks, params, energy[rows], c3[rows], grid, where[rows]
-            ))
+            parts.append(work(energy[rows], c3[rows], where[rows]))
         except ColdchemError as exc:
             if exc.row is not None:
                 exc.row += start
             raise
-    return [
-        _BlockRows(*(np.concatenate(field) for field in zip(*chunks)))
-        for chunks in zip(*parts)
-    ]
+    return [type(chunks[0])(*map(np.concatenate, zip(*chunks))) for chunks in zip(*parts)]
+
+
+def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> list[_BlockTable]:
+    """Long-range table of every block's ranks at every row (energy[i], c3[i]).
+
+    ``blocks`` pairs each basis with its ranks; rank i is the adiabat of
+    ``basis.channels[i]`` (the adiabats of one (M, parity) block do not
+    cross, and at large R the centrifugal term orders them by L).  Each
+    rank is propagated from R_m to the tail-criterion radius r1 and on to
+    r2 = ``match_factor`` * r1, once: ``evaluate`` then gives the scattering
+    at any (y, delta_sr) in closed form.  Failures and warnings of the long
+    range (forbidden boundary, marginal WKB, step budget) are raised here.
+    """
+    return _over_chunks(system, r_match, energy, c3, where, lambda e, c, w: _build_chunk(
+        system, blocks, r_match, e, c, grid, w
+    ))
+
+
+def _propagate_rows(system, blocks, params, energy, c3, grid, where=None) -> list[_BlockRows]:
+    """Scattering of every block's ranks at every row, chunk by chunk.
+
+    ``blocks`` lists (basis, ranks, deltas), with each rank's delta_sr in
+    ``deltas``; each chunk's table is built and then evaluated.
+    """
+    pairs = [(basis, ranks) for basis, ranks, _ in blocks]
+    deltas = [np.asarray(d, dtype=float) for _, _, d in blocks]
+    return _over_chunks(system, params.r_match, energy, c3, where, lambda e, c, w: evaluate(
+        _build_chunk(system, pairs, params.r_match, e, c, grid, w), params.y, deltas, w
+    ))
 
 
 def _rate_prefactor(system: CollisionSystem, k):
@@ -592,13 +590,7 @@ def _rate_prefactor(system: CollisionSystem, k):
     return system.statistical_factor * math.pi / (system.reduced_mass * k)
 
 
-def _point_results(
-    system: CollisionSystem,
-    blocks: Sequence[tuple[ChannelBasis, Sequence[int], Sequence[float]]],
-    params: ShortRangeParams,
-    energy: float,
-    grid: RadialGrid,
-) -> list[list[ScatteringResult]]:
+def _point_results(system, blocks, params, energy, grid) -> list[list[ScatteringResult]]:
     """Scattering results of every block's ranks at one point: a chunk of one row."""
     k = math.sqrt(2.0 * system.reduced_mass * energy)
     pref = _rate_prefactor(system, k)
@@ -635,11 +627,9 @@ def propagate(
 ) -> ScatteringResult:
     """Scattering observables for one adiabatic curve at one energy.
 
-    Propagates the log-derivative from R_m to the tail-criterion radius,
-    matches to Riccati-Bessel functions there and once more ``match_factor``
-    further out; the spread between the two extractions is reported in
-    ``match_spread`` as an error estimate.  The curve enters only through
-    its block and rank: it is one rank at one row of the batched core.
+    The curve enters only through its block and rank: it is one rank at one
+    row of ``build_table`` and ``evaluate``.  The spread between the matches
+    at r1 and r2 is reported in ``match_spread`` as an error estimate.
     """
     ((result,),) = _point_results(
         system, [(curve.basis, [curve.index], [delta_sr])], params, energy,
@@ -651,12 +641,51 @@ def propagate(
 # --- short-range phase calibration -----------------------------------------
 
 
-def _calibration_grid(grid: RadialGrid) -> RadialGrid:
-    return dataclasses.replace(
-        grid,
-        points_per_wavelength=max(grid.points_per_wavelength, 160.0),
+def _phase_calibration(
+    system: CollisionSystem,
+    r_match: float,
+    grid: RadialGrid | None = None,
+    energy_fraction: float = 1e-4,
+):
+    """delta_sr(s, tolerance) from one propagation: see ``calibrate_phase``."""
+    if not 0 < energy_fraction <= 1e-2:
+        raise ValueError("energy_fraction must lie in (0, 1e-2]")
+    bare = dataclasses.replace(system, dipole=0.0)
+    mu = bare.reduced_mass
+    abar = mean_scattering_length(mu, bare.c6)
+    e_cal = energy_fraction * characteristic_energies(mu, bare.c6).e_swave
+    grid = grid or RadialGrid()
+    grid = dataclasses.replace(
+        grid, points_per_wavelength=max(grid.points_per_wavelength, 160.0),
         tail_tolerance=min(grid.tail_tolerance, 1e-6),
     )
+    table = build_table(bare, [(build_basis(0, 0, 0), [0])], r_match, e_cal, 0.0, grid)
+    (row,) = table
+    kappa, dkappa, k, r1 = (float(x[0, 0]) for x in (row.kappa, row.dkappa, row.k, row.r1))
+    sf, sf_p, cf, cf_p = (float(x) for x in _riccati_bessel(0, k * r1))
+    # with tau = tan(delta_sr) the wall state is (psi, psi') = wall @ (tau, 1);
+    # m1 carries it to r1 and match gives (num, den) of t = -k a, so
+    # t = (g00 tau + g01) / (g10 tau + g11)
+    wall = np.array([[0.0, 1.0], [-kappa, -dkappa / (2.0 * kappa)]])
+    match = np.array([[k * sf_p, -sf], [-k * cf_p, cf]])
+    g = match @ row.m1[0, 0] @ wall
+
+    def phase(s: float, tolerance: float = 1e-3) -> float:
+        target = s * abar
+        t = -k * target
+        delta = math.atan2(t * g[1, 1] - g[0, 1], g[0, 0] - t * g[1, 0]) % math.pi
+        delta = delta if delta < math.pi else 0.0  # a tiny negative angle rounds to pi
+        (block,) = evaluate(table, 0.0, [delta])
+        a = length_from_s_matrix(complex(block.s_matrix[0, 0]), k).alpha
+        if not abs(a - target) <= tolerance * abar * max(1.0, abs(s)):
+            raise CalibrationError(
+                f"delta_sr = {delta:.6g} gives a = {a / abar:.6g} * abar instead of "
+                f"{s:.4g} * abar within {tolerance:.1e} relative; check R_m and "
+                "the radial grid"
+            )
+        return delta
+
+    return phase
 
 
 def calibrate_phase(
@@ -668,56 +697,18 @@ def calibrate_phase(
 ) -> float:
     """Short-range phase delta_sr in [0, pi) reproducing a = s * abar at zero field.
 
-    The bare van der Waals s wave is taken with y = 0 at a near-threshold
-    energy.  There the boundary log-derivative is real,
+    The bare van der Waals s wave is tabulated (``build_table``) at a
+    near-threshold energy.  With y = 0 the boundary log-derivative is real,
     -kappa tan(delta_sr) - kappa'/(2 kappa), and both the transfer matrix to
     the matching radius and the Riccati-Bessel match are Moebius maps.  The
     scattering length is therefore a Moebius function of tan(delta_sr) (the
     quantum-defect separation of Idziaszek and Julienne, PRL 104, 113202
-    (2010)), which is inverted in closed form.  One forward evaluation
-    checks the result and raises CalibrationError if it misses s * abar by
-    more than ``tolerance`` relative.  Only ``params.s`` and
-    ``params.r_match`` matter here.
+    (2010)) whose coefficients come from the table, and it is inverted in
+    closed form.  ``evaluate`` at y = 0 checks the result, and
+    CalibrationError is raised if it misses s * abar by more than
+    ``tolerance`` relative.  Only ``params.s`` and ``params.r_match``
+    matter here.
     """
-    if not 0 < energy_fraction <= 1e-2:
-        raise ValueError("energy_fraction must lie in (0, 1e-2]")
-    _check_r_match(params, system)
-    grid = _calibration_grid(grid or RadialGrid())
-    bare = dataclasses.replace(system, dipole=0.0)
-    mu, r_match = bare.reduced_mass, params.r_match
-    abar = mean_scattering_length(mu, bare.c6)
-    e_cal = energy_fraction * characteristic_energies(mu, bare.c6).e_swave
-    k = math.sqrt(2.0 * mu * e_cal)
-    swave = build_basis(0, 0, 0)
-    r1 = float(grid.outer_radius(bare, e_cal, r_match))
-    ((m_total, _),), _ = _segment_transfers(
-        bare, [(swave, [0])], np.array([e_cal]), np.zeros(1), grid,
-        np.array([r_match]), np.array([r1]),
+    return _phase_calibration(system, params.r_match, grid, energy_fraction)(
+        params.s, tolerance
     )
-    m_total = m_total[0, 0]
-    v, v_slope = (float(x[0, 0]) for x in _edge_values(bare, swave, r_match, np.zeros(1)))
-    kappa, dkappa = (float(x) for x in _wkb_wavenumber(e_cal, v, v_slope, r_match, mu))
-    sf, sf_p, cf, cf_p = (float(x) for x in _riccati_bessel(0, k * r1))
-    # with tau = tan(delta_sr) the wall state is (psi, psi') = wall @ (tau, 1);
-    # m_total carries it to r1 and match gives (num, den) of t = -k a, so
-    # t = (g00 tau + g01) / (g10 tau + g11)
-    wall = np.array([[0.0, 1.0], [-kappa, -dkappa / (2.0 * kappa)]])
-    match = np.array([[k * sf_p, -sf], [-k * cf_p, cf]])
-    g = match @ m_total @ wall
-    target = params.s * abar
-    t = -k * target
-    delta = math.atan2(t * g[1, 1] - g[0, 1], g[0, 0] - t * g[1, 0]) % math.pi
-    delta = delta if delta < math.pi else 0.0  # a tiny negative angle rounds to pi
-
-    probe = ShortRangeParams(s=params.s, y=0.0, r_match=r_match)
-    y_out = apply_log_derivative(
-        m_total, boundary_log_derivative(probe, delta, e_cal, v, v_slope, mu)
-    )
-    a = float((-match_free_solution(y_out, k, 0, r1) / k).real)
-    if not abs(a - target) <= tolerance * abar * max(1.0, abs(params.s)):
-        raise CalibrationError(
-            f"delta_sr = {delta:.6g} gives a = {a / abar:.6g} * abar instead of "
-            f"{params.s:.4g} * abar within {tolerance:.1e} relative; check R_m and "
-            "the radial grid"
-        )
-    return delta

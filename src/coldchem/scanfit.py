@@ -23,10 +23,13 @@ from .errors import ColdchemError, FitError, ScanError
 from .potential import Channel, CollisionSystem, symmetry_blocks
 from .propagator import (
     RadialGrid,
+    _phase_calibration,
     _point_results,
     _propagate_rows,
     _rate_prefactor,
+    build_table,
     calibrate_phase,
+    evaluate,
 )
 from .qdt import ScatteringResult, ShortRangeParams
 
@@ -107,7 +110,7 @@ def _rate_curve(axis, x, system, blocks, rows, energies, channels, energy, dipol
     pref = _rate_prefactor(system, np.sqrt(2.0 * system.reduced_mass * energies))
     columns = sorted((
         (basis.channels[i], block.loss[:, j])
-        for (basis, ranks, _), block in zip(blocks, rows)
+        for (basis, ranks, *_), block in zip(blocks, rows)
         for j, i in enumerate(ranks)
         if channels is None or basis.channels[i] in channels
     ), key=lambda column: column[0])
@@ -436,13 +439,16 @@ def fit_short_range(
 ) -> ShortRangeFit:
     """Weighted least squares of (a subset of) s and y on log rates.
 
-    Every objective evaluation runs a full dipole scan at the dataset's
-    dipole values.  The objective reflects y into [0, 1], y -> 1 - |1 -
-    (y mod 2)|, so the optimizer meets a mirror image at each bound rather
-    than a plateau beyond it; a best fit sitting on a bound is flagged.  The covariance comes from a
-    finite-difference Hessian of chi-squared at the optimum (scaled by the
-    reduced chi-squared when the dataset carries no uncertainties).
-    ``threads`` is accepted for compatibility and ignored.
+    The long range is propagated once: ``build_table`` at the dataset's
+    dipole values, and the bare s wave that calibrates delta_sr.  Each
+    objective evaluation then takes delta_sr(s) in closed form and
+    ``evaluate``s the table at (y, delta_sr).  The objective reflects y into
+    [0, 1], y -> 1 - |1 - (y mod 2)|, so the optimizer meets a mirror image
+    at each bound rather than a plateau beyond it; a best fit sitting on a
+    bound is flagged.  The covariance comes from a finite-difference
+    Hessian of chi-squared at the optimum (scaled by the reduced
+    chi-squared when the dataset carries no uncertainties).  ``threads`` is
+    accepted for compatibility and ignored.
     """
     if not fit or any(name not in ("s", "y") for name in fit):
         raise ValueError("fit must be a non-empty subset of ('s', 'y')")
@@ -456,8 +462,16 @@ def fit_short_range(
         weights = dataset.sigma_cm3s / dataset.rate_cm3s  # sigma of log K
     else:
         weights = np.ones(len(dataset))
-
-    calibrations: dict[float, float] = {}
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, l_max)]
+    energies = np.full(len(d_unique), float(energy))
+    where = [f"d = {d:.6g} a.u." for d in d_unique]
+    try:
+        table = build_table(
+            system, blocks, initial.r_match, energies, 2.0 * d_unique**2, grid, where
+        )
+        phase = _phase_calibration(system, initial.r_match, grid)
+    except ColdchemError as exc:
+        raise FitError(f"long-range propagation failed: {exc}") from exc
     evaluations = 0
 
     def chi2_at(x: np.ndarray) -> float:
@@ -466,25 +480,19 @@ def fit_short_range(
         trial = {"s": initial.s, "y": initial.y}
         for name, val in zip(fit, x):
             trial[name] = float(val)
-        trial["y"] = _reflect_unit(trial["y"])
-        params = ShortRangeParams(s=trial["s"], y=trial["y"], r_match=initial.r_match)
-        if params.s not in calibrations:
-            calibrations[params.s] = calibrate_phase(system, params, grid)
+        params = ShortRangeParams(
+            s=trial["s"], y=_reflect_unit(trial["y"]), r_match=initial.r_match
+        )
         try:
-            curve = scan_dipole(
-                system,
-                params,
-                energy,
-                d_unique,
-                grid=grid,
-                l_max=l_max,
-                delta_sr=calibrations[params.s],
-            )
+            rows = evaluate(table, params.y, [phase(params.s)] * len(blocks), where)
         except ColdchemError as exc:
             raise FitError(
                 f"objective evaluation failed at s = {params.s:.6g}, "
                 f"y = {params.y:.6g}: {exc}"
             ) from exc
+        curve = _rate_curve(
+            "dipole", d_unique, system, blocks, rows, energies, None, energy, None
+        )
         log_model = np.log(np.maximum(curve.total[inverse], 1e-300))
         r = (log_model - log_obs) / weights
         return float(np.dot(r, r))

@@ -10,7 +10,8 @@ from coldchem.errors import CalibrationError, GridError, MatchingError
 from coldchem.potential import Channel, CollisionSystem, single_channel_curve
 from coldchem.propagator import (
     RadialGrid,
-    apply_log_derivative,
+    _carry_log_derivative,
+    _wkb_wavenumber,
     boundary_log_derivative,
     calibrate_phase,
     chain_product,
@@ -47,9 +48,10 @@ def edge_values(curve, r):
 def boundary(params, curve, energy, delta):
     """Boundary log-derivative at R_m from the curve's V and V' there."""
     v, v_slope = edge_values(curve, params.r_match)
-    return boundary_log_derivative(
-        params, delta, energy, v, v_slope, curve.system.reduced_mass
+    kappa, dkappa = _wkb_wavenumber(
+        energy, v, v_slope, params.r_match, curve.system.reduced_mass
     )
+    return boundary_log_derivative(params.y, delta, kappa, dkappa)
 
 
 def reference_log_derivative(curve, energy, y0, a, b, rtol=1e-11):
@@ -83,9 +85,7 @@ def test_propagation_matches_solve_ivp():
     g1, g2 = gauss_nodes(starts, steps)
     w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
     w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
-    y_prop = apply_log_derivative(
-        chain_product(step_matrices(steps, w1, w2))[0], y0
-    )
+    y_prop = _carry_log_derivative(*chain_product(step_matrices(steps, w1, w2)), y0)
     y_ref = reference_log_derivative(curve, energy, y0, params.r_match, r1)
     assert abs(y_prop - y_ref) / abs(y_ref) < 5e-5
 
@@ -102,9 +102,7 @@ def test_propagation_matches_solve_ivp_high_resolution():
     g1, g2 = gauss_nodes(starts, steps)
     w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
     w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
-    y_prop = apply_log_derivative(
-        chain_product(step_matrices(steps, w1, w2))[0], y0
-    )
+    y_prop = _carry_log_derivative(*chain_product(step_matrices(steps, w1, w2)), y0)
     y_ref = reference_log_derivative(curve, energy, y0, params.r_match, r1)
     assert abs(y_prop - y_ref) / abs(y_ref) < 2e-6
 
@@ -122,9 +120,7 @@ def test_fourth_order_convergence():
         g1, g2 = gauss_nodes(starts, steps)
         w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
         w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
-        return apply_log_derivative(
-            chain_product(step_matrices(steps, w1, w2))[0], y0
-        )
+        return _carry_log_derivative(*chain_product(step_matrices(steps, w1, w2)), y0)
 
     ref = reference_log_derivative(curve, energy, y0, a, b, rtol=1e-13)
     errors = [abs(run(n) - ref) for n in (400, 800, 1600)]
@@ -153,11 +149,6 @@ def test_chain_product_orders_factors():
     assert np.allclose(np.ldexp(chained, exponent), direct, rtol=1e-12, atol=0)
 
 
-def test_apply_log_derivative_infinite_boundary():
-    m = np.array([[2.0, 3.0], [1.0, 4.0]])
-    assert apply_log_derivative(m, complex(math.inf)) == pytest.approx(4.0 / 3.0)
-
-
 # --- boundary condition --------------------------------------------------------
 
 
@@ -170,7 +161,7 @@ def test_boundary_reflection_magnitude():
         v, v_slope = edge_values(curve, params.r_match)
         kappa = math.sqrt(2.0 * MU * (energy - v))
         dkappa = -MU * v_slope / kappa
-        y0 = boundary_log_derivative(params, 0.7, energy, v, v_slope, MU)
+        y0 = boundary_log_derivative(y, 0.7, kappa, dkappa)
         # invert y0 = -i kappa (1 - R)/(1 + R) - kappa'/(2 kappa) for R
         u = 1j * (y0 + dkappa / (2.0 * kappa)) / kappa
         reflection = (1.0 - u) / (1.0 + u)
