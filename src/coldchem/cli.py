@@ -514,8 +514,7 @@ def _cmd_selfcheck(config: dict, out: str | None) -> int:
     f_val = inverse_morse_exponent(1, 6)
     gates.append(("inverse-Morse f(1,6) = f(1,3)", f_val == inverse_morse_exponent(1, 3)))
 
-    one_k = units.convert(1.0, units.Dimension.ENERGY, "kelvin", "hartree")
-    back = units.convert(one_k, units.Dimension.ENERGY, "hartree", "kelvin")
+    back = units.energy_to_kelvin(units.energy_from_kelvin(1.0))
     gates.append(("unit round trip", abs(back - 1.0) < 1e-12))
 
     bare = dataclasses.replace(system, dipole=0.0)

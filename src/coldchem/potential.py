@@ -97,66 +97,12 @@ class CollisionSystem:
         return (0, 1)
 
 
-def wigner_3j_zero_m(l1: int, l2: int, l3: int) -> float:
-    """Wigner 3j symbol (l1 l2 l3; 0 0 0)."""
-    j = l1 + l2 + l3
-    if j % 2 == 1:
-        return 0.0
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return 0.0
-    g = j // 2
-    lf = math.lgamma
-    # Racah closed form for all-zero projections.
-    log_tri = 0.5 * (
-        lf(j - 2 * l1 + 1) + lf(j - 2 * l2 + 1) + lf(j - 2 * l3 + 1) - lf(j + 2)
-    )
-    log_fac = lf(g + 1) - lf(g - l1 + 1) - lf(g - l2 + 1) - lf(g - l3 + 1)
-    return (-1.0) ** g * math.exp(log_tri + log_fac)
-
-
-def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
-    """Wigner 3j symbol via the Racah sum.  Safe for the small L used here."""
-    if m1 + m2 + m3 != 0:
-        return 0.0
-    if l3 < abs(l1 - l2) or l3 > l1 + l2:
-        return 0.0
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        return 0.0
-    lf = math.lgamma
-    log_tri = 0.5 * (
-        lf(l1 + l2 - l3 + 1)
-        + lf(l1 - l2 + l3 + 1)
-        + lf(-l1 + l2 + l3 + 1)
-        - lf(l1 + l2 + l3 + 2)
-    )
-    log_pre = 0.5 * (
-        lf(l1 + m1 + 1)
-        + lf(l1 - m1 + 1)
-        + lf(l2 + m2 + 1)
-        + lf(l2 - m2 + 1)
-        + lf(l3 + m3 + 1)
-        + lf(l3 - m3 + 1)
-    )
-    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
-    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-    total = 0.0
-    for t in range(t_min, t_max + 1):
-        log_den = (
-            lf(t + 1)
-            + lf(l3 - l2 + m1 + t + 1)
-            + lf(l3 - l1 - m2 + t + 1)
-            + lf(l1 + l2 - l3 - t + 1)
-            + lf(l1 - m1 - t + 1)
-            + lf(l2 + m2 - t + 1)
-        )
-        total += (-1.0) ** t * math.exp(log_tri + log_pre - log_den)
-    return (-1.0) ** (l1 - l2 - m3) * total
-
-
 def p2_matrix_element(L: int, Lp: int, M: int) -> float:
     """<L M| P2(cos theta) |L' M> for real spherical-harmonic partial waves.
 
-    Nonzero only for L' = L or L' = L +/- 2 (same parity, rank-2 coupling).
+    Nonzero only for L' = L or L' = L +/- 2 (same parity, rank-2 coupling);
+    both are closed forms of the Wigner 3j product, and the coupling to
+    L + 2 is positive.
     """
     for name, v in (("L", L), ("Lp", Lp)):
         if not isinstance(v, (int, np.integer)):
@@ -168,15 +114,10 @@ def p2_matrix_element(L: int, Lp: int, M: int) -> float:
     if (L + Lp) % 2 == 1 or abs(L - Lp) > 2:
         return 0.0
     if L == Lp:
-        # Diagonal closed form avoids the 3j machinery on the hot path.
         return (L * (L + 1) - 3 * M * M) / ((2 * L - 1) * (2 * L + 3))
-    phase = (-1.0) ** M
-    norm = math.sqrt((2 * L + 1) * (2 * Lp + 1))
-    return (
-        phase
-        * norm
-        * wigner_3j_zero_m(L, 2, Lp)
-        * wigner_3j(L, 2, Lp, -M, 0, M)
+    lo = min(L, Lp)
+    return 3.0 / (2 * (2 * lo + 3)) * math.sqrt(
+        ((lo + 1) ** 2 - M * M) * ((lo + 2) ** 2 - M * M) / ((2 * lo + 1) * (2 * lo + 5))
     )
 
 

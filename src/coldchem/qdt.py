@@ -10,13 +10,12 @@ boundary condition and extends them to finite field and energy.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import SingularConversionError, UnitarityError
+from .errors import SingularConversionError
 from .potential import CollisionSystem
 
 # Gamma(1/4), needed for the mean scattering lengths of a 1/R^6 tail.
@@ -179,44 +178,6 @@ def length_from_s_matrix(s_el: complex, k: float) -> ComplexScatteringLength:
     return ComplexScatteringLength.from_complex(a)
 
 
-@dataclass(frozen=True)
-class RatePair:
-    """Elastic and quenching rate coefficients (atomic units)."""
-
-    elastic: float
-    quenching: float
-
-
-def rates_from_s_matrix(s_el: complex, k: float, system: CollisionSystem) -> RatePair:
-    """Partial-wave rate coefficients from a single diagonal S-matrix element.
-
-    K_el = g pi / (mu k) |1 - S|^2,  K_qu = g pi / (mu k) (1 - |S|^2).
-    """
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
-    mod2 = abs(s_el) ** 2
-    if mod2 > 1.0 + 1e-9:
-        raise UnitarityError(f"|S|^2 = {mod2:.12f} exceeds unity")
-    pref = system.statistical_factor * math.pi / (system.reduced_mass * k)
-    return RatePair(
-        elastic=pref * abs(1.0 - s_el) ** 2,
-        quenching=pref * max(0.0, 1.0 - mod2),
-    )
-
-
-def rates_from_length(
-    a: ComplexScatteringLength, k: float, system: CollisionSystem
-) -> RatePair:
-    return rates_from_s_matrix(s_matrix_from_length(a, k), k, system)
-
-
-def loss_probability_from_s_matrix(s_el: complex) -> float:
-    mod2 = abs(s_el) ** 2
-    if mod2 > 1.0 + 1e-9:
-        raise UnitarityError(f"|S|^2 = {mod2:.12f} exceeds unity")
-    return max(0.0, 1.0 - mod2)
-
-
 def low_energy_loss_probability(L: int, system: CollisionSystem, k: float) -> float:
     """Universal threshold loss probability P = 1 - exp(-4 k beta_L).
 
@@ -312,8 +273,3 @@ class ScatteringResult:
     @property
     def scattering_length(self) -> ComplexScatteringLength:
         return length_from_s_matrix(self.s_matrix, self.wavenumber)
-
-
-def phase_shift(s_el: complex) -> complex:
-    """Complex phase shift delta with S = exp(2 i delta)."""
-    return cmath.log(s_el) / 2j

@@ -7,9 +7,6 @@ rather than hard-coded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import scipy.constants as _sc
 
 # 1 hartree expressed in kelvin, etc.  All factors map atomic units -> unit.
@@ -25,77 +22,6 @@ _ATOMIC_TIME = _sc.physical_constants["atomic unit of time"][0]
 # Two-body rate coefficients: a0^3 per atomic time unit, in cm^3/s.
 RATE_AU_IN_CM3S = (BOHR_IN_METER * 1e2) ** 3 / _ATOMIC_TIME
 
-
-class Dimension(Enum):
-    ENERGY = "energy"
-    LENGTH = "length"
-    MASS = "mass"
-    DIPOLE = "dipole"
-    RATE = "rate"
-
-
-# unit name -> size of one unit in atomic units
-_UNIT_TABLE: dict[Dimension, dict[str, float]] = {
-    Dimension.ENERGY: {
-        "hartree": 1.0,
-        "kelvin": HARTREE_PER_KELVIN,
-        "microkelvin": HARTREE_PER_KELVIN * 1e-6,
-        "nanokelvin": HARTREE_PER_KELVIN * 1e-9,
-    },
-    Dimension.LENGTH: {
-        "bohr": 1.0,
-        "nanometer": 1e-9 / BOHR_IN_METER,
-    },
-    Dimension.MASS: {
-        "electron_mass": 1.0,
-        "amu": ELECTRON_MASS_PER_AMU,
-    },
-    Dimension.DIPOLE: {
-        "atomic": 1.0,
-        "debye": DEBYE_IN_AU,
-    },
-    Dimension.RATE: {
-        "atomic": 1.0,
-        "cm3_per_s": 1.0 / RATE_AU_IN_CM3S,
-    },
-}
-
-
-def _unit_factor(dimension: Dimension, unit: str) -> float:
-    try:
-        table = _UNIT_TABLE[dimension]
-    except KeyError:
-        raise ValueError(f"unknown dimension {dimension!r}") from None
-    try:
-        return table[unit]
-    except KeyError:
-        known = ", ".join(sorted(table))
-        raise ValueError(
-            f"unknown unit {unit!r} for dimension {dimension.value} (known: {known})"
-        ) from None
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value tagged with its dimension, stored in atomic units."""
-
-    value: float
-    dimension: Dimension
-
-    def to(self, unit: str) -> float:
-        return self.value / _unit_factor(self.dimension, unit)
-
-    @classmethod
-    def from_unit(cls, value: float, dimension: Dimension, unit: str) -> "Quantity":
-        return cls(value * _unit_factor(dimension, unit), dimension)
-
-
-def convert(value: float, dimension: Dimension, from_unit: str, to_unit: str) -> float:
-    """Convert ``value`` between two named units of the same dimension."""
-    return value * _unit_factor(dimension, from_unit) / _unit_factor(dimension, to_unit)
-
-
-# Convenience wrappers for the conversions used throughout the package.
 
 def energy_from_kelvin(t: float) -> float:
     return t * HARTREE_PER_KELVIN

@@ -21,8 +21,6 @@ from coldchem.potential import (
     potential_matrix,
     single_channel_curve,
     symmetry_blocks,
-    wigner_3j,
-    wigner_3j_zero_m,
 )
 
 MU_KRB = units.mass_from_amu(63.4968)
@@ -36,6 +34,84 @@ def krb(dipole=0.0, symmetry=Symmetry.FERMIONS):
 
 
 # --- angular matrix elements -------------------------------------------------
+
+
+# The package's P2 couplings are closed forms; the Racah sum for the Wigner
+# 3j symbols they came from before is kept here as their reference.
+
+
+def wigner_3j_zero_m(l1: int, l2: int, l3: int) -> float:
+    """Wigner 3j symbol (l1 l2 l3; 0 0 0)."""
+    j = l1 + l2 + l3
+    if j % 2 == 1:
+        return 0.0
+    if l3 < abs(l1 - l2) or l3 > l1 + l2:
+        return 0.0
+    g = j // 2
+    lf = math.lgamma
+    # Racah closed form for all-zero projections.
+    log_tri = 0.5 * (
+        lf(j - 2 * l1 + 1) + lf(j - 2 * l2 + 1) + lf(j - 2 * l3 + 1) - lf(j + 2)
+    )
+    log_fac = lf(g + 1) - lf(g - l1 + 1) - lf(g - l2 + 1) - lf(g - l3 + 1)
+    return (-1.0) ** g * math.exp(log_tri + log_fac)
+
+
+def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
+    """Wigner 3j symbol via the Racah sum.  Safe for the small L used here."""
+    if m1 + m2 + m3 != 0:
+        return 0.0
+    if l3 < abs(l1 - l2) or l3 > l1 + l2:
+        return 0.0
+    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
+        return 0.0
+    lf = math.lgamma
+    log_tri = 0.5 * (
+        lf(l1 + l2 - l3 + 1)
+        + lf(l1 - l2 + l3 + 1)
+        + lf(-l1 + l2 + l3 + 1)
+        - lf(l1 + l2 + l3 + 2)
+    )
+    log_pre = 0.5 * (
+        lf(l1 + m1 + 1)
+        + lf(l1 - m1 + 1)
+        + lf(l2 + m2 + 1)
+        + lf(l2 - m2 + 1)
+        + lf(l3 + m3 + 1)
+        + lf(l3 - m3 + 1)
+    )
+    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
+    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
+    total = 0.0
+    for t in range(t_min, t_max + 1):
+        log_den = (
+            lf(t + 1)
+            + lf(l3 - l2 + m1 + t + 1)
+            + lf(l3 - l1 - m2 + t + 1)
+            + lf(l1 + l2 - l3 - t + 1)
+            + lf(l1 - m1 - t + 1)
+            + lf(l2 + m2 - t + 1)
+        )
+        total += (-1.0) ** t * math.exp(log_tri + log_pre - log_den)
+    return (-1.0) ** (l1 - l2 - m3) * total
+
+
+def racah_p2(L, Lp, M):
+    """<L M| P2 |L' M> as the 3j product the closed forms reduce."""
+    return (
+        (-1.0) ** M
+        * math.sqrt((2 * L + 1) * (2 * Lp + 1))
+        * wigner_3j_zero_m(L, 2, Lp)
+        * wigner_3j(L, 2, Lp, -M, 0, M)
+    )
+
+
+def test_p2_closed_forms_match_racah_sum():
+    for L in range(30):
+        for Lp in (L, L + 2):
+            for M in range(-L, L + 1):
+                assert abs(p2_matrix_element(L, Lp, M) - racah_p2(L, Lp, M)) < 1e-13
+                assert abs(p2_matrix_element(Lp, L, M) - racah_p2(Lp, L, M)) < 1e-13
 
 
 def p2_quadrature(l1, l2, m):

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,7 +5,8 @@ import pytest
 
 from coldchem import units
 from coldchem.errors import SingularConversionError, UnitarityError
-from coldchem.potential import CollisionSystem, Symmetry
+from coldchem.potential import Channel, CollisionSystem, Symmetry, single_channel_curve
+from coldchem.propagator import RadialGrid, _rate_prefactor, build_table, evaluate, propagate
 from coldchem.qdt import (
     P_WAVE_LENGTH_RATIO,
     ComplexScatteringLength,
@@ -17,14 +17,10 @@ from coldchem.qdt import (
     complex_scattering_length,
     inverse_morse_exponent,
     length_from_s_matrix,
-    loss_probability_from_s_matrix,
     low_energy_loss_probability,
     mean_scattering_length,
     p_wave_mean_scattering_length,
-    phase_shift,
     pwave_scattering_volume_length,
-    rates_from_length,
-    rates_from_s_matrix,
     resonance_position,
     s_matrix_from_length,
     swave_scattering_length,
@@ -190,52 +186,38 @@ def test_length_from_s_matrix_rejects_pole():
 
 
 def test_unitary_s_no_loss():
-    s = cmath.exp(0.42j)
-    assert loss_probability_from_s_matrix(s) == pytest.approx(0.0, abs=1e-14)
-    rates = rates_from_s_matrix(s, 1e-4, krb())
-    assert rates.quenching == pytest.approx(0.0, abs=1e-20)
+    # a real scattering length is a lossless one: |S| = 1
+    for alpha in (-300.0, 0.0, 80.0):
+        s = s_matrix_from_length(ComplexScatteringLength(alpha, 0.0), 1e-4)
+        assert 1.0 - abs(s) ** 2 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_rates_formulas():
+    # K_el = g pi / (mu k) |1 - S|^2 and K_qu = g pi / (mu k) (1 - |S|^2)
     system = krb()
-    k = 1e-4
-    g = system.statistical_factor
-    # S = 0: full loss, elastic |1-S|^2 = 1
-    rates = rates_from_s_matrix(0.0j, k, system)
-    assert rates.elastic == pytest.approx(g * math.pi / (MU * k), rel=1e-12)
-    assert rates.quenching == pytest.approx(g * math.pi / (MU * k), rel=1e-12)
-    # S = 1: nothing happens
-    rates = rates_from_s_matrix(1.0 + 0.0j, k, system)
-    assert rates.elastic == 0.0
-    assert rates.quenching == 0.0
-    # S = -1: elastic maximal, no loss
-    rates = rates_from_s_matrix(-1.0 + 0.0j, k, system)
-    assert rates.elastic == pytest.approx(4.0 * g * math.pi / (MU * k), rel=1e-12)
-    assert rates.quenching == pytest.approx(0.0, abs=1e-20)
+    params = ShortRangeParams(s=0.5, y=0.4)
+    res = propagate(system, single_channel_curve(system, Channel(1, 0)), params, 1e-12, 1.1)
+    pref = system.statistical_factor * math.pi / (MU * res.wavenumber)
+    assert res.elastic_rate == pytest.approx(pref * abs(1.0 - res.s_matrix) ** 2, rel=1e-12)
+    assert res.quenching_rate == pytest.approx(pref * res.loss_probability, rel=1e-12)
+    assert res.loss_probability == pytest.approx(1.0 - abs(res.s_matrix) ** 2, abs=1e-12)
 
 
 def test_statistical_factor_applied():
     k = 1e-4
-    r1 = rates_from_s_matrix(0.0j, k, krb(symmetry=Symmetry.FERMIONS))
-    r2 = rates_from_s_matrix(0.0j, k, krb(symmetry=Symmetry.DISTINGUISHABLE))
-    assert r2.elastic == pytest.approx(2.0 * r1.elastic, rel=1e-14)
-    r3 = rates_from_s_matrix(0.0j, k, krb(symmetry=Symmetry.FERMIONS, g_override=2))
-    assert r3.elastic == pytest.approx(r2.elastic, rel=1e-14)
-
-
-def test_rates_from_length_consistent():
-    system = krb()
-    k = 2e-4
-    a = ComplexScatteringLength(80.0, 30.0)
-    via_s = rates_from_s_matrix(s_matrix_from_length(a, k), k, system)
-    direct = rates_from_length(a, k, system)
-    assert direct.elastic == pytest.approx(via_s.elastic, rel=1e-12)
-    assert direct.quenching == pytest.approx(via_s.quenching, rel=1e-12)
+    g1 = _rate_prefactor(krb(symmetry=Symmetry.FERMIONS), k)
+    g2 = _rate_prefactor(krb(symmetry=Symmetry.DISTINGUISHABLE), k)
+    assert g2 == pytest.approx(2.0 * g1, rel=1e-14)
+    g3 = _rate_prefactor(krb(symmetry=Symmetry.FERMIONS, g_override=2), k)
+    assert g3 == pytest.approx(g2, rel=1e-14)
 
 
 def test_superunitary_s_raises():
+    # y < 0 makes the boundary a source of flux, so |S| > 1
+    swave = single_channel_curve(krb(), Channel(0, 0)).basis
+    table = build_table(krb(), [(swave, [0])], 20.0, 1e-12, 0.0, RadialGrid())
     with pytest.raises(UnitarityError):
-        rates_from_s_matrix(1.1 + 0.0j, 1e-4, krb())
+        evaluate(table, -0.5, [1.0])
 
 
 def test_wigner_threshold_exponents():
@@ -249,7 +231,7 @@ def test_wigner_threshold_exponents():
         rates = []
         for k in ks:
             a = complex_scattering_length(L, params, system, k)
-            rates.append(rates_from_length(a, k, system).quenching)
+            rates.append((1.0 - abs(s_matrix_from_length(a, k)) ** 2) / k)
         slope = np.polyfit(np.log(energies), np.log(rates), 1)[0]
         assert slope == pytest.approx(expected, abs=2e-3)
 
@@ -323,11 +305,6 @@ def test_resonance_position_series():
     assert xs[0] == pytest.approx(scale * math.sqrt(0.3 / 12.0), rel=1e-12)
     with pytest.raises(ValueError):
         resonance_position(12, scale, n0, ninf)  # at the accumulation index
-
-
-def test_phase_shift_from_s():
-    s = cmath.exp(2.0j * 0.3)
-    assert phase_shift(s) == pytest.approx(0.3, rel=1e-12)
 
 
 # --- parameter validation ------------------------------------------------------

@@ -4,14 +4,11 @@ import pytest
 import scipy.constants as sc
 
 from coldchem import units
-from coldchem.units import Dimension, Quantity, convert
 
 
 def test_hartree_in_kelvin():
     # CODATA: 1 hartree = 315775.02 K
-    assert convert(1.0, Dimension.ENERGY, "hartree", "kelvin") == pytest.approx(
-        315775.02, rel=1e-4
-    )
+    assert units.energy_to_kelvin(1.0) == pytest.approx(315775.02, rel=1e-4)
 
 
 def test_amu_in_electron_masses():
@@ -33,31 +30,11 @@ def test_rate_unit_magnitude():
     assert units.RATE_AU_IN_CM3S == pytest.approx(expected, rel=1e-14)
 
 
-@pytest.mark.parametrize(
-    "dimension,unit",
-    [
-        (Dimension.ENERGY, "kelvin"),
-        (Dimension.ENERGY, "microkelvin"),
-        (Dimension.ENERGY, "nanokelvin"),
-        (Dimension.LENGTH, "nanometer"),
-        (Dimension.MASS, "amu"),
-        (Dimension.DIPOLE, "debye"),
-        (Dimension.RATE, "cm3_per_s"),
-    ],
-)
-def test_round_trips(dimension, unit):
-    value = 3.7
-    # go unit -> atomic -> unit via Quantity
-    q = Quantity.from_unit(value, dimension, unit)
-    assert q.to(unit) == pytest.approx(value, rel=1e-12)
-
-
 def test_convert_between_named_units():
-    assert convert(1.0, Dimension.ENERGY, "kelvin", "microkelvin") == pytest.approx(
-        1e6, rel=1e-12
-    )
-    assert convert(1.0, Dimension.ENERGY, "microkelvin", "nanokelvin") == pytest.approx(
-        1e3, rel=1e-12
+    one_kelvin = units.energy_from_kelvin(1.0)
+    assert units.energy_to_microkelvin(one_kelvin) == pytest.approx(1e6, rel=1e-12)
+    assert units.energy_to_kelvin(units.energy_from_microkelvin(1e3)) == pytest.approx(
+        1e-3, rel=1e-12
     )
 
 
@@ -84,10 +61,3 @@ def test_energy_scale_sanity():
     # 1 uK must be a very small number of hartree (~3.17e-12)
     e = units.energy_from_microkelvin(1.0)
     assert 1e-12 < e < 1e-11
-
-
-def test_unknown_unit_raises():
-    with pytest.raises(ValueError, match="unknown unit"):
-        convert(1.0, Dimension.ENERGY, "joule", "hartree")
-    with pytest.raises(ValueError, match="unknown unit"):
-        Quantity(1.0, Dimension.LENGTH).to("furlong")
