@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldchem import propagator, units
-from coldchem.potential import Channel, CollisionSystem, single_channel_curve
+from coldchem import propagator, scanfit, units
+from coldchem.potential import Channel, CollisionSystem, single_channel_curve, symmetry_blocks
 from coldchem.propagator import RadialGrid, calibrate_phase, propagate
 from coldchem.qdt import ShortRangeParams, characteristic_energies, mean_scattering_length
-from coldchem.scanfit import rate_point, scan_dipole
+from coldchem.scanfit import Dataset, fit_short_range, rate_point, scan_dipole
 
 MU = units.mass_from_amu(63.4968)
 C6 = 16130.0
@@ -114,3 +114,81 @@ def test_scan_equals_concatenated_halves(d, cut):
     for channel, rates in whole.per_channel.items():
         halves = np.concatenate([first.per_channel[channel], second.per_channel[channel]])
         assert np.allclose(rates, halves, rtol=1e-12, atol=0.0)
+
+
+# --- the long-range table: built once, evaluated at any (s, y) -----------------
+
+TABLE_D = units.dipole_from_debye(np.array([0.0, 0.07, 0.15, 0.3]))
+TABLE_BLOCKS = [(basis, range(len(basis))) for basis in symmetry_blocks(KRB, 3)]
+TABLE = propagator.build_table(
+    KRB, TABLE_BLOCKS, 20.0, np.full(len(TABLE_D), E_250NK), 2.0 * TABLE_D**2, RadialGrid()
+)
+unit_y = st.floats(0.0, 1.0)
+
+
+@SCAN_PROPERTY
+@given(s=shorts, y=unit_y)
+def test_table_evaluation_equals_rate_point(s, y):
+    params = ShortRangeParams(s=s, y=y)
+    delta = calibrate_phase(KRB, params)
+    rows = propagator.evaluate(TABLE, y, [delta] * len(TABLE_BLOCKS))
+    for i, d_i in enumerate(TABLE_D):
+        point = rate_point(
+            dataclasses.replace(KRB, dipole=float(d_i)), params, delta, E_250NK, l_max=3
+        )
+        for (basis, ranks), block in zip(TABLE_BLOCKS, rows):
+            for j in ranks:
+                res = point[basis.channels[j]]
+                assert block.s_matrix[i, j] == pytest.approx(res.s_matrix, rel=1e-12, abs=0.0)
+                assert block.loss[i, j] == pytest.approx(
+                    res.loss_probability, rel=1e-12, abs=0.0
+                )
+
+
+# the dataset of acceptance criterion 9, without noise
+FIT_D_DEBYE = np.linspace(0.04, 0.24, 8)
+FIT_DATA = Dataset(
+    d_debye=FIT_D_DEBYE,
+    rate_cm3s=units.rate_to_cm3_per_s(scan(units.dipole_from_debye(FIT_D_DEBYE)).total),
+    sigma_cm3s=None,
+)
+
+
+def fit_objective():
+    """The chi-squared function fit_short_range hands to its optimizer."""
+    captured = []
+    minimize = scanfit.optimize.minimize
+
+    def capture(fun, x0, **kwargs):
+        captured.append(fun)
+        return minimize(fun, x0, **{**kwargs, "options": {**kwargs["options"], "maxiter": 1}})
+
+    with mock.patch.object(scanfit.optimize, "minimize", capture):
+        fit_short_range(FIT_DATA, KRB, E_250NK, SCAN_PARAMS, fit=("s", "y"), l_max=3)
+    return captured[0]
+
+
+FIT_CHI2 = fit_objective()
+
+
+# y >= 1e-3: at y = 0 the flux loss is rounding, and a scan whose total
+# rounds below zero fails RateCurve.validate
+@SCAN_PROPERTY
+@given(s=shorts, y=st.floats(1e-3, 1.0))
+def test_fit_chi2_equals_fresh_calibration_and_scan(s, y):
+    params = ShortRangeParams(s=s, y=y)
+    curve = scan_dipole(
+        KRB, params, E_250NK, units.dipole_from_debye(FIT_D_DEBYE), l_max=3,
+        delta_sr=calibrate_phase(KRB, params),
+    )
+    r = np.log(curve.total) - np.log(units.rate_from_cm3_per_s(FIT_DATA.rate_cm3s))
+    assert FIT_CHI2(np.array([s, y])) == pytest.approx(float(r @ r), rel=1e-12, abs=1e-24)
+
+
+@SCAN_PROPERTY
+@given(s=shorts, y=unit_y, d=st.floats(0.0, 0.5), log_e=log_energies)
+def test_unitarity_bound_at_finite_field(s, y, d, log_e):
+    params = ShortRangeParams(s=s, y=y)
+    system = dataclasses.replace(KRB, dipole=units.dipole_from_debye(d))
+    results = rate_point(system, params, calibrate_phase(KRB, params), E0 * 10.0**log_e, l_max=3)
+    assert all(abs(res.s_matrix) ** 2 <= 1.0 + 1e-9 for res in results.values())
