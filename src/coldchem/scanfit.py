@@ -441,8 +441,8 @@ def fit_short_range(
 
     The long range is propagated once: ``build_table`` at the dataset's
     dipole values, and the bare s wave that calibrates delta_sr.  Each
-    objective evaluation then takes delta_sr(s) in closed form and
-    ``evaluate``s the table at (y, delta_sr).  The objective reflects y into
+    objective evaluation takes delta_sr(s) in closed form and evaluates the
+    table at (y, delta_sr), with no propagation.  The objective reflects y into
     [0, 1], y -> 1 - |1 - (y mod 2)|, so the optimizer meets a mirror image
     at each bound rather than a plateau beyond it; a best fit sitting on a
     bound is flagged.  The covariance comes from a finite-difference
