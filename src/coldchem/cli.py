@@ -307,10 +307,7 @@ def _cmd_ploss(config: dict, out: str | None) -> int:
         np.geomspace(config["e_min_uk"], config["e_max_uk"], config["n_energy"])
     )
     delta_sr = calibrate_phase(
-        system,
-        params,
-        grid,
-        energy_fraction=config["calibration_energy_fraction"],
+        system, params, grid, energy_fraction=config["calibration_energy_fraction"],
         tolerance=config["calibration_tolerance"],
     )
     k = np.sqrt(2.0 * system.reduced_mass * energies)
@@ -333,22 +330,10 @@ def _cmd_ploss(config: dict, out: str | None) -> int:
                 if barrier is not None
                 else math.nan
             )
-            rows.append(
-                (
-                    _format(units.energy_to_microkelvin(e)),
-                    L,
-                    0,
-                    _format(p_loss),
-                    _format(analytic),
-                    _format(qt),
-                )
-            )
-    _write_csv(
-        out or "ploss.csv",
-        config,
-        ["E_uK", "L", "M", "P_loss_numeric", "P_loss_analytic_lowE", "P_loss_qt"],
-        rows,
-    )
+            rows.append((_format(units.energy_to_microkelvin(e)), L, 0, _format(p_loss),
+                         _format(analytic), _format(qt)))
+    _write_csv(out or "ploss.csv", config,
+               ["E_uK", "L", "M", "P_loss_numeric", "P_loss_analytic_lowE", "P_loss_qt"], rows)
     return 0
 
 
@@ -367,20 +352,12 @@ def _run_dipole_scan(config: dict):
     d_debye = _dipole_grid(config)
     energy = units.energy_from_microkelvin(config["energy_nk"] * 1e-3)
     delta_sr = calibrate_phase(
-        system,
-        params,
-        grid,
-        energy_fraction=config["calibration_energy_fraction"],
+        system, params, grid, energy_fraction=config["calibration_energy_fraction"],
         tolerance=config["calibration_tolerance"],
     )
     curve = scan_dipole(
-        system,
-        params,
-        energy,
-        units.dipole_from_debye(d_debye),
-        grid=grid,
-        l_max=config["l_max"],
-        delta_sr=delta_sr,
+        system, params, energy, units.dipole_from_debye(d_debye), grid=grid,
+        l_max=config["l_max"], delta_sr=delta_sr,
     )
     return d_debye, curve
 
@@ -446,14 +423,8 @@ def _cmd_fit(config: dict, out: str | None) -> int:
     energy = units.energy_from_microkelvin(config["energy_nk"] * 1e-3)
     try:
         result = fit_short_range(
-            dataset,
-            system,
-            energy,
-            initial=params,
-            fit=fit_names,
-            grid=config["_grid"],
-            l_max=config["l_max"],
-            max_iterations=config["max_fit_iterations"],
+            dataset, system, energy, initial=params, fit=fit_names, grid=config["_grid"],
+            l_max=config["l_max"], max_iterations=config["max_fit_iterations"],
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
@@ -531,14 +502,8 @@ def _cmd_selfcheck(config: dict, out: str | None) -> int:
 
     universal = ShortRangeParams(s=params.s, y=1.0, r_match=params.r_match)
     delta = calibrate_phase(system, universal, grid)
-    res = propagate(
-        bare,
-        single_channel_curve(bare, Channel(0, 0)),
-        universal,
-        e0 / 100.0,
-        delta,
-        grid,
-    )
+    res = propagate(bare, single_channel_curve(bare, Channel(0, 0)), universal, e0 / 100.0,
+                    delta, grid)
     beta = res.scattering_length.beta
     gates.append(("universal s-wave beta within 2% of abar", abs(beta / abar - 1) < 0.02))
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .errors import CalibrationError, ColdchemError, GridError, MatchingError, UnitarityError
 from .potential import (
@@ -334,25 +333,65 @@ def boundary_log_derivative(y: float, delta_sr, kappa, dkappa) -> complex | np.n
 
     ``kappa`` and ``dkappa`` are the local wavenumber at R_m and its radial
     derivative (``_wkb_wavenumber``).  The wave carries unit incoming flux
-    and the reflected amplitude (1 - y)/(1 + y) * exp(2 i delta_sr).
+    and the reflected amplitude rho * exp(2 i delta_sr), rho = (1 - y)/(1 + y).
+    The imaginary part is the flux in closed form, -kappa (1 - rho^2) /
+    |1 + refl|^2: exactly 0 at y = 0 and never positive for y in [0, 1].
     Arguments broadcast.
     """
     two_delta = 2.0 * np.asarray(delta_sr, dtype=float)
-    refl = (1.0 - y) / (1.0 + y) * (np.cos(two_delta) + 1j * np.sin(two_delta))
+    rho = (1.0 - y) / (1.0 + y)
+    refl = rho * (np.cos(two_delta) + 1j * np.sin(two_delta))
     # psi = exp(-i int kappa)/sqrt(kappa) + refl * exp(+i int kappa)/sqrt(kappa)
-    return -1j * kappa * (1.0 - refl) / (1.0 + refl) - dkappa / (2.0 * kappa)
+    real = (-1j * kappa * (1.0 - refl) / (1.0 + refl)).real - dkappa / (2.0 * kappa)
+    return real - 1j * kappa * (1.0 - rho * rho) / np.abs(1.0 + refl) ** 2
 
 
 def _riccati_bessel(L, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """s_L = x j_L(x), its derivative, c_L = -x y_L(x) and its derivative.
 
-    ``L`` and ``x`` broadcast, so one call serves every rank and row.
+    ``L`` and ``x`` broadcast, so one call serves every rank and row.  Both
+    functions obey f_{L+1} = (2L+1)/x f_L - f_{L-1} upward from s_0 = sin x,
+    c_0 = cos x (s_{-1} = cos x, c_{-1} = -sin x).  That is stable for c, and
+    for s while L < x; where x < L + 1, s_L and s_{L-1} come from the power
+    series instead.  Derivatives are f_L' = f_{L-1} - L f_L / x.
     """
-    j = spherical_jn(L, x)
-    jp = spherical_jn(L, x, derivative=True)
-    yn = spherical_yn(L, x)
-    ynp = spherical_yn(L, x, derivative=True)
-    return x * j, j + x * jp, -x * yn, -(yn + x * ynp)
+    shape = np.broadcast_shapes(np.shape(L), np.shape(x))
+    L, x = (np.broadcast_to(a, shape).ravel() for a in (L, np.asarray(x, dtype=float)))
+    s, c = [np.cos(x), np.sin(x)], [-np.sin(x), np.cos(x)]  # l = -1, 0
+    for ell in range(int(L.max(initial=0))):
+        u = (2 * ell + 1) / x
+        s.append(u * s[-1] - s[-2])
+        c.append(u * c[-1] - c[-2])
+    s, c, at = np.stack(s), np.stack(c), np.arange(x.size)
+    # l sits at index l + 1
+    s_l, s_m, c_l, c_m = s[L + 1, at], s[L, at], c[L + 1, at], c[L, at]
+    # s_0 and s_{-1} are sin x and cos x as they stand
+    low = (x < L + 1) & (L > 0)
+    if low.any():
+        n = L[low]
+        s_l[low], s_m[low] = _regular_series(
+            np.concatenate([n, n - 1]), np.tile(x[low], 2)
+        ).reshape(2, -1)
+    return tuple(
+        f.reshape(shape) for f in (s_l, s_m - L * s_l / x, c_l, c_m - L * c_l / x)
+    )
+
+
+def _regular_series(n, x):
+    """s_n(x) = x^(n+1)/(2n+1)!! sum_k (-x^2/2)^k / (k! (2n+3) ... (2n+2k+1)), n >= -1.
+
+    Summed until a term no longer changes the sum; ``x`` must be finite.
+    """
+    z, d = -0.5 * x * x, 2.0 * n + 1.0
+    term, total, k = np.ones_like(x), np.ones_like(x), 1
+    while True:
+        d += 2.0
+        term *= z / (k * d)
+        if (total + term == total).all():
+            odd = np.cumprod(np.arange(-1.0, 2 * n.max() + 2, 2).clip(1.0))  # (2m - 1)!!
+            return x ** (n + 1) / odd[n + 1] * total
+        total += term
+        k += 1
 
 
 def match_free_solution(y_out, k, L, r, where: Sequence[str] | None = None):
@@ -371,10 +410,9 @@ def match_free_solution(y_out, k, L, r, where: Sequence[str] | None = None):
             MatchingError, "degenerate asymptotic match (irregular solution absent)",
             degenerate, where,
         )
-    # Im t from the Wronskian sf cf' - sf' cf: the flux of y, free of the
-    # cancellation in the quotient
-    im_t = k * (sf * cf_p - sf_p * cf) * np.imag(y_out) / np.abs(den) ** 2
-    return (num / den).real + 1j * im_t
+    # Im t from the Wronskian sf cf' - sf' cf = -1: the flux of y, free of
+    # the cancellation in the quotient
+    return (num / den).real - 1j * k * np.imag(y_out) / np.abs(den) ** 2
 
 
 def _segment_transfers(

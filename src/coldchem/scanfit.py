@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, optimize
 
 from . import units
 from .errors import ColdchemError, FitError, ScanError
@@ -253,6 +252,8 @@ def detect_resonances(
     maximum.  An empty list is a perfectly valid outcome (washed-out
     spectra).
     """
+    from scipy import ndimage
+
     if prominence_factor <= 1.0:
         raise ValueError("prominence_factor must exceed 1")
     v = np.asarray(curve.total, dtype=float)
@@ -299,6 +300,8 @@ def fit_resonance_series(positions) -> SeriesFit:
     fit minimizes relative residuals with several starts of the accumulation
     index to escape its shallow valley.
     """
+    from scipy import optimize
+
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 1 or len(pos) < 4:
         raise ValueError("need at least 4 resonance positions")
@@ -442,13 +445,15 @@ def fit_short_range(
     The long range is propagated once: ``build_table`` at the dataset's
     dipole values, and the bare s wave that calibrates delta_sr.  Each
     objective evaluation takes delta_sr(s) in closed form and evaluates the
-    table at (y, delta_sr), with no propagation.  The objective reflects y into
-    [0, 1], y -> 1 - |1 - (y mod 2)|, so the optimizer meets a mirror image
-    at each bound rather than a plateau beyond it; a best fit sitting on a
-    bound is flagged.  The covariance comes from a finite-difference
-    Hessian of chi-squared at the optimum (scaled by the reduced
-    chi-squared when the dataset carries no uncertainties).  ``threads`` is
-    accepted for compatibility and ignored.
+    table at (y, delta_sr), with no propagation.  Chi-squared is minimized by
+    the Nelder-Mead simplex (``_nelder_mead``) from a simplex of steps 0.25
+    in s and 0.1 in y, to 1e-4 in the parameters and 1e-6 in chi-squared.
+    The objective reflects y into [0, 1], y -> 1 - |1 - (y mod 2)|, so the
+    optimizer meets a mirror image at each bound rather than a plateau
+    beyond it; a best fit sitting on a bound is flagged.  The covariance
+    comes from a finite-difference Hessian of chi-squared at the optimum
+    (scaled by the reduced chi-squared when the dataset carries no
+    uncertainties).  ``threads`` is accepted for compatibility and ignored.
     """
     if not fit or any(name not in ("s", "y") for name in fit):
         raise ValueError("fit must be a non-empty subset of ('s', 'y')")
@@ -498,18 +503,7 @@ def fit_short_range(
         return float(np.dot(r, r))
 
     x0 = np.array([getattr(initial, name) for name in fit], dtype=float)
-    result = optimize.minimize(
-        chi2_at,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iterations,
-            "xatol": 1e-4,
-            "fatol": 1e-6,
-            "initial_simplex": _initial_simplex(x0, fit),
-        },
-    )
-    best = result.x.copy()
+    best = _nelder_mead(chi2_at, _initial_simplex(x0, fit), max_iterations, 1e-4, 1e-6)
     names = dict(zip(fit, best))
     if "y" in names:
         names["y"] = _reflect_unit(names["y"])
@@ -537,6 +531,47 @@ def _reflect_unit(y: float) -> float:
     """y reflected into [0, 1] at both ends; values inside are kept exactly."""
     y = y % 2.0
     return 2.0 - y if y > 1.0 else y
+
+
+def _nelder_mead(f, simplex: np.ndarray, max_iterations: int, xatol: float, fatol: float):
+    """Minimum of f by the Nelder-Mead simplex (Nelder and Mead, Comput. J. 7, 308 (1965)).
+
+    Reflection, expansion, contraction and shrink coefficients are 1, 2, 1/2
+    and 1/2.  The vertex order, the stopping test and the max_iterations - 1
+    iterations follow scipy.optimize's Nelder-Mead step for step, so f is
+    evaluated at the same points; it gets a copy of each.
+    """
+    sim = np.array(simplex, dtype=float)
+    fsim = np.array([f(v.copy()) for v in sim])
+
+    def vertex(t):  # (1 + t) * centroid - t * worst, and f there
+        x = (1.0 + t) * xbar - t * sim[-1]
+        return x, f(x.copy())
+
+    for i in range(max_iterations + 1):
+        order = np.argsort(fsim)  # the first simplex is sorted twice, as in scipy
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        if i == 0:
+            continue
+        if i == max_iterations or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                                   and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / (len(sim) - 1)
+        trial = xr, fxr = vertex(1.0)
+        if fxr < fsim[0]:
+            xe, fxe = vertex(2.0)
+            trial = (xe, fxe) if fxe < fxr else trial
+        elif fxr >= fsim[-2]:  # contraction, outside or inside
+            outside = fxr < fsim[-1]
+            xc, fxc = vertex(0.5 if outside else -0.5)
+            trial = (xc, fxc) if (fxc <= fxr if outside else fxc < fsim[-1]) else None
+        if trial is None:  # shrink towards the best vertex
+            for j in range(1, len(sim)):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = f(sim[j].copy())
+        else:
+            sim[-1], fsim[-1] = trial
+    return sim[0]
 
 
 def _initial_simplex(x0: np.ndarray, fit: tuple[str, ...]) -> np.ndarray:

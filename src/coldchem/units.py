@@ -2,25 +2,24 @@
 
 All internal physics runs in Hartree atomic units (hbar = m_e = e = a0 = 1).
 Temperatures are energies via E = kB * T, so "kelvin" is an energy unit here.
-Conversion factors are derived from scipy.constants (CODATA) at import time
-rather than hard-coded.
+The five conversion factors are float literals copied from
+scipy.constants 1.17.1 (CODATA 2022), so importing this module loads no
+scipy; tests/test_units.py checks each one bit for bit against the
+scipy.constants expression it stands for.
 """
 from __future__ import annotations
 
-import scipy.constants as _sc
-
-# 1 hartree expressed in kelvin, etc.  All factors map atomic units -> unit.
-HARTREE_PER_KELVIN = 1.0 / _sc.physical_constants["hartree-kelvin relationship"][0]
-BOHR_IN_METER = _sc.physical_constants["Bohr radius"][0]
-ELECTRON_MASS_PER_AMU = _sc.atomic_mass / _sc.physical_constants["atomic unit of mass"][0]
-
-# 1 debye = 1e-21 / c coulomb meter; atomic dipole unit is e*a0.
-_DEBYE_SI = 1e-21 / _sc.c
-DEBYE_IN_AU = _DEBYE_SI / _sc.physical_constants["atomic unit of electric dipole mom."][0]
-
-_ATOMIC_TIME = _sc.physical_constants["atomic unit of time"][0]
+# Every factor maps atomic units -> unit.
+# 1 / (hartree-kelvin relationship)
+HARTREE_PER_KELVIN = 3.1668115634564775e-06
+# Bohr radius
+BOHR_IN_METER = 5.29177210544e-11
+# atomic mass constant / atomic unit of mass
+ELECTRON_MASS_PER_AMU = 1822.8884862827601
+# 1 debye = 1e-21 / c coulomb meter, over the atomic dipole unit e*a0
+DEBYE_IN_AU = 0.3934302697862944
 # Two-body rate coefficients: a0^3 per atomic time unit, in cm^3/s.
-RATE_AU_IN_CM3S = (BOHR_IN_METER * 1e2) ** 3 / _ATOMIC_TIME
+RATE_AU_IN_CM3S = 6.12615946706698e-09
 
 
 def energy_from_kelvin(t: float) -> float:

@@ -1,9 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coldchem
 from coldchem import units
 from coldchem.cli import main, resolve_config, ConfigError
 from coldchem.potential import CollisionSystem
@@ -16,6 +21,7 @@ from coldchem.scanfit import scan_dipole
 
 MU_AMU = 63.4968
 C6 = 16130.0
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = [
     "--set",
@@ -246,6 +252,37 @@ def test_rates_runtime_failure_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "forbidden" in capsys.readouterr().err
+
+
+def test_rates_lossless_short_range_is_exactly_zero(tmp_path):
+    # at y = 0 the boundary carries no flux, so every loss rate is exactly 0
+    out = tmp_path / "rates.csv"
+    code = main([
+        "rates", "--config", str(ROOT / "configs" / "krb.conf"),
+        "--set", "y=0", "--set", "s=0", "--set", "l_max=3", "--set", "n_dipole=8",
+        "--set", "d_min_debye=0.04", "--set", "d_max_debye=0.24", "--out", str(out),
+    ])
+    assert code == 0
+    header, rows = read_csv(str(out))
+    assert len(rows) == 8 and header[1] == "K_total_cm3_s"
+    assert all(float(v) == 0.0 for row in rows for v in row[1:])
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, coldchem.cli\n"
+        "coldchem.cli.resolve_config('configs/krb.conf', [])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(coldchem.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # --- resonances ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import spherical_jn, spherical_yn
 
 from coldchem import units
 from coldchem.errors import CalibrationError, GridError, MatchingError
@@ -11,6 +12,7 @@ from coldchem.potential import Channel, CollisionSystem, single_channel_curve
 from coldchem.propagator import (
     RadialGrid,
     _carry_log_derivative,
+    _riccati_bessel,
     _wkb_wavenumber,
     boundary_log_derivative,
     calibrate_phase,
@@ -186,6 +188,30 @@ def test_lossless_boundary_is_real():
     for delta in (0.0, 0.4, 1.1, 2.9):
         y0 = boundary(params, curve, E0 / 50.0, delta)
         assert abs(y0.imag) < 1e-12 * abs(y0.real)
+
+
+def test_lossless_boundary_flux_is_exactly_zero():
+    # Im y0 is -kappa (1 - rho^2)/|1 + refl|^2 in closed form: 0 at y = 0,
+    # never positive for y in [0, 1]
+    kappa, dkappa = np.array([0.7, 2.0, 15.0]), np.array([-0.01, 0.0, 0.3])
+    for delta in (0.0, 0.4, 1.1, 2.9):
+        assert np.all(boundary_log_derivative(0.0, delta, kappa, dkappa).imag == 0.0)
+        for y in (1e-12, 0.3, 1.0):
+            assert np.all(boundary_log_derivative(y, delta, kappa, dkappa).imag < 0.0)
+
+
+def test_riccati_bessel_matches_scipy():
+    L = np.arange(16)[:, None]
+    x = np.geomspace(1e-3, 1e3, 1001)[None, :]
+    j, yn = spherical_jn(L, x), spherical_yn(L, x)
+    jp, ynp = spherical_jn(L, x, derivative=True), spherical_yn(L, x, derivative=True)
+    reference = (x * j, j + x * jp, -x * yn, -(yn + x * ynp))
+    amplitude = np.hypot(reference[0], reference[2])
+    for got, want in zip(_riccati_bessel(L, x), reference):
+        error = np.abs(got - want)
+        assert np.all((error <= 1e-12 * np.abs(want)) | (error <= 1e-12 * amplitude))
+    # scalars in, 0-d arrays out, as the calibration takes them
+    assert [np.shape(f) for f in _riccati_bessel(0, 0.3)] == [()] * 4
 
 
 def test_boundary_rejects_forbidden_region():

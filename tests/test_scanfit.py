@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from coldchem import units
+from coldchem import scanfit, units
 from coldchem.errors import FitError, ScanError
 from coldchem.potential import Channel, CollisionSystem, Symmetry, symmetry_blocks
 from coldchem.propagator import RadialGrid, calibrate_phase
@@ -475,3 +477,67 @@ def test_lmax_convergence(fermi_calibration):
     c5 = scan_dipole(system, params, E_250NK, d, grid=grid, l_max=5, delta_sr=delta)
     c7 = scan_dipole(system, params, E_250NK, d, grid=grid, l_max=7, delta_sr=delta)
     assert np.all(np.abs(c7.total - c5.total) / c7.total < 0.01)
+
+
+# --- the Nelder-Mead simplex against scipy.optimize as the reference ------------
+
+
+def nelder_mead_both(f, simplex, max_iterations, xatol=1e-4, fatol=1e-6):
+    """Every point each of _nelder_mead and scipy's Nelder-Mead evaluates, and its result."""
+    ours, theirs = [], []
+    best = scanfit._nelder_mead(
+        lambda x: ours.append(x.copy()) or f(x), simplex, max_iterations, xatol, fatol
+    )
+    reference = optimize.minimize(
+        lambda x: theirs.append(x.copy()) or f(x), simplex[0], method="Nelder-Mead",
+        options={"maxiter": max_iterations, "xatol": xatol, "fatol": fatol,
+                 "initial_simplex": simplex},
+    )
+    return (best, np.array(ours)), (reference.x, np.array(theirs))
+
+
+def rosenbrock(x):
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+
+@pytest.mark.parametrize("max_iterations", [200, 15, 1])
+def test_nelder_mead_matches_scipy_on_rosenbrock(max_iterations):
+    simplex = np.array([[-1.2, 1.0], [-0.95, 1.0], [-1.2, 1.1]])
+    (best, ours), (ref, theirs) = nelder_mead_both(rosenbrock, simplex, max_iterations)
+    assert np.array_equal(best, ref)
+    assert np.array_equal(ours, theirs)
+    if max_iterations == 200:
+        assert np.allclose(best, 1.0, atol=1e-3)  # converged, before the limit
+        assert len(ours) < 2 * 200
+
+
+def criterion_9_objective(fit):
+    """The chi-squared fit_short_range minimizes on the criterion-9 dataset, and its simplex."""
+    system = krb()
+    d_debye = np.linspace(0.04, 0.24, 8)
+    curve = scan_dipole(
+        system, ShortRangeParams(s=0.5, y=0.83), E_250NK, units.dipole_from_debye(d_debye),
+        l_max=3,
+    )
+    k = units.rate_to_cm3_per_s(curve.total)
+    k = k * (1.0 + 0.1 * np.random.default_rng(7).standard_normal(k.shape))
+    captured = []
+
+    def capture(f, simplex, *args):
+        captured.append((f, simplex))
+        return simplex[0]
+
+    with mock.patch.object(scanfit, "_nelder_mead", capture):
+        fit_short_range(
+            Dataset(d_debye=d_debye, rate_cm3s=k, sigma_cm3s=0.1 * k), system, E_250NK,
+            initial=ShortRangeParams(s=0.5, y=0.5), fit=fit, l_max=3,
+        )
+    return captured[0]
+
+
+@pytest.mark.parametrize("fit", [("y",), ("s", "y")])
+def test_nelder_mead_matches_scipy_on_the_fit_objective(fit):
+    f, simplex = criterion_9_objective(fit)
+    (best, ours), (ref, theirs) = nelder_mead_both(f, simplex, 200)
+    assert np.array_equal(best, ref)
+    assert np.array_equal(ours, theirs)

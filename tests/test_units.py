@@ -30,6 +30,21 @@ def test_rate_unit_magnitude():
     assert units.RATE_AU_IN_CM3S == pytest.approx(expected, rel=1e-14)
 
 
+def test_literals_equal_scipy_constants():
+    # the module holds float literals so that importing it loads no scipy;
+    # each must be the very float its scipy.constants expression gives
+    pc = sc.physical_constants
+    assert units.HARTREE_PER_KELVIN == 1.0 / pc["hartree-kelvin relationship"][0]
+    assert units.BOHR_IN_METER == pc["Bohr radius"][0]
+    assert units.ELECTRON_MASS_PER_AMU == sc.atomic_mass / pc["atomic unit of mass"][0]
+    assert units.DEBYE_IN_AU == (
+        1e-21 / sc.c / pc["atomic unit of electric dipole mom."][0]
+    )
+    assert units.RATE_AU_IN_CM3S == (
+        (pc["Bohr radius"][0] * 1e2) ** 3 / pc["atomic unit of time"][0]
+    )
+
+
 def test_convert_between_named_units():
     one_kelvin = units.energy_from_kelvin(1.0)
     assert units.energy_to_microkelvin(one_kelvin) == pytest.approx(1e6, rel=1e-12)
