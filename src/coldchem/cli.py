@@ -307,7 +307,10 @@ def _cmd_ploss(config: dict, out: str | None) -> int:
         np.geomspace(config["e_min_uk"], config["e_max_uk"], config["n_energy"])
     )
     delta_sr = calibrate_phase(
-        system, params, grid, energy_fraction=config["calibration_energy_fraction"],
+        system,
+        params,
+        grid,
+        energy_fraction=config["calibration_energy_fraction"],
         tolerance=config["calibration_tolerance"],
     )
     k = np.sqrt(2.0 * system.reduced_mass * energies)
@@ -352,12 +355,20 @@ def _run_dipole_scan(config: dict):
     d_debye = _dipole_grid(config)
     energy = units.energy_from_microkelvin(config["energy_nk"] * 1e-3)
     delta_sr = calibrate_phase(
-        system, params, grid, energy_fraction=config["calibration_energy_fraction"],
+        system,
+        params,
+        grid,
+        energy_fraction=config["calibration_energy_fraction"],
         tolerance=config["calibration_tolerance"],
     )
     curve = scan_dipole(
-        system, params, energy, units.dipole_from_debye(d_debye), grid=grid,
-        l_max=config["l_max"], delta_sr=delta_sr,
+        system,
+        params,
+        energy,
+        units.dipole_from_debye(d_debye),
+        grid=grid,
+        l_max=config["l_max"],
+        delta_sr=delta_sr,
     )
     return d_debye, curve
 
@@ -423,8 +434,14 @@ def _cmd_fit(config: dict, out: str | None) -> int:
     energy = units.energy_from_microkelvin(config["energy_nk"] * 1e-3)
     try:
         result = fit_short_range(
-            dataset, system, energy, initial=params, fit=fit_names, grid=config["_grid"],
-            l_max=config["l_max"], max_iterations=config["max_fit_iterations"],
+            dataset,
+            system,
+            energy,
+            initial=params,
+            fit=fit_names,
+            grid=config["_grid"],
+            l_max=config["l_max"],
+            max_iterations=config["max_fit_iterations"],
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc

@@ -9,16 +9,11 @@ scipy.constants expression it stands for.
 """
 from __future__ import annotations
 
-# Every factor maps atomic units -> unit.
-# 1 / (hartree-kelvin relationship)
+# Every factor maps atomic units -> unit; rates are a0^3 per atomic time unit.
 HARTREE_PER_KELVIN = 3.1668115634564775e-06
-# Bohr radius
 BOHR_IN_METER = 5.29177210544e-11
-# atomic mass constant / atomic unit of mass
 ELECTRON_MASS_PER_AMU = 1822.8884862827601
-# 1 debye = 1e-21 / c coulomb meter, over the atomic dipole unit e*a0
 DEBYE_IN_AU = 0.3934302697862944
-# Two-body rate coefficients: a0^3 per atomic time unit, in cm^3/s.
 RATE_AU_IN_CM3S = 6.12615946706698e-09
 
 
