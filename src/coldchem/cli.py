@@ -33,7 +33,7 @@ from .potential import (
     p2_matrix_element,
     symmetry_blocks,
 )
-from .propagator import RadialGrid, _propagate_rows, calibrate_phase, propagate
+from .propagator import RadialGrid, build_table, calibrate_phase, evaluate, propagate
 from .qdt import (
     ShortRangeParams,
     barrier_top_transmission,
@@ -244,10 +244,11 @@ def _config_lines(config: dict) -> list[str]:
     return lines
 
 
-def _write_csv(path: str | None, config: dict, header: list[str], rows) -> None:
+def _write_csv(path: str | None, config: dict, header: list[str], rows, comments=()) -> None:
+    """The config lines, then ``comments`` (each a "# ..." line), then the CSV."""
     stream = open(path, "w", newline="") if path else sys.stdout
     try:
-        for line in _config_lines(config):
+        for line in [*_config_lines(config), *comments]:
             stream.write(line + "\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
@@ -320,11 +321,11 @@ def _cmd_ploss(config: dict, out: str | None) -> int:
         barrier = find_barrier(curve)
         if barrier is not None:
             p_b = 0.37 if L == 1 else barrier_top_transmission(L, 6)
-        (block,) = _propagate_rows(
-            system, [(curve.basis, [curve.index], [delta_sr])], params,
-            energies, system.c3, grid,
+        table = build_table(
+            system, [(curve.basis, [curve.index])], params.r_match, energies, system.c3, grid
         )
-        for e, k_e, p_loss in zip(energies, k, block.loss[:, 0]):
+        _, loss, _ = evaluate(table, params.y, delta_sr)
+        for e, k_e, p_loss in zip(energies, k, loss[:, 0]):
             analytic = (
                 low_energy_loss_probability(L, system, k_e) if L <= 1 else math.nan
             )
@@ -409,15 +410,8 @@ def _cmd_resonances(config: dict, out: str | None) -> int:
             f"# series_n_infinity = {series.n_infinity!r}",
             f"# series_residual_rms = {series.residual_rms!r}",
         ]
-    path = out or "resonances.csv"
-    with open(path, "w", newline="") as fh:
-        for line in _config_lines(config):
-            fh.write(line + "\n")
-        for line in extra:
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["position_debye", "prominence", "index"])
-        writer.writerows(rows)
+    header = ["position_debye", "prominence", "index"]
+    _write_csv(out or "resonances.csv", config, header, rows, extra)
     return 0
 
 
@@ -442,6 +436,8 @@ def _cmd_fit(config: dict, out: str | None) -> int:
             grid=config["_grid"],
             l_max=config["l_max"],
             max_iterations=config["max_fit_iterations"],
+            energy_fraction=config["calibration_energy_fraction"],
+            tolerance=config["calibration_tolerance"],
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
@@ -518,7 +514,10 @@ def _cmd_selfcheck(config: dict, out: str | None) -> int:
     )
 
     universal = ShortRangeParams(s=params.s, y=1.0, r_match=params.r_match)
-    delta = calibrate_phase(system, universal, grid)
+    delta = calibrate_phase(
+        system, universal, grid, energy_fraction=config["calibration_energy_fraction"],
+        tolerance=config["calibration_tolerance"],
+    )
     res = propagate(bare, single_channel_curve(bare, Channel(0, 0)), universal, e0 / 100.0,
                     delta, grid)
     beta = res.scattering_length.beta

@@ -49,7 +49,7 @@ class ScanError(ColdchemError):
     """A grid sweep failed part-way; completed points ride along.
 
     ``partial`` holds a RateCurve of the points finished before the failure
-    (None when nothing completed or the scan ran out of order).
+    (None when nothing completed).
     """
 
     def __init__(self, message: str, partial=None):

@@ -16,10 +16,12 @@ One batched core propagates every curve, in two steps.  ``build_table``
 propagates and keeps all that (y, delta_sr) do not touch; ``evaluate``
 turns a table and any (y, delta_sr) into scattering in closed form.  A row
 is one point, an (energy, c3) pair; a block is the eigenvalue ranks of one
-(M, parity) basis.  Rows are taken in chunks, and every block of a chunk
-whose grid has the same envelope shares one lockstep grid per segment.  A
-single curve at a single point is a chunk of one row and a block of one
-rank.  Scans, the fit and the phase calibration all use these two steps.
+(M, parity) basis, and a column of the table is one rank of one block.
+Rows are built in chunks, and every block of a chunk whose grid has the
+same envelope shares one lockstep grid per segment; the finished table is
+flat, so ``evaluate`` is arithmetic on (rows, columns) arrays.  A single
+curve at a single point is a table of one row and one column.  Scans, the
+fit and the phase calibration all use these two steps.
 """
 from __future__ import annotations
 
@@ -55,7 +57,9 @@ _MAX_STEPS = 10_000_000
 # bounds the per-row arrays and keeps folds of 4-channel blocks 8 steps long.
 _CHUNK_ROWS = 256
 _FOLD_SIZE = 8192
-# up to this many rows a grid is faster built row by row in Python floats
+# Up to this many rows a grid is faster built row by row in Python floats.
+# Every command calibrates on a 1-row grid (about 2,000 steps: 4-7 ms this
+# way, 29-38 ms in lockstep) and the fit tables 8 rows; scans take the lockstep.
 _SCALAR_ROWS = 16
 
 
@@ -394,14 +398,15 @@ def _regular_series(n, x):
         k += 1
 
 
-def match_free_solution(y_out, k, L, r, where: Sequence[str] | None = None):
+def match_free_solution(y_out, k, f, where: Sequence[str] | None = None):
     """Tangent of the (complex) phase shift from the log-derivative at r.
 
     Matches psi to s_L(kr) + t c_L(kr) with Riccati-Bessel functions
-    s_L = x j_L(x), c_L = -x y_L(x).  Arguments broadcast; ``where``
-    labels the rows (axis 0) in errors.
+    s_L = x j_L(x), c_L = -x y_L(x); ``f`` holds (s_L, s_L', c_L, c_L') at
+    kr on its last axis (``_riccati_bessel``).  Arguments broadcast;
+    ``where`` labels the rows (axis 0) in errors.
     """
-    sf, sf_p, cf, cf_p = _riccati_bessel(L, k * r)
+    sf, sf_p, cf, cf_p = np.moveaxis(f, -1, 0)
     num = k * sf_p - y_out * sf
     den = y_out * cf - k * cf_p
     degenerate = np.abs(den) < 1e-300
@@ -424,27 +429,25 @@ def _segment_transfers(
     r_start: np.ndarray,
     r_stop: np.ndarray,
     where: Sequence[str] | None = None,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
-    """(psi, psi') transfer (m, e) of every block's ranks over [r_start, r_stop].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, psi') transfer (m, e) of every column over [r_start, r_stop].
 
-    ``blocks`` pairs each basis with the ranks to propagate; m has shape
-    (rows, ranks, 2, 2) and the transfer is m * 2**e.  The grid of a block
-    is built for the largest L among its ranks, which slightly
-    over-resolves the lower ones, so blocks with the same envelope share
-    one lockstep grid.  It is built and used in folds of _FOLD_SIZE //
-    (rows * block size) steps, each multiplied into a running product; rows
-    whose grid has ended drop out of the work.  Also returns each block's
-    step count per row.
+    ``blocks`` pairs each basis with the ranks to propagate, and the columns
+    are those ranks in block order; m has shape (rows, columns, 2, 2) and
+    the transfer is m * 2**e.  The grid of a block is built for the largest
+    L among its ranks, which slightly over-resolves the lower ones, so
+    blocks with the same envelope share one lockstep grid.  It is built and
+    used in folds of _FOLD_SIZE // (rows * block size) steps, each
+    multiplied into a running product; rows whose grid has ended drop out
+    of the work.  Also returns each column's step count per row.
     """
     two_mu = 2.0 * system.reduced_mass
     rows = len(energy)
+    ends = np.cumsum([0] + [len(ranks) for _, ranks in blocks])
+    cols = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    run_m = np.broadcast_to(np.eye(2), (rows, ends[-1], 2, 2)).copy()
+    run_e, counts = np.zeros((2, rows, ends[-1]), dtype=np.int64)
     envelopes = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks]
-    running = [
-        (np.broadcast_to(np.eye(2), (rows, len(ranks), 2, 2)).copy(),
-         np.zeros((rows, len(ranks)), dtype=np.int64))
-        for _, ranks in blocks
-    ]
-    counts = [None] * len(blocks)
     for l_env in sorted(set(envelopes)):
         members = [j for j, l in enumerate(envelopes) if l == l_env]
         fold = max(1, _FOLD_SIZE // (rows * max(len(blocks[j][0]) for j in members)))
@@ -476,100 +479,73 @@ def _segment_transfers(
                 m, e = chain_product(
                     step_matrices(steps[..., None], two_mu * (v1 - e_live), two_mu * (v2 - e_live))
                 )
-                run_m, run_e = running[j]
-                run_m[live], e_fold = chain_product(np.stack([run_m[live], m]))
-                run_e[live] += e + e_fold
+                run_m[live, cols[j]], e_fold = chain_product(np.stack([run_m[live, cols[j]], m]))
+                run_e[live, cols[j]] += e + e_fold
             if len(steps) < fold:
                 break  # every row has reached r_stop
         for j in members:
-            counts[j] = n_steps
-    return running, counts
+            counts[:, cols[j]] = n_steps[:, None]
+    return run_m, run_e, counts
 
 
-class _BlockRows(NamedTuple):
-    """One block's scattering at every row, per rank (axis 1)."""
+class _Table(NamedTuple):
+    """The long-range response: all that (y, delta_sr) do not touch.
 
-    s_matrix: np.ndarray  # (rows, ranks)
-    loss: np.ndarray  # (rows, ranks), from the conserved flux
-    match_spread: np.ndarray  # (rows, ranks)
-    n_points: np.ndarray  # (rows,)
+    A column is one rank of one block, the blocks in the order given.
+    """
 
-
-class _BlockTable(NamedTuple):
-    """One block's long-range response at every row: all that (y, delta_sr) do not touch."""
-
-    kappa: np.ndarray  # (rows, ranks): WKB wavenumber at R_m
-    dkappa: np.ndarray  # (rows, ranks): its radial derivative
-    ell: np.ndarray  # (rows, ranks): partial wave of each rank
+    kappa: np.ndarray  # (rows, cols): WKB wavenumber at R_m
+    dkappa: np.ndarray  # (rows, cols): its radial derivative
     k: np.ndarray  # (rows, 1): asymptotic wavenumber
-    r1: np.ndarray  # (rows, 1): matching radius
-    m1: np.ndarray  # (rows, ranks, 2, 2): transfer R_m -> r1 is m1 * 2**e1
-    e1: np.ndarray  # (rows, ranks)
-    r2: np.ndarray  # (rows, 1): second matching radius
-    m2: np.ndarray  # (rows, ranks, 2, 2): transfer r1 -> r2
-    e2: np.ndarray  # (rows, ranks)
-    n_points: np.ndarray  # (rows,)
+    m1: np.ndarray  # (rows, cols, 2, 2): transfer R_m -> r1 is m1 * 2**e1
+    e1: np.ndarray  # (rows, cols)
+    m2: np.ndarray  # (rows, cols, 2, 2): transfer r1 -> r2
+    e2: np.ndarray  # (rows, cols)
+    f1: np.ndarray  # (rows, cols, 4): s_L, s_L', c_L, c_L' at k r1
+    f2: np.ndarray  # (rows, cols, 4): the same at k r2
+    n_points: np.ndarray  # (rows, cols): grid steps of both segments
+    where: np.ndarray  # (rows,): row labels for errors
 
 
-def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> list[_BlockTable]:
+def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
     mu = system.reduced_mass
     # every boundary first: a forbidden one fails before any propagation;
     # V' at R_m is a central difference
     dr = 1e-4 * r_match
     edge = np.array([r_match - dr, r_match, r_match + dr])[:, None]
-    walls = []
+    walls = [np.empty((2, len(energy), 0))]  # (kappa, kappa') of no column
     for basis, ranks in blocks:
         v = _block_eigenvalues(system, basis, edge, c3)[..., ranks]
         walls.append(_wkb_wavenumber(
             energy[:, None], v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu, where
         ))
+    kappa, dkappa = np.concatenate(walls, axis=-1)
+    ell = np.array([basis.channels[i].L for basis, ranks in blocks for i in ranks], dtype=int)
     k = np.sqrt(2.0 * mu * energy)[:, None]
     r1 = grid.outer_radius(system, energy, r_match, c3)
     r2 = grid.match_factor * r1
-    seg1, n1 = _segment_transfers(
+    m1, e1, n1 = _segment_transfers(
         system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, where
     )
-    seg2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, where)
-    return [
-        _BlockTable(kappa, dkappa, np.broadcast_to([basis.channels[i].L for i in ranks],
-                                                   kappa.shape),
-                    k, r1[:, None], m1, e1, r2[:, None], m2, e2, c1 + c2)
-        for (basis, ranks), (kappa, dkappa), (m1, e1), (m2, e2), c1, c2
-        in zip(blocks, walls, seg1, seg2, n1, n2)
-    ]
+    m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, where)
+    f1, f2 = (np.stack(_riccati_bessel(ell, k * r[:, None]), axis=-1) for r in (r1, r2))
+    return _Table(kappa, dkappa, k, m1, e1, m2, e2, f1, f2, n1 + n2, where)
 
 
-def evaluate(table, y: float, deltas, where=None) -> list[_BlockRows]:
-    """Scattering of every block of a table for the short range (y, delta_sr).
+def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table:
+    """Long-range table of every block's ranks at every row (energy[i], c3[i]).
 
-    ``deltas`` holds each block's delta_sr, one value or one per rank.  The
-    boundary log-derivative is carried to r1 and r2 and matched at both; S
-    and the loss come from r1, the spread between the two is the error
-    estimate.  ``where`` labels the rows in errors.
-    """
-    out = []
-    for b, delta in zip(table, deltas):
-        y_b = _carry_log_derivative(
-            b.m1, b.e1, boundary_log_derivative(y, delta, b.kappa, b.dkappa), where
-        )
-        t1 = match_free_solution(y_b, b.k, b.ell, b.r1, where)
-        t2 = match_free_solution(
-            _carry_log_derivative(b.m2, b.e2, y_b, where), b.k, b.ell, b.r2, where
-        )
-        s_el = (1.0 + 1j * t1) / (1.0 - 1j * t1)
-        # algebraically identical to 1 - |S|^2 but immune to cancellation
-        loss = 4.0 * t1.imag / np.abs(1.0 - 1j * t1) ** 2
-        if np.any(loss < -1e-9):
-            raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, where)
-        out.append(_BlockRows(s_el, loss, np.abs(t2 - t1), b.n_points))
-    return out
-
-
-def _over_chunks(system, r_match, energy, c3, where, work) -> list:
-    """``work(energy, c3, where)`` on every chunk of rows, joined along the rows.
-
-    A failure names its row by ``where[i]`` (by default its energy and
-    dipole) and carries its index as ``row``.
+    ``blocks`` pairs each basis with its ranks; rank i is the adiabat of
+    ``basis.channels[i]`` (the adiabats of one (M, parity) block do not
+    cross, and at large R the centrifugal term orders them by L).  The
+    columns of the table are these ranks in block order.  Each rank is
+    propagated from R_m to the tail-criterion radius r1 and on to r2 =
+    ``match_factor`` * r1, once, _CHUNK_ROWS rows at a time: ``evaluate``
+    then gives the scattering at any (y, delta_sr) in closed form.
+    Failures and warnings of the long range (forbidden boundary, marginal
+    WKB, step budget) are raised here.  A failure names its row by
+    ``where[i]`` (by default its energy and dipole) and carries its index
+    as ``row``; ``evaluate`` uses the same labels.
     """
     energy = np.atleast_1d(np.asarray(energy, dtype=float))
     c3 = np.broadcast_to(np.asarray(c3, dtype=float), energy.shape)
@@ -586,41 +562,36 @@ def _over_chunks(system, r_match, energy, c3, where, work) -> list:
     for start in range(0, len(energy), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         try:
-            parts.append(work(energy[rows], c3[rows], where[rows]))
+            parts.append(_build_chunk(
+                system, blocks, r_match, energy[rows], c3[rows], grid, where[rows]
+            ))
         except ColdchemError as exc:
             if exc.row is not None:
                 exc.row += start
             raise
-    return [type(chunks[0])(*map(np.concatenate, zip(*chunks))) for chunks in zip(*parts)]
+    return _Table(*map(np.concatenate, zip(*parts)))
 
 
-def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> list[_BlockTable]:
-    """Long-range table of every block's ranks at every row (energy[i], c3[i]).
+def evaluate(table: _Table, y: float, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S, loss and match spread, each (rows, cols), of a table at (y, delta_sr).
 
-    ``blocks`` pairs each basis with its ranks; rank i is the adiabat of
-    ``basis.channels[i]`` (the adiabats of one (M, parity) block do not
-    cross, and at large R the centrifugal term orders them by L).  Each
-    rank is propagated from R_m to the tail-criterion radius r1 and on to
-    r2 = ``match_factor`` * r1, once: ``evaluate`` then gives the scattering
-    at any (y, delta_sr) in closed form.  Failures and warnings of the long
-    range (forbidden boundary, marginal WKB, step budget) are raised here.
+    ``delta`` is delta_sr, one value or one per column.  The boundary
+    log-derivative is carried to r1 and r2 and matched at both; S and the
+    loss (from the conserved flux) come from r1, and the spread |t2 - t1|
+    is the error estimate.  This is arithmetic on the table alone.
     """
-    return _over_chunks(system, r_match, energy, c3, where, lambda e, c, w: _build_chunk(
-        system, blocks, r_match, e, c, grid, w
-    ))
-
-
-def _propagate_rows(system, blocks, params, energy, c3, grid, where=None) -> list[_BlockRows]:
-    """Scattering of every block's ranks at every row, chunk by chunk.
-
-    ``blocks`` lists (basis, ranks, deltas), with each rank's delta_sr in
-    ``deltas``; each chunk's table is built and then evaluated.
-    """
-    pairs = [(basis, ranks) for basis, ranks, _ in blocks]
-    deltas = [np.asarray(d, dtype=float) for _, _, d in blocks]
-    return _over_chunks(system, params.r_match, energy, c3, where, lambda e, c, w: evaluate(
-        _build_chunk(system, pairs, params.r_match, e, c, grid, w), params.y, deltas, w
-    ))
+    t = table
+    y1 = _carry_log_derivative(
+        t.m1, t.e1, boundary_log_derivative(y, delta, t.kappa, t.dkappa), t.where
+    )
+    t1 = match_free_solution(y1, t.k, t.f1, t.where)
+    t2 = match_free_solution(_carry_log_derivative(t.m2, t.e2, y1, t.where), t.k, t.f2, t.where)
+    s_el = (1.0 + 1j * t1) / (1.0 - 1j * t1)
+    # algebraically identical to 1 - |S|^2 but immune to cancellation
+    loss = 4.0 * t1.imag / np.abs(1.0 - 1j * t1) ** 2
+    if np.any(loss < -1e-9):
+        raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, t.where)
+    return s_el, loss, np.abs(t2 - t1)
 
 
 def _rate_prefactor(system: CollisionSystem, k):
@@ -628,31 +599,28 @@ def _rate_prefactor(system: CollisionSystem, k):
     return system.statistical_factor * math.pi / (system.reduced_mass * k)
 
 
-def _point_results(system, blocks, params, energy, grid) -> list[list[ScatteringResult]]:
-    """Scattering results of every block's ranks at one point: a chunk of one row."""
+def _point_results(system, blocks, delta, params, energy, grid) -> list[ScatteringResult]:
+    """Scattering result of every column at one point: a table of one row."""
     k = math.sqrt(2.0 * system.reduced_mass * energy)
     pref = _rate_prefactor(system, k)
-    out = []
-    for (basis, ranks, _), block in zip(
-        blocks, _propagate_rows(system, blocks, params, energy, system.c3, grid)
-    ):
-        results = []
-        for j, i in enumerate(ranks):
-            channel, s_el = basis.channels[i], complex(block.s_matrix[0, j])
-            results.append(ScatteringResult(
-                L=channel.L,
-                M=channel.M,
-                energy=energy,
-                wavenumber=k,
-                s_matrix=s_el,
-                loss_probability=float(block.loss[0, j]),
-                elastic_rate=pref * abs(1.0 - s_el) ** 2,
-                quenching_rate=pref * float(block.loss[0, j]),
-                n_points=int(block.n_points[0]),
-                match_spread=float(block.match_spread[0, j]),
-            ))
-        out.append(results)
-    return out
+    table = build_table(system, blocks, params.r_match, energy, system.c3, grid)
+    s_matrix, loss, spread = (x[0] for x in evaluate(table, params.y, delta))
+    channels = [basis.channels[i] for basis, ranks in blocks for i in ranks]
+    return [
+        ScatteringResult(
+            L=channel.L,
+            M=channel.M,
+            energy=energy,
+            wavenumber=k,
+            s_matrix=complex(s_matrix[j]),
+            loss_probability=float(loss[j]),
+            elastic_rate=pref * abs(1.0 - complex(s_matrix[j])) ** 2,
+            quenching_rate=pref * float(loss[j]),
+            n_points=int(table.n_points[0, j]),
+            match_spread=float(spread[j]),
+        )
+        for j, channel in enumerate(channels)
+    ]
 
 
 def propagate(
@@ -665,12 +633,13 @@ def propagate(
 ) -> ScatteringResult:
     """Scattering observables for one adiabatic curve at one energy.
 
-    The curve enters only through its block and rank: it is one rank at one
-    row of ``build_table`` and ``evaluate``.  The spread between the matches
-    at r1 and r2 is reported in ``match_spread`` as an error estimate.
+    The curve enters only through its block and rank: it is the one column
+    at the one row of ``build_table`` and ``evaluate``.  The spread between
+    the matches at r1 and r2 is reported in ``match_spread`` as an error
+    estimate.
     """
-    ((result,),) = _point_results(
-        system, [(curve.basis, [curve.index], [delta_sr])], params, energy,
+    (result,) = _point_results(
+        system, [(curve.basis, [curve.index])], delta_sr, params, energy,
         grid or RadialGrid(),
     )
     return result
@@ -698,23 +667,22 @@ def _phase_calibration(
         tail_tolerance=min(grid.tail_tolerance, 1e-6),
     )
     table = build_table(bare, [(build_basis(0, 0, 0), [0])], r_match, e_cal, 0.0, grid)
-    (row,) = table
-    kappa, dkappa, k, r1 = (float(x[0, 0]) for x in (row.kappa, row.dkappa, row.k, row.r1))
-    sf, sf_p, cf, cf_p = (float(x) for x in _riccati_bessel(0, k * r1))
+    kappa, dkappa, k = (float(x[0, 0]) for x in (table.kappa, table.dkappa, table.k))
+    sf, sf_p, cf, cf_p = table.f1[0, 0]
     # with tau = tan(delta_sr) the wall state is (psi, psi') = wall @ (tau, 1);
     # m1 carries it to r1 and match gives (num, den) of t = -k a, so
     # t = (g00 tau + g01) / (g10 tau + g11)
     wall = np.array([[0.0, 1.0], [-kappa, -dkappa / (2.0 * kappa)]])
     match = np.array([[k * sf_p, -sf], [-k * cf_p, cf]])
-    g = match @ row.m1[0, 0] @ wall
+    g = match @ table.m1[0, 0] @ wall
 
     def phase(s: float, tolerance: float = 1e-3) -> float:
         target = s * abar
         t = -k * target
         delta = math.atan2(t * g[1, 1] - g[0, 1], g[0, 0] - t * g[1, 0]) % math.pi
         delta = delta if delta < math.pi else 0.0  # a tiny negative angle rounds to pi
-        (block,) = evaluate(table, 0.0, [delta])
-        a = length_from_s_matrix(complex(block.s_matrix[0, 0]), k).alpha
+        s_matrix, _, _ = evaluate(table, 0.0, delta)
+        a = length_from_s_matrix(complex(s_matrix[0, 0]), k).alpha
         if not abs(a - target) <= tolerance * abar * max(1.0, abs(s)):
             raise CalibrationError(
                 f"delta_sr = {delta:.6g} gives a = {a / abar:.6g} * abar instead of "

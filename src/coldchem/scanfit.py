@@ -24,7 +24,6 @@ from .propagator import (
     RadialGrid,
     _phase_calibration,
     _point_results,
-    _propagate_rows,
     _rate_prefactor,
     build_table,
     calibrate_phase,
@@ -40,13 +39,16 @@ def _channel_weight(channel: Channel) -> int:
     return 2 if channel.M > 0 else 1
 
 
-def _blocks(system, l_max, delta_sr, phase_overrides):
-    """Every (M, parity) block with all its ranks and each rank's phase."""
+def _blocks(system, l_max):
+    """Every (M, parity) block with all its ranks, and the channel of each column."""
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, l_max)]
+    return blocks, [basis.channels[i] for basis, ranks in blocks for i in ranks]
+
+
+def _phases(columns, delta_sr, phase_overrides):
+    """Each column's delta_sr: ``phase_overrides`` where it names the channel."""
     overrides = phase_overrides or {}
-    return [
-        (basis, range(len(basis)), [overrides.get(c, delta_sr) for c in basis.channels])
-        for basis in symmetry_blocks(system, l_max)
-    ]
+    return np.array([overrides.get(c, delta_sr) for c in columns], dtype=float)
 
 
 def rate_point(
@@ -66,12 +68,12 @@ def rate_point(
     channels it names.  Rates in the returned results are per channel; the
     +/-M degeneracy weight is applied by the scan aggregation, not here.
     """
-    blocks = _blocks(system, l_max, delta_sr, phase_overrides)
-    out: dict[Channel, ScatteringResult] = {}
-    for results in _point_results(system, blocks, params, energy, grid or RadialGrid()):
-        for res in results:
-            out[Channel(res.L, res.M)] = res
-    return out
+    blocks, columns = _blocks(system, l_max)
+    results = _point_results(
+        system, blocks, _phases(columns, delta_sr, phase_overrides), params, energy,
+        grid or RadialGrid(),
+    )
+    return {Channel(res.L, res.M): res for res in results}
 
 
 @dataclass
@@ -104,40 +106,40 @@ class RateCurve:
         return sorted(self.per_channel)
 
 
-def _rate_curve(axis, x, system, blocks, rows, energies, channels, energy, dipole):
-    """RateCurve of a scan from the batched rows of every block."""
+def _rate_curve(axis, x, system, columns, loss, energies, channels, energy, dipole):
+    """RateCurve of a scan from the loss of every column (channel) at every row."""
     pref = _rate_prefactor(system, np.sqrt(2.0 * system.reduced_mass * energies))
-    columns = sorted((
-        (basis.channels[i], block.loss[:, j])
-        for (basis, ranks, *_), block in zip(blocks, rows)
-        for j, i in enumerate(ranks)
-        if channels is None or basis.channels[i] in channels
+    kept = sorted((
+        (c, loss[:, j]) for j, c in enumerate(columns) if channels is None or c in channels
     ), key=lambda column: column[0])
-    per_channel = {c: _channel_weight(c) * (pref * loss) for c, loss in columns}
+    per_channel = {c: _channel_weight(c) * (pref * p_loss) for c, p_loss in kept}
     total = sum(per_channel.values()) if per_channel else np.zeros(len(x))
     return RateCurve(
         axis=axis,
         x=np.asarray(x, dtype=float),
         total=total,
         per_channel=per_channel,
-        loss=dict(columns),
+        loss=dict(kept),
         energy=energy,
         dipole=dipole,
     )
 
 
 def _run_scan(
-    axis, x, system, params, blocks, energies, c3, grid, where,
+    axis, x, system, params, l_max, delta_sr, phase_overrides, energies, c3, grid, where,
     channels=None, energy=None, dipole=None,
 ) -> RateCurve:
     """Every point of a scan as one batch; a failure keeps the points before it."""
+    blocks, columns = _blocks(system, l_max)
+    delta = _phases(columns, delta_sr, phase_overrides)
 
     def curve(stop: int) -> RateCurve:
-        rows = _propagate_rows(
-            system, blocks, params, energies[:stop], c3[:stop], grid, where[:stop]
+        table = build_table(
+            system, blocks, params.r_match, energies[:stop], c3[:stop], grid, where[:stop]
         )
+        _, loss, _ = evaluate(table, params.y, delta)
         return _rate_curve(
-            axis, x[:stop], system, blocks, rows, energies[:stop], channels, energy, dipole
+            axis, x[:stop], system, columns, loss, energies[:stop], channels, energy, dipole
         )
 
     try:
@@ -188,8 +190,7 @@ def scan_dipole(
     if delta_sr is None:
         delta_sr = calibrate_phase(system, params, grid)
     return _run_scan(
-        "dipole", d_values, system, params,
-        _blocks(system, l_max, delta_sr, phase_overrides),
+        "dipole", d_values, system, params, l_max, delta_sr, phase_overrides,
         np.full(len(d_values), float(energy)), 2.0 * d_values**2, grid,
         [f"d = {d:.6g} a.u." for d in d_values], energy=energy,
     )
@@ -201,15 +202,11 @@ def scan_energy(
     e_values,
     grid: RadialGrid | None = None,
     l_max: int = DEFAULT_L_MAX,
-    threads: int = 1,
     delta_sr: float | None = None,
     channels: list[Channel] | None = None,
     phase_overrides: dict[Channel, float] | None = None,
 ) -> RateCurve:
-    """Per-channel loss probabilities and rates over an energy grid.
-
-    ``threads`` is accepted for compatibility and ignored.
-    """
+    """Per-channel loss probabilities and rates over an energy grid."""
     e_values = np.asarray(e_values, dtype=float)
     if e_values.ndim != 1 or len(e_values) == 0:
         raise ValueError("e_values must be a non-empty 1-D array")
@@ -219,8 +216,7 @@ def scan_energy(
     if delta_sr is None:
         delta_sr = calibrate_phase(system, params, grid)
     return _run_scan(
-        "energy", e_values, system, params,
-        _blocks(system, l_max, delta_sr, phase_overrides),
+        "energy", e_values, system, params, l_max, delta_sr, phase_overrides,
         e_values, np.full(len(e_values), system.c3), grid,
         [f"E = {e:.6g} hartree" for e in e_values],
         channels=None if channels is None else set(channels), dipole=system.dipole,
@@ -437,8 +433,9 @@ def fit_short_range(
     fit: tuple[str, ...] = ("y",),
     grid: RadialGrid | None = None,
     l_max: int = DEFAULT_L_MAX,
-    threads: int = 1,
     max_iterations: int = 200,
+    energy_fraction: float = 1e-4,
+    tolerance: float = 1e-3,
 ) -> ShortRangeFit:
     """Weighted least squares of (a subset of) s and y on log rates.
 
@@ -453,7 +450,8 @@ def fit_short_range(
     beyond it; a best fit sitting on a bound is flagged.  The covariance
     comes from a finite-difference Hessian of chi-squared at the optimum
     (scaled by the reduced chi-squared when the dataset carries no
-    uncertainties).  ``threads`` is accepted for compatibility and ignored.
+    uncertainties).  ``energy_fraction`` and ``tolerance`` are those of
+    ``calibrate_phase``.
     """
     if not fit or any(name not in ("s", "y") for name in fit):
         raise ValueError("fit must be a non-empty subset of ('s', 'y')")
@@ -467,14 +465,14 @@ def fit_short_range(
         weights = dataset.sigma_cm3s / dataset.rate_cm3s  # sigma of log K
     else:
         weights = np.ones(len(dataset))
-    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, l_max)]
+    blocks, columns = _blocks(system, l_max)
     energies = np.full(len(d_unique), float(energy))
     where = [f"d = {d:.6g} a.u." for d in d_unique]
     try:
         table = build_table(
             system, blocks, initial.r_match, energies, 2.0 * d_unique**2, grid, where
         )
-        phase = _phase_calibration(system, initial.r_match, grid)
+        phase = _phase_calibration(system, initial.r_match, grid, energy_fraction)
     except ColdchemError as exc:
         raise FitError(f"long-range propagation failed: {exc}") from exc
     evaluations = 0
@@ -489,14 +487,14 @@ def fit_short_range(
             s=trial["s"], y=_reflect_unit(trial["y"]), r_match=initial.r_match
         )
         try:
-            rows = evaluate(table, params.y, [phase(params.s)] * len(blocks), where)
+            _, loss, _ = evaluate(table, params.y, phase(params.s, tolerance))
         except ColdchemError as exc:
             raise FitError(
                 f"objective evaluation failed at s = {params.s:.6g}, "
                 f"y = {params.y:.6g}: {exc}"
             ) from exc
         curve = _rate_curve(
-            "dipole", d_unique, system, blocks, rows, energies, None, energy, None
+            "dipole", d_unique, system, columns, loss, energies, None, energy, None
         )
         log_model = np.log(np.maximum(curve.total[inverse], 1e-300))
         r = (log_model - log_obs) / weights

@@ -138,6 +138,13 @@ def test_selfcheck_passes(capsys):
     assert "all gates passed" in out
 
 
+def test_selfcheck_honours_calibration_tolerance(capsys):
+    # at s != 0 no calibration meets a tolerance of 1e-300
+    code = main(["selfcheck"] + BASE + ["--set", "s=0.5", "--set", "calibration_tolerance=1e-300"])
+    assert code == 3
+    assert "within 1.0e-300 relative" in capsys.readouterr().err
+
+
 # --- ploss -------------------------------------------------------------------------
 
 
@@ -351,6 +358,17 @@ def test_fit_end_to_end(tmp_path):
     assert values["fitted"] == "y"
     assert float(values["cov_y_y"]) > 0
     assert values["on_bound"] == "False"
+
+
+def test_fit_honours_calibration_tolerance(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("d_debye,K_cm3_s\n0.05,1e-12\n0.1,2e-12\n")
+    code = main(["fit"] + BASE + [
+        "--set", "s=0.5", "--set", "l_max=1", "--set", "calibration_tolerance=1e-300",
+        "--set", f"dataset_csv={data}", "--out", str(tmp_path / "fit.txt"),
+    ])
+    assert code == 3
+    assert "within 1.0e-300 relative" in capsys.readouterr().err
 
 
 def test_fit_requires_dataset(capsys):

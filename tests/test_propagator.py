@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import spherical_jn, spherical_yn
 
-from coldchem import units
+from coldchem import propagator, units
 from coldchem.errors import CalibrationError, GridError, MatchingError
-from coldchem.potential import Channel, CollisionSystem, single_channel_curve
+from coldchem.potential import Channel, CollisionSystem, single_channel_curve, symmetry_blocks
 from coldchem.propagator import (
     RadialGrid,
     _carry_log_derivative,
@@ -18,7 +18,6 @@ from coldchem.propagator import (
     calibrate_phase,
     chain_product,
     gauss_nodes,
-    match_free_solution,
     propagate,
     step_matrices,
 )
@@ -380,6 +379,37 @@ def test_block_phase_overrides():
             assert tweaked[channel].s_matrix != res.s_matrix
         else:
             assert tweaked[channel].s_matrix == res.s_matrix
+
+
+def test_evaluate_is_arithmetic_only(monkeypatch):
+    # l_max = 1 fermions: the blocks |1, 0> and |1, 1>, at two dipoles
+    system = krb()
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 1)]
+    assert len(blocks) == 2
+    d = units.dipole_from_debye(np.array([0.1, 0.3]))
+    energy = units.energy_from_microkelvin(0.25)
+    table = propagator.build_table(
+        system, blocks, 20.0, np.full(len(d), energy), 2.0 * d**2, RadialGrid()
+    )
+    params = ShortRangeParams(s=0.5, y=0.4)
+    delta = calibrate_phase(system, params)
+    points = [
+        rate_point(dataclasses.replace(system, dipole=float(x)), params, delta, energy, l_max=1)
+        for x in d
+    ]
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("evaluate must use the table alone")
+
+    monkeypatch.setattr(propagator, "_riccati_bessel", no_call)
+    monkeypatch.setattr(propagator, "_block_eigenvalues", no_call)
+    s_matrix, loss, _ = propagator.evaluate(table, params.y, delta)
+    columns = [basis.channels[i] for basis, ranks in blocks for i in ranks]
+    for i, point in enumerate(points):
+        for j, channel in enumerate(columns):
+            res = point[channel]
+            assert s_matrix[i, j] == pytest.approx(res.s_matrix, rel=1e-12, abs=0.0)
+            assert loss[i, j] == pytest.approx(res.loss_probability, rel=1e-12, abs=0.0)
 
 
 def test_loss_probability_carries_no_rounding_of_the_phase():

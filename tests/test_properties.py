@@ -131,18 +131,16 @@ unit_y = st.floats(0.0, 1.0)
 def test_table_evaluation_equals_rate_point(s, y):
     params = ShortRangeParams(s=s, y=y)
     delta = calibrate_phase(KRB, params)
-    rows = propagator.evaluate(TABLE, y, [delta] * len(TABLE_BLOCKS))
+    s_matrix, loss, _ = propagator.evaluate(TABLE, y, delta)
+    columns = [basis.channels[j] for basis, ranks in TABLE_BLOCKS for j in ranks]
     for i, d_i in enumerate(TABLE_D):
         point = rate_point(
             dataclasses.replace(KRB, dipole=float(d_i)), params, delta, E_250NK, l_max=3
         )
-        for (basis, ranks), block in zip(TABLE_BLOCKS, rows):
-            for j in ranks:
-                res = point[basis.channels[j]]
-                assert block.s_matrix[i, j] == pytest.approx(res.s_matrix, rel=1e-12, abs=0.0)
-                assert block.loss[i, j] == pytest.approx(
-                    res.loss_probability, rel=1e-12, abs=0.0
-                )
+        for j, channel in enumerate(columns):
+            res = point[channel]
+            assert s_matrix[i, j] == pytest.approx(res.s_matrix, rel=1e-12, abs=0.0)
+            assert loss[i, j] == pytest.approx(res.loss_probability, rel=1e-12, abs=0.0)
 
 
 # the dataset of acceptance criterion 9, without noise

@@ -65,6 +65,14 @@ def test_symmetry_blocks_distinguishable():
 # --- scans ----------------------------------------------------------------------
 
 
+def test_scan_without_channels_is_zero():
+    # fermions at l_max = 0 have no block: the table has no column
+    params = ShortRangeParams(s=0.0, y=1.0)
+    curve = scan_dipole(krb(), params, E_250NK, [0.0, 0.1], l_max=0, delta_sr=0.0)
+    assert curve.per_channel == {}
+    assert list(curve.total) == [0.0, 0.0]
+
+
 def test_rate_point_fermions_at_high_field_and_energy(fermi_calibration):
     # eigenvector labelling raised GridError here (0.98 asymptotic weight at
     # the outer radius); rank labelling needs no asymptotic decoupling
