@@ -168,11 +168,6 @@ def build_basis(m_projection: int, parity: int, l_max: int) -> ChannelBasis:
     return ChannelBasis(channels, m_projection, parity, l_max)
 
 
-def coupling_matrix(basis: ChannelBasis) -> np.ndarray:
-    """Dimensionless P2 coupling matrix over the basis (symmetric)."""
-    return _coupling(basis).copy()
-
-
 @functools.lru_cache(maxsize=64)
 def _coupling(basis: ChannelBasis) -> np.ndarray:
     n = len(basis)

@@ -26,6 +26,7 @@ fit and the phase calibration all use these two steps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from collections.abc import Sequence
@@ -36,12 +37,14 @@ import numpy as np
 
 from .errors import CalibrationError, ColdchemError, GridError, MatchingError, UnitarityError
 from .potential import (
+    C6_SIGN,
     AdiabaticCurve,
     ChannelBasis,
     CollisionSystem,
-    _block_eigenvalues,
+    _coupling,
     build_basis,
 )
+from .potential import _block_eigenvalues as _exact_eigenvalues
 from .qdt import (
     ScatteringResult,
     ShortRangeParams,
@@ -61,6 +64,7 @@ _FOLD_SIZE = 8192
 # Every command calibrates on a 1-row grid (about 2,000 steps: 4-7 ms this
 # way, 29-38 ms in lockstep) and the fit tables 8 rows; scans take the lockstep.
 _SCALAR_ROWS = 16
+_KNOTS = 2048  # knots of a block's eigenvalue table, evenly spaced in log1p(x)
 
 
 @dataclass(frozen=True)
@@ -289,12 +293,12 @@ def _point_labels(energy: np.ndarray, c3: np.ndarray) -> list[str]:
 def _row_failure(
     cls: type[ColdchemError], message: str, bad: np.ndarray, where: Sequence[str] | None
 ) -> ColdchemError:
-    """``cls(message)`` for the first row (axis 0) where ``bad`` holds.
+    """``cls(message)`` for the first row where ``bad`` holds.
 
-    With row labels the message names the row; the error's ``row`` is its
-    index, or None for scalar input.
+    The row is axis 0 of a 1-D mask and axis -2 of any other, as in evaluate's (trials,
+    rows, cols); with labels the message names it, and ``row`` is its index or None.
     """
-    row = int(np.argwhere(bad)[0][0]) if np.ndim(bad) else None
+    row = int(np.argwhere(bad)[0][-min(np.ndim(bad), 2)]) if np.ndim(bad) else None
     exc = cls(message if row is None or where is None else f"{message} (at {where[row]})")
     exc.row = row
     return exc
@@ -420,6 +424,42 @@ def match_free_solution(y_out, k, f, where: Sequence[str] | None = None):
     return (num / den).real - 1j * k * np.imag(y_out) / np.abs(den) ** 2
 
 
+@functools.lru_cache(maxsize=64)
+def _eigen_table(basis: ChannelBasis, u_max: int) -> np.ndarray:
+    """Eigenvalues eps_i of diag(L(L+1)) - x P at _KNOTS knots of u = log1p(x) in [0, u_max].
+
+    Shape (2, n, _KNOTS): the values, and the slopes d eps_i / du = -(v_i^T P v_i) (1 + x)
+    (Hellmann-Feynman) times the knot spacing.
+    """
+    x = np.expm1(np.linspace(0.0, u_max, _KNOTS))
+    ell = np.array([c.L for c in basis.channels], dtype=float)
+    p = _coupling(basis)
+    eps, vec = np.linalg.eigh(np.diag(ell * (ell + 1.0)) - x[:, None, None] * p)
+    slope = -((p @ vec) * vec).sum(axis=-2) * (1.0 + x[:, None])
+    table = np.stack([eps.T, slope.T * (u_max / (_KNOTS - 1))])
+    table.setflags(write=False)  # one cached array serves every caller
+    return table
+
+
+def _block_eigenvalues(system, basis, r, c3, x_max) -> np.ndarray:
+    """Sorted eigenvalues of the block, shape broadcast(r, c3) + (n,), for x <= ``x_max``.
+
+    With x = 2 mu c3 / r they are eps_i(x) / (2 mu r^2) - C6/r^6, eps_i the cubic Hermite
+    interpolant of ``_eigen_table`` in log1p(x).  A one-channel block is its matrix element.
+    """
+    if len(basis) == 1:
+        return _exact_eigenvalues(system, basis, r, c3)
+    u_max = max(1, math.ceil(math.log1p(x_max)))
+    two_mu, r2 = 2.0 * system.reduced_mass, r * r
+    s = np.log1p(two_mu * c3 / r) * ((_KNOTS - 1) / u_max)
+    i = np.minimum(s.astype(np.intp), _KNOTS - 2)
+    t = s - i
+    # the channel axis leads until the end, so every operation runs on long rows
+    (y0, a), (y1, b) = (_eigen_table(basis, u_max).take(k, axis=-1) for k in (i, i + 1))
+    eps = y0 + t * t * (3.0 - 2.0 * t) * (y1 - y0) + t * (1.0 - t) * ((1.0 - t) * a - t * b)
+    return np.moveaxis(eps / (two_mu * r2) + C6_SIGN * system.c6 / (r2 * r2 * r2), 0, -1)
+
+
 def _segment_transfers(
     system: CollisionSystem,
     blocks: Sequence[tuple[ChannelBasis, Sequence[int]]],
@@ -428,6 +468,7 @@ def _segment_transfers(
     grid: RadialGrid,
     r_start: np.ndarray,
     r_stop: np.ndarray,
+    x_max: float,
     where: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(psi, psi') transfer (m, e) of every column over [r_start, r_stop].
@@ -439,7 +480,8 @@ def _segment_transfers(
     blocks with the same envelope share one lockstep grid.  It is built and
     used in folds of _FOLD_SIZE // (rows * block size) steps, each
     multiplied into a running product; rows whose grid has ended drop out
-    of the work.  Also returns each column's step count per row.
+    of the work.  ``x_max`` bounds 2 mu c3 / R over the segment and sizes
+    the eigenvalue tables.  Also returns each column's step count per row.
     """
     two_mu = 2.0 * system.reduced_mass
     rows = len(energy)
@@ -471,14 +513,12 @@ def _segment_transfers(
                 live = slice(None)
             starts, steps = starts[:, live], steps[:, live]
             e_live, c3_live = energy[live, None], c3[live]
-            g1, g2 = gauss_nodes(starts, steps)
+            nodes = gauss_nodes(starts, steps)
             for j in members:
                 basis, ranks = blocks[j]
-                v1 = _block_eigenvalues(system, basis, g1, c3_live)[..., ranks]
-                v2 = _block_eigenvalues(system, basis, g2, c3_live)[..., ranks]
-                m, e = chain_product(
-                    step_matrices(steps[..., None], two_mu * (v1 - e_live), two_mu * (v2 - e_live))
-                )
+                v1, v2 = (_block_eigenvalues(system, basis, g, c3_live, x_max) for g in nodes)
+                w1, w2 = (two_mu * (v[..., ranks] - e_live) for v in (v1, v2))
+                m, e = chain_product(step_matrices(steps[..., None], w1, w2))
                 run_m[live, cols[j]], e_fold = chain_product(np.stack([run_m[live, cols[j]], m]))
                 run_e[live, cols[j]] += e + e_fold
             if len(steps) < fold:
@@ -510,12 +550,12 @@ class _Table(NamedTuple):
 def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
     mu = system.reduced_mass
     # every boundary first: a forbidden one fails before any propagation;
-    # V' at R_m is a central difference
+    # V' at R_m is a central difference of exact eigenvalues
     dr = 1e-4 * r_match
     edge = np.array([r_match - dr, r_match, r_match + dr])[:, None]
     walls = [np.empty((2, len(energy), 0))]  # (kappa, kappa') of no column
     for basis, ranks in blocks:
-        v = _block_eigenvalues(system, basis, edge, c3)[..., ranks]
+        v = _exact_eigenvalues(system, basis, edge, c3)[..., ranks]
         walls.append(_wkb_wavenumber(
             energy[:, None], v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu, where
         ))
@@ -524,10 +564,11 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
     k = np.sqrt(2.0 * mu * energy)[:, None]
     r1 = grid.outer_radius(system, energy, r_match, c3)
     r2 = grid.match_factor * r1
+    x_max = 2.0 * mu * float(c3.max()) / r_match  # every Gauss node lies beyond R_m
     m1, e1, n1 = _segment_transfers(
-        system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, where
+        system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max, where
     )
-    m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, where)
+    m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max, where)
     f1, f2 = (np.stack(_riccati_bessel(ell, k * r[:, None]), axis=-1) for r in (r1, r2))
     return _Table(kappa, dkappa, k, m1, e1, m2, e2, f1, f2, n1 + n2, where)
 
@@ -551,6 +592,8 @@ def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table
     c3 = np.broadcast_to(np.asarray(c3, dtype=float), energy.shape)
     if np.any(energy <= 0):
         raise ValueError("collision energy must be positive")
+    if np.any(c3 < 0):
+        raise ValueError("c3 must be non-negative")
     abar = mean_scattering_length(system.reduced_mass, system.c6)
     if not r_match < abar:
         raise ValueError(

@@ -33,20 +33,8 @@ def energy_to_microkelvin(e: float) -> float:
     return e / (HARTREE_PER_KELVIN * 1e-6)
 
 
-def length_from_nanometer(x: float) -> float:
-    return x * 1e-9 / BOHR_IN_METER
-
-
-def length_to_nanometer(x: float) -> float:
-    return x * BOHR_IN_METER * 1e9
-
-
 def mass_from_amu(m: float) -> float:
     return m * ELECTRON_MASS_PER_AMU
-
-
-def mass_to_amu(m: float) -> float:
-    return m / ELECTRON_MASS_PER_AMU
 
 
 def dipole_from_debye(d: float) -> float:

@@ -74,7 +74,7 @@ def test_resolve_config_mass_pair():
         None,
         [f"c6_au={C6}", "mass_amu_1=127.0", "mass_amu_2=127.0", "symmetry=fermions"],
     )
-    assert units.mass_to_amu(config["_system"].reduced_mass) == pytest.approx(63.5)
+    assert config["_system"].reduced_mass == pytest.approx(units.mass_from_amu(63.5))
 
 
 def test_resolve_config_rejects_both_mass_forms():

@@ -15,7 +15,6 @@ from coldchem.potential import (
     Symmetry,
     adiabatic_curves,
     build_basis,
-    coupling_matrix,
     find_barrier,
     p2_matrix_element,
     potential_matrix,

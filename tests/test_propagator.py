@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import spherical_jn, spherical_yn
 
 from coldchem import propagator, units
-from coldchem.errors import CalibrationError, GridError, MatchingError
+from coldchem.errors import CalibrationError, GridError, MatchingError, UnitarityError
 from coldchem.potential import Channel, CollisionSystem, single_channel_curve, symmetry_blocks
 from coldchem.propagator import (
     RadialGrid,
@@ -410,6 +410,40 @@ def test_evaluate_is_arithmetic_only(monkeypatch):
             res = point[channel]
             assert s_matrix[i, j] == pytest.approx(res.s_matrix, rel=1e-12, abs=0.0)
             assert loss[i, j] == pytest.approx(res.loss_probability, rel=1e-12, abs=0.0)
+
+
+def test_build_table_diagonalizes_only_the_edge(monkeypatch):
+    # the 4-channel block |1,3,5,7; M=0>: the steps read its eigenvalue
+    # table, so the one exact diagonalization left is the R_m edge
+    system = krb()
+    (basis,) = [b for b in symmetry_blocks(system, 7) if len(b) == 4][:1]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda w: calls.append(1) or eigvalsh(w))
+    d = units.dipole_from_debye(np.array([0.1, 0.3]))
+    table = propagator.build_table(
+        system, [(basis, range(4))], 20.0, np.full(2, E0 / 10.0), 2.0 * d**2, RadialGrid()
+    )
+    assert table.n_points.min() > 500  # hundreds of steps, many folds
+    assert len(calls) == 1
+
+
+def test_build_table_rejects_negative_c3():
+    system = krb()
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 3)]
+    with pytest.raises(ValueError, match="c3"):
+        propagator.build_table(system, blocks, 20.0, [E0, E0], [0.01, -0.01], RadialGrid())
+
+
+def test_evaluate_labels_the_row_under_a_trial_axis():
+    # a leading trial axis must not be read as the row: y = -0.5 breaks
+    # unitarity at the table's only row
+    system = krb()
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 1)]
+    table = propagator.build_table(system, blocks, 20.0, E0, 0.0, RadialGrid(), where=["p0"])
+    with pytest.raises(UnitarityError, match="at p0") as info:
+        propagator.evaluate(table, np.array([0.5, -0.5])[:, None, None], 1.0)
+    assert info.value.row == 0
 
 
 def test_loss_probability_carries_no_rounding_of_the_phase():

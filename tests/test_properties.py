@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldchem import propagator, scanfit, units
-from coldchem.potential import Channel, CollisionSystem, single_channel_curve, symmetry_blocks
+from coldchem.potential import (
+    Channel,
+    CollisionSystem,
+    Symmetry,
+    potential_matrix,
+    single_channel_curve,
+    symmetry_blocks,
+)
 from coldchem.propagator import RadialGrid, calibrate_phase, propagate
 from coldchem.qdt import ShortRangeParams, characteristic_energies, mean_scattering_length
 from coldchem.scanfit import Dataset, fit_short_range, rate_point, scan_dipole
@@ -191,3 +198,32 @@ def test_unitarity_bound_at_finite_field(s, y, d, log_e):
     system = dataclasses.replace(KRB, dipole=units.dipole_from_debye(d))
     results = rate_point(system, params, calibrate_phase(KRB, params), E0 * 10.0**log_e, l_max=3)
     assert all(abs(res.s_matrix) ** 2 <= 1.0 + 1e-9 for res in results.values())
+
+
+@PROPERTY
+@given(
+    l_max=st.integers(1, 9),
+    pick=st.integers(0, 19),
+    r_match=st.floats(5.0, 100.0),
+    d_max=st.floats(0.0, 3.0),  # debye
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigenvalue_table_matches_diagonalization(l_max, pick, r_match, d_max, seed):
+    # any (M, parity) block, radii beyond R_m out to the tails, and dipoles
+    # up to 3 D; the scale is the size of the block's terms, with L its
+    # largest partial wave, which is the scale of eigvalsh's own rounding
+    either = dataclasses.replace(KRB, symmetry=Symmetry.DISTINGUISHABLE)
+    blocks = symmetry_blocks(either, l_max)
+    basis = blocks[pick % len(blocks)]
+    rng = np.random.default_rng(seed)
+    c3_max = 2.0 * units.dipole_from_debye(d_max) ** 2
+    r = r_match * 10.0 ** rng.uniform(0.0, 3.0, 64)
+    r[0] = r_match
+    c3 = c3_max * rng.uniform(0.0, 1.0, 64)
+    c3[0] = c3_max
+    table = propagator._block_eigenvalues(KRB, basis, r, c3, 2.0 * MU * c3_max / r_match)
+    exact = np.linalg.eigvalsh(potential_matrix(KRB, basis, r, c3))
+    ell = basis.channels[-1].L
+    scale = ell * (ell + 1) / (2.0 * MU * r**2) + C6 / r**6 + c3 / r**3
+    assert np.all(np.abs(table - exact) <= 1e-11 * scale[:, None])
+    assert np.all(np.diff(table, axis=-1) > 0)
