@@ -64,7 +64,9 @@ _FOLD_SIZE = 8192
 # Every command calibrates on a 1-row grid (about 2,000 steps: 4-7 ms this
 # way, 29-38 ms in lockstep) and the fit tables 8 rows; scans take the lockstep.
 _SCALAR_ROWS = 16
-_KNOTS = 2048  # knots of a block's eigenvalue table, evenly spaced in log1p(x)
+# Knots per unit of log1p(x) in a block's eigenvalue table.  The spacing is fixed,
+# so a row's eigenvalues do not depend on the other rows of its chunk.
+_KNOTS_PER_UNIT = 288
 
 
 @dataclass(frozen=True)
@@ -426,17 +428,17 @@ def match_free_solution(y_out, k, f, where: Sequence[str] | None = None):
 
 @functools.lru_cache(maxsize=64)
 def _eigen_table(basis: ChannelBasis, u_max: int) -> np.ndarray:
-    """Eigenvalues eps_i of diag(L(L+1)) - x P at _KNOTS knots of u = log1p(x) in [0, u_max].
+    """Eigenvalues eps_i of diag(L(L+1)) - x P at the knots of u = log1p(x) up to u_max.
 
-    Shape (2, n, _KNOTS): the values, and the slopes d eps_i / du = -(v_i^T P v_i) (1 + x)
+    Shape (2, n, knots): the values, and the slopes d eps_i / du = -(v_i^T P v_i) (1 + x)
     (Hellmann-Feynman) times the knot spacing.
     """
-    x = np.expm1(np.linspace(0.0, u_max, _KNOTS))
+    x = np.expm1(np.arange(u_max * _KNOTS_PER_UNIT + 2) / _KNOTS_PER_UNIT)
     ell = np.array([c.L for c in basis.channels], dtype=float)
     p = _coupling(basis)
     eps, vec = np.linalg.eigh(np.diag(ell * (ell + 1.0)) - x[:, None, None] * p)
     slope = -((p @ vec) * vec).sum(axis=-2) * (1.0 + x[:, None])
-    table = np.stack([eps.T, slope.T * (u_max / (_KNOTS - 1))])
+    table = np.stack([eps.T, slope.T / _KNOTS_PER_UNIT])
     table.setflags(write=False)  # one cached array serves every caller
     return table
 
@@ -451,8 +453,8 @@ def _block_eigenvalues(system, basis, r, c3, x_max) -> np.ndarray:
         return _exact_eigenvalues(system, basis, r, c3)
     u_max = max(1, math.ceil(math.log1p(x_max)))
     two_mu, r2 = 2.0 * system.reduced_mass, r * r
-    s = np.log1p(two_mu * c3 / r) * ((_KNOTS - 1) / u_max)
-    i = np.minimum(s.astype(np.intp), _KNOTS - 2)
+    s = np.log1p(two_mu * c3 / r) * _KNOTS_PER_UNIT
+    i = s.astype(np.intp)  # at most u_max * _KNOTS_PER_UNIT, the last knot but one
     t = s - i
     # the channel axis leads until the end, so every operation runs on long rows
     (y0, a), (y1, b) = (_eigen_table(basis, u_max).take(k, axis=-1) for k in (i, i + 1))
@@ -480,8 +482,7 @@ def _segment_transfers(
     blocks with the same envelope share one lockstep grid.  It is built and
     used in folds of _FOLD_SIZE // (rows * block size) steps, each
     multiplied into a running product; rows whose grid has ended drop out
-    of the work.  ``x_max`` bounds 2 mu c3 / R over the segment and sizes
-    the eigenvalue tables.  Also returns each column's step count per row.
+    of the work.  ``x_max`` bounds 2 mu c3 / R.  Also returns each column's step count per row.
     """
     two_mu = 2.0 * system.reduced_mass
     rows = len(energy)

@@ -428,6 +428,19 @@ def test_build_table_diagonalizes_only_the_edge(monkeypatch):
     assert len(calls) == 1
 
 
+def test_table_row_does_not_depend_on_its_chunk():
+    # a larger dipole in the chunk lengthens the eigenvalue tables; the knots
+    # keep their spacing, so the other row's numbers do not move at all
+    system = krb()
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 3)]
+    energy = units.energy_from_microkelvin(0.25)
+    c3 = 2.0 * units.dipole_from_debye(np.array([0.1, 2.0])) ** 2
+    alone = propagator.build_table(system, blocks, 20.0, energy, c3[0], RadialGrid())
+    both = propagator.build_table(system, blocks, 20.0, [energy] * 2, c3, RadialGrid())
+    assert np.array_equal(alone.m1[0], both.m1[0])
+    assert np.array_equal(alone.m2[0], both.m2[0])
+
+
 def test_build_table_rejects_negative_c3():
     system = krb()
     blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 3)]
