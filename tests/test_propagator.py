@@ -8,7 +8,13 @@ from scipy.special import spherical_jn, spherical_yn
 
 from coldchem import propagator, units
 from coldchem.errors import CalibrationError, GridError, MatchingError, UnitarityError
-from coldchem.potential import Channel, CollisionSystem, single_channel_curve, symmetry_blocks
+from coldchem.potential import (
+    Channel,
+    CollisionSystem,
+    build_basis,
+    single_channel_curve,
+    symmetry_blocks,
+)
 from coldchem.propagator import (
     RadialGrid,
     _carry_log_derivative,
@@ -416,7 +422,7 @@ def test_build_table_diagonalizes_only_the_edge(monkeypatch):
     # the 4-channel block |1,3,5,7; M=0>: the steps read its eigenvalue
     # table, so the one exact diagonalization left is the R_m edge
     system = krb()
-    (basis,) = [b for b in symmetry_blocks(system, 7) if len(b) == 4][:1]
+    basis = build_basis(0, 1, 7)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda w: calls.append(1) or eigvalsh(w))
