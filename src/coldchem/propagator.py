@@ -217,14 +217,13 @@ def step_matrices(steps: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
     For psi'' = W(R) psi the generator over one step h is the traceless
     matrix [[a, h], [h (W1+W2)/2, -a]] with a = sqrt(3) h^2 (W1 - W2) / 12,
     where W1, W2 are samples at the Gauss nodes.  The exponential is closed
-    form because the square of a traceless 2x2 matrix is scalar.  The
-    arguments broadcast; a zero-length step gives the exact identity.
+    form because the square of a traceless 2x2 matrix is scalar.  The planes
+    m[i, j] lead, each of the arguments' broadcast shape; h = 0 gives exactly I.
     """
     h = steps
     a = _SQRT3 / 12.0 * h * h * (w1 - w2)
-    b = h
     c = 0.5 * h * (w1 + w2)
-    om2 = a * a + b * c
+    om2 = a * a + h * c
     om = np.sqrt(np.abs(om2))
     oscillatory = om2 < 0
     ch = np.where(oscillatory, np.cos(om), np.cosh(om))
@@ -232,36 +231,36 @@ def step_matrices(steps: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
         sc = np.where(oscillatory, np.sin(om), np.sinh(om)) / om
     # sinhc(om) -> 1 + om^2/6 for small argument, same series both branches
     sc = np.where(om < 1e-8, 1.0 + om2 / 6.0, sc)
-    m = np.empty(np.broadcast_shapes(np.shape(h), np.shape(w1), np.shape(w2)) + (2, 2))
-    m[..., 0, 0] = ch + sc * a
-    m[..., 0, 1] = sc * b
-    m[..., 1, 0] = sc * c
-    m[..., 1, 1] = ch - sc * a
+    m = np.empty((2, 2) + np.shape(om))
+    m[0, 0] = ch + sc * a
+    m[0, 1] = sc * h
+    m[1, 0] = sc * c
+    m[1, 1] = ch - sc * a
     return m
 
 
 def chain_product(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordered product M[n-1] @ ... @ M[0] by pairwise reduction, as (m, e).
 
-    The product is m * 2**e, with e an integer per leading batch index.
-    Each round multiplies adjacent pairs and divides each product by the
-    power of two nearest its largest entry.  That division is exact, so the
-    scale is pure bookkeeping: the Moebius map of the log-derivative ignores
-    it, and since every Magnus step has determinant 1, det(m) = 2**(-2 e).
+    The factors are planes (2, 2, n, batch...), and the product is m * 2**e with
+    m (2, 2, batch...) and e an integer per batch index.  Each round multiplies
+    adjacent pairs and divides each product by the power of two nearest its
+    largest entry.  That division is exact, so the scale is pure bookkeeping: the
+    Moebius map ignores it, and as every Magnus step has determinant 1, det(m) = 2**(-2 e).
     """
     m = matrices
-    e = np.zeros(m.shape[1:-2], dtype=np.int64)
-    if m.shape[0] == 0:
-        return np.broadcast_to(np.eye(2), m.shape[1:]).copy(), e
-    while m.shape[0] > 1:
-        n = m.shape[0]
-        even = n - (n % 2)
-        prod = m[1:even:2] @ m[0:even:2]
-        _, exps = np.frexp(np.max(np.abs(prod), axis=(-2, -1)))
-        prod = np.ldexp(prod, -exps[..., None, None])
+    e = np.zeros(m.shape[3:], dtype=np.int64)
+    if m.shape[2] == 0:
+        return np.multiply.outer(np.eye(2), np.ones(e.shape)), e
+    while (n := m.shape[2]) > 1:
+        a, b = m[:, :, 1::2], m[:, :, 0:n - 1:2]
+        prod = a[:, 0, None] * b[None, 0]
+        prod += a[:, 1, None] * b[None, 1]
+        _, exps = np.frexp(np.abs(prod).max(axis=(0, 1)))
+        np.ldexp(prod, -exps, out=prod)
         e = e + exps.sum(axis=0)
-        m = np.concatenate([prod, m[-1:]], axis=0) if n % 2 else prod
-    return m[0], e
+        m = np.concatenate([prod, m[:, :, -1:]], axis=2) if n % 2 else prod
+    return m[:, :, 0], e
 
 
 def _carry_log_derivative(
@@ -476,19 +475,19 @@ def _segment_transfers(
     """(psi, psi') transfer (m, e) of every column over [r_start, r_stop].
 
     ``blocks`` pairs each basis with the ranks to propagate, and the columns
-    are those ranks in block order; m has shape (rows, columns, 2, 2) and
-    the transfer is m * 2**e.  The grid of a block is built for the largest
-    L among its ranks, which slightly over-resolves the lower ones, so
-    blocks with the same envelope share one lockstep grid.  It is built and
-    used in folds of _FOLD_SIZE // (rows * block size) steps, each
-    multiplied into a running product; rows whose grid has ended drop out
-    of the work.  ``x_max`` bounds 2 mu c3 / R.  Also returns each column's step count per row.
+    are those ranks in block order; m is (rows, columns, 2, 2) and the transfer
+    is m * 2**e.  The grid of a block is built for the largest L among its
+    ranks, which slightly over-resolves the lower ones, so blocks with the same
+    envelope share one lockstep grid.  It is built and used in folds of
+    _FOLD_SIZE // (rows * block size) steps, each multiplied into a running
+    product of planes (2, 2, rows, columns); rows whose grid has ended drop
+    out.  ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts (rows, columns).
     """
     two_mu = 2.0 * system.reduced_mass
     rows = len(energy)
     ends = np.cumsum([0] + [len(ranks) for _, ranks in blocks])
     cols = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    run_m = np.broadcast_to(np.eye(2), (rows, ends[-1], 2, 2)).copy()
+    run_m = np.multiply.outer(np.eye(2), np.ones((rows, ends[-1])))
     run_e, counts = np.zeros((2, rows, ends[-1]), dtype=np.int64)
     envelopes = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks]
     for l_env in sorted(set(envelopes)):
@@ -520,13 +519,14 @@ def _segment_transfers(
                 v1, v2 = (_block_eigenvalues(system, basis, g, c3_live, x_max) for g in nodes)
                 w1, w2 = (two_mu * (v[..., ranks] - e_live) for v in (v1, v2))
                 m, e = chain_product(step_matrices(steps[..., None], w1, w2))
-                run_m[live, cols[j]], e_fold = chain_product(np.stack([run_m[live, cols[j]], m]))
+                run = np.stack([run_m[:, :, live, cols[j]], m], axis=2)
+                run_m[:, :, live, cols[j]], e_fold = chain_product(run)
                 run_e[live, cols[j]] += e + e_fold
             if len(steps) < fold:
                 break  # every row has reached r_stop
         for j in members:
             counts[:, cols[j]] = n_steps[:, None]
-    return run_m, run_e, counts
+    return np.moveaxis(run_m, (0, 1), (2, 3)), run_e, counts
 
 
 class _Table(NamedTuple):

@@ -140,9 +140,9 @@ def test_step_matrices_small_step_series():
     # a single tiny step must be I + O(h); the series branch handles om -> 0
     steps = np.array([1e-9])
     w = np.array([2.5])
-    m = step_matrices(steps, w, w)
-    assert m[0] == pytest.approx(np.eye(2), abs=1e-8)
-    assert m[0, 0, 1] == pytest.approx(1e-9, rel=1e-6)
+    m = step_matrices(steps, w, w)  # planes first: m[i, j, step]
+    assert m[..., 0] == pytest.approx(np.eye(2), abs=1e-8)
+    assert m[0, 1, 0] == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_chain_product_orders_factors():
@@ -151,7 +151,7 @@ def test_chain_product_orders_factors():
     direct = np.eye(2)
     for m in ms:
         direct = m @ direct
-    chained, exponent = chain_product(ms)
+    chained, exponent = chain_product(np.moveaxis(ms, 0, -1))
     # chain_product normalizes by powers of two and returns their sum
     assert np.allclose(np.ldexp(chained, exponent), direct, rtol=1e-12, atol=0)
 

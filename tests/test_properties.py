@@ -17,7 +17,13 @@ from coldchem.potential import (
     single_channel_curve,
     symmetry_blocks,
 )
-from coldchem.propagator import RadialGrid, calibrate_phase, propagate
+from coldchem.propagator import (
+    RadialGrid,
+    calibrate_phase,
+    chain_product,
+    propagate,
+    step_matrices,
+)
 from coldchem.qdt import ShortRangeParams, characteristic_energies, mean_scattering_length
 from coldchem.scanfit import Dataset, fit_short_range, rate_point, scan_dipole
 
@@ -227,3 +233,77 @@ def test_eigenvalue_table_matches_diagonalization(l_max, pick, r_match, d_max, s
     scale = ell * (ell + 1) / (2.0 * MU * r**2) + C6 / r**6 + c3 / r**3
     assert np.all(np.abs(table - exact) <= 1e-11 * scale[:, None])
     assert np.all(np.diff(table, axis=-1) > 0)
+
+
+# --- the Magnus transfers: step matrices and their chain product -------------
+
+batch_shapes = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
+def scaled_factors(n, batch, seed):
+    """Random 2x2 factors (n, *batch, 2, 2), exponents k with |k| <= 400, and
+    the factors times 2**k laid out as chain_product takes them."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(n, *batch, 2, 2))
+    k = rng.integers(-400, 401, size=(n, *batch))
+    planes = np.moveaxis(np.ldexp(factors, k[..., None, None]), (-2, -1), (0, 1))
+    return factors, k, planes
+
+
+def sequential_products(factors, absolute=False):
+    """M[n-1] @ ... @ M[0] by a plain matmul loop, on |M| if absolute."""
+    out = np.broadcast_to(np.eye(2), factors.shape[1:]).copy()
+    for m in factors:
+        out = (np.abs(m) if absolute else m) @ out
+    return out
+
+
+@PROPERTY
+@given(n=st.integers(0, 17), batch=batch_shapes, seed=st.integers(0, 2**32 - 1))
+def test_chain_product_matches_sequential_matmul(n, batch, seed):
+    # 2**(400 n) overflows float64: only the exponent bookkeeping carries it
+    factors, k, planes = scaled_factors(n, batch, seed)
+    m, e = chain_product(planes)
+    assert m.shape == (2, 2, *batch) and e.shape == batch
+    product = np.moveaxis(np.ldexp(m, e - k.sum(axis=0)), (0, 1), (-2, -1))
+    # rounding of any order of the product is bounded by |M[n-1]| ... |M[0]|
+    scale = sequential_products(factors, absolute=True)
+    assert np.all(np.abs(product - sequential_products(factors)) <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(n=st.integers(0, 17), batch=batch_shapes, seed=st.integers(0, 2**32 - 1))
+def test_chain_product_determinant_bookkeeping(n, batch, seed):
+    factors, k, planes = scaled_factors(n, batch, seed)
+    m, e = chain_product(planes)
+    # det(m) 4**e is the product of det(2**k M) = 4**k det(M) over the factors
+    det = np.ldexp(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], 2 * (e - k.sum(axis=0)))
+    # rounding is bounded by the permanent of |M[n-1]| ... |M[0]|, which is at
+    # least the product of the factors' permanents
+    s = sequential_products(factors, absolute=True)
+    scale = s[..., 0, 0] * s[..., 1, 1] + s[..., 0, 1] * s[..., 1, 0]
+    assert np.all(np.abs(det - np.prod(np.linalg.det(factors), axis=0)) <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(
+    h=st.floats(0.0, 1.0),
+    w_mean=st.floats(0.0, 4.0),
+    w_spread=st.floats(0.0, 1.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_step_matrices_are_unimodular(h, w_mean, w_spread, sign):
+    # om2 = h^2 (h^2 (W1 - W2)^2 / 48 + (W1 + W2) / 2) takes the sign of W's
+    # mean here, so both the oscillatory and the growing branch are drawn;
+    # _carry_log_derivative's flux formula relies on det = 1
+    w1, w2 = sign * w_mean * (1.0 + w_spread), sign * w_mean * (1.0 - w_spread)
+    m = step_matrices(np.array([h]), np.array([w1]), np.array([w2]))[..., 0]
+    assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) <= 1e-13
+
+
+@PROPERTY
+@given(w1=st.floats(-1e6, 1e6), w2=st.floats(-1e6, 1e6))
+def test_zero_length_step_is_the_exact_identity(w1, w2):
+    m = step_matrices(np.zeros(3), np.full(3, w1), np.full(3, w2))
+    assert m.shape == (2, 2, 3)
+    assert np.all(m == np.eye(2)[..., None])
