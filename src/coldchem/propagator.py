@@ -17,11 +17,11 @@ propagates and keeps all that (y, delta_sr) do not touch; ``evaluate``
 turns a table and any (y, delta_sr) into scattering in closed form.  A row
 is one point, an (energy, c3) pair; a block is the eigenvalue ranks of one
 (M, parity) basis, and a column of the table is one rank of one block.
-Rows are built in chunks, and every block of a chunk whose grid has the
-same envelope shares one lockstep grid per segment; the finished table is
-flat, so ``evaluate`` is arithmetic on (rows, columns) arrays.  A single
-curve at a single point is a table of one row and one column.  Scans, the
-fit and the phase calibration all use these two steps.
+Rows are built in chunks; the blocks whose grids share an envelope form a
+group on one lockstep grid, stepped in folds that each take all its columns
+at once.  The finished table is flat, so ``evaluate`` is arithmetic on (rows,
+columns) arrays.  A single curve at a single point is a table of one row and
+one column.  Scans, the fit and the phase calibration all use these two steps.
 """
 from __future__ import annotations
 
@@ -55,9 +55,9 @@ from .qdt import (
 
 _SQRT3 = math.sqrt(3.0)
 _MAX_STEPS = 10_000_000
-# Rows per chunk, and rows times grid steps times block size per fold.  The
-# fold keeps every live intermediate of the core near 1 MB; the chunk
-# bounds the per-row arrays and keeps folds of 4-channel blocks 8 steps long.
+# Rows per chunk, and steps times rows times group columns per fold.  The chunk bounds
+# the per-row arrays; on a 201-row, 20-column scan, folds of 12,288 and 16,384 ran no
+# faster than 8,192 and took up to 1.2 MB more peak RSS and 40 times the page faults.
 _CHUNK_ROWS = 256
 _FOLD_SIZE = 8192
 # Up to this many rows a grid is faster built row by row in Python floats.
@@ -67,6 +67,10 @@ _SCALAR_ROWS = 16
 # Knots per unit of log1p(x) in a block's eigenvalue table.  The spacing is fixed,
 # so a row's eigenvalues do not depend on the other rows of its chunk.
 _KNOTS_PER_UNIT = 288
+# om2^k coefficients of cosh(om) and sinh(om)/om; at |om2| <= _SERIES_OM2 the rest is < 1e-18
+_SERIES_OM2 = 0.25
+_COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(8))
+_SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(7))
 
 
 @dataclass(frozen=True)
@@ -203,39 +207,41 @@ def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
     return radii[:-1], True
 
 
-def gauss_nodes(starts: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point Gauss-Legendre nodes of every step."""
-    return (
-        starts + steps * (0.5 - _SQRT3 / 6.0),
-        starts + steps * (0.5 + _SQRT3 / 6.0),
-    )
+def gauss_nodes(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Two-point Gauss-Legendre nodes of every step, stacked on a new leading axis."""
+    return starts + np.multiply.outer([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0], steps)
 
 
 def step_matrices(steps: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Exponentials of the fourth-order Magnus generator for every step.
 
     For psi'' = W(R) psi the generator over one step h is the traceless
-    matrix [[a, h], [h (W1+W2)/2, -a]] with a = sqrt(3) h^2 (W1 - W2) / 12,
-    where W1, W2 are samples at the Gauss nodes.  The exponential is closed
-    form because the square of a traceless 2x2 matrix is scalar.  The planes
-    m[i, j] lead, each of the arguments' broadcast shape; h = 0 gives exactly I.
+    matrix G = [[a, h], [h (W1+W2)/2, -a]] with a = sqrt(3) h^2 (W1 - W2) / 12,
+    where W1, W2 are samples at the Gauss nodes.  G^2 is a scalar om2, so exp(G) =
+    cosh(om) I + sinh(om)/om G: by Horner in om2 where |om2| <= _SERIES_OM2 (nearly
+    every step), in closed form elsewhere.  The planes m[i, j] lead, each of the
+    arguments' broadcast shape; h = 0 gives exactly I.
     """
-    h = steps
+    h = np.asarray(steps, dtype=float)
     a = _SQRT3 / 12.0 * h * h * (w1 - w2)
     c = 0.5 * h * (w1 + w2)
     om2 = a * a + h * c
-    om = np.sqrt(np.abs(om2))
-    oscillatory = om2 < 0
-    ch = np.where(oscillatory, np.cos(om), np.cosh(om))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sc = np.where(oscillatory, np.sin(om), np.sinh(om)) / om
-    # sinhc(om) -> 1 + om^2/6 for small argument, same series both branches
-    sc = np.where(om < 1e-8, 1.0 + om2 / 6.0, sc)
-    m = np.empty((2, 2) + np.shape(om))
-    m[0, 0] = ch + sc * a
-    m[0, 1] = sc * h
-    m[1, 0] = sc * c
-    m[1, 1] = ch - sc * a
+    ch, sc = (np.full_like(om2, series[-1]) for series in (_COSH_SERIES, _SINHC_SERIES))
+    for out, series in ((ch, _COSH_SERIES), (sc, _SINHC_SERIES)):
+        for coeff in series[-2::-1]:  # Horner
+            out *= om2
+            out += coeff
+    far = np.abs(om2) > _SERIES_OM2
+    x = om2[far]
+    om = np.sqrt(np.abs(x))
+    ch[far] = np.where(x < 0, np.cos(om), np.cosh(om))
+    sc[far] = np.where(x < 0, np.sin(om), np.sinh(om)) / om
+    m = np.empty((2, 2) + om2.shape)
+    sa = sc * a
+    np.add(ch, sa, out=m[0, 0, ...])
+    np.multiply(sc, h, out=m[0, 1, ...])
+    np.multiply(sc, c, out=m[1, 0, ...])
+    np.subtract(ch, sa, out=m[1, 1, ...])
     return m
 
 
@@ -426,107 +432,101 @@ def match_free_solution(y_out, k, f, where: Sequence[str] | None = None):
 
 
 @functools.lru_cache(maxsize=64)
-def _eigen_table(basis: ChannelBasis, u_max: int) -> np.ndarray:
-    """Eigenvalues eps_i of diag(L(L+1)) - x P at the knots of u = log1p(x) up to u_max.
+def _eigen_table(group: tuple[tuple[ChannelBasis, tuple[int, ...]], ...], u_max: int):
+    """Eigenvalues eps of diag(L(L+1)) - x P at the knots of u = log1p(x) up to u_max.
 
-    Shape (2, n, knots): the values, and the slopes d eps_i / du = -(v_i^T P v_i) (1 + x)
-    (Hellmann-Feynman) times the knot spacing.
+    Shape (2, columns + 1, knots), a column per rank in ``group`` and x itself last: the
+    values, and the slopes d eps / du = -(v^T P v) (1 + x) (Hellmann-Feynman) times the
+    knot spacing.  Also returns P of each one-channel column, 0 for the others.
     """
     x = np.expm1(np.arange(u_max * _KNOTS_PER_UNIT + 2) / _KNOTS_PER_UNIT)
-    ell = np.array([c.L for c in basis.channels], dtype=float)
-    p = _coupling(basis)
-    eps, vec = np.linalg.eigh(np.diag(ell * (ell + 1.0)) - x[:, None, None] * p)
-    slope = -((p @ vec) * vec).sum(axis=-2) * (1.0 + x[:, None])
-    table = np.stack([eps.T, slope.T / _KNOTS_PER_UNIT])
+    parts, lines = [], []
+    for basis, ranks in group:
+        ell, p = np.array([c.L for c in basis.channels], dtype=float), _coupling(basis)
+        eps, vec = np.linalg.eigh(np.diag(ell * (ell + 1.0)) - x[:, None, None] * p)
+        slope = -((p @ vec) * vec).sum(axis=-2) * (1.0 + x[:, None]) / _KNOTS_PER_UNIT
+        parts.append(np.stack([eps, slope])[..., list(ranks)])
+        lines += [p[0, 0] if len(basis) == 1 else 0.0] * len(ranks)
+    parts.append(np.stack([x, (1.0 + x) / _KNOTS_PER_UNIT])[..., None])
+    table = np.concatenate(parts, axis=-1).transpose(0, 2, 1).copy()
     table.setflags(write=False)  # one cached array serves every caller
-    return table
+    return table, tuple(lines)
 
 
-def _block_eigenvalues(system, basis, r, c3, x_max) -> np.ndarray:
-    """Sorted eigenvalues of the block, shape broadcast(r, c3) + (n,), for x <= ``x_max``.
+def _block_eigenvalues(system, group, r, c3, x_max) -> np.ndarray:
+    """Eigenvalues of the columns of ``group``, shape (columns,) + broadcast(r, c3).
 
-    With x = 2 mu c3 / r they are eps_i(x) / (2 mu r^2) - C6/r^6, eps_i the cubic Hermite
-    interpolant of ``_eigen_table`` in log1p(x).  A one-channel block is its matrix element.
+    With x = 2 mu c3 / r <= ``x_max`` they are eps(x) / (2 mu r^2) - C6/r^6, eps the cubic
+    Hermite interpolant of ``_eigen_table`` in log1p(x), its knot and weights found once for
+    every column.  A group of one-channel blocks reads its matrix elements instead.
     """
-    if len(basis) == 1:
-        return _exact_eigenvalues(system, basis, r, c3)
+    if all(len(basis) == 1 for basis, _ in group):
+        return np.stack([_exact_eigenvalues(system, basis, r, c3)[..., 0] for basis, _ in group])
     u_max = max(1, math.ceil(math.log1p(x_max)))
+    table, lines = _eigen_table(tuple((basis, tuple(ranks)) for basis, ranks in group), u_max)
     two_mu, r2 = 2.0 * system.reduced_mass, r * r
-    s = np.log1p(two_mu * c3 / r) * _KNOTS_PER_UNIT
+    x = two_mu * c3 / r
+    s = np.log1p(x) * _KNOTS_PER_UNIT
     i = s.astype(np.intp)  # at most u_max * _KNOTS_PER_UNIT, the last knot but one
     t = s - i
-    # the channel axis leads until the end, so every operation runs on long rows
-    (y0, a), (y1, b) = (_eigen_table(basis, u_max).take(k, axis=-1) for k in (i, i + 1))
-    eps = y0 + t * t * (3.0 - 2.0 * t) * (y1 - y0) + t * (1.0 - t) * ((1.0 - t) * a - t * b)
-    return np.moveaxis(eps / (two_mu * r2) + C6_SIGN * system.c6 / (r2 * r2 * r2), 0, -1)
+    (y0, a), (y1, b) = (table.take(k, axis=-1) for k in (i, i + 1))
+    t1 = 1.0 - t
+    eps = y0 + (y1 - y0) * (t * t * (3.0 - 2.0 * t)) + a * (t * t1 * t1) - b * (t * t * t1)
+    # one-channel columns, L(L+1) - P x, less P times the error of x's own interpolant: exact
+    eps[:-1] -= np.multiply.outer(lines, x - eps[-1])
+    return eps[:-1] / (two_mu * r2) + C6_SIGN * system.c6 / (r2 * r2 * r2)
 
 
-def _segment_transfers(
-    system: CollisionSystem,
-    blocks: Sequence[tuple[ChannelBasis, Sequence[int]]],
-    energy: np.ndarray,
-    c3: np.ndarray,
-    grid: RadialGrid,
-    r_start: np.ndarray,
-    r_stop: np.ndarray,
-    x_max: float,
-    where: Sequence[str] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, psi') transfer (m, e) of every column over [r_start, r_stop].
+def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max, where=None):
+    """(psi, psi') transfer (m, e) of every column over [r_start, r_stop], one per row.
 
     ``blocks`` pairs each basis with the ranks to propagate, and the columns
     are those ranks in block order; m is (rows, columns, 2, 2) and the transfer
     is m * 2**e.  The grid of a block is built for the largest L among its
-    ranks, which slightly over-resolves the lower ones, so blocks with the same
-    envelope share one lockstep grid.  It is built and used in folds of
-    _FOLD_SIZE // (rows * block size) steps, each multiplied into a running
-    product of planes (2, 2, rows, columns); rows whose grid has ended drop
-    out.  ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts (rows, columns).
+    ranks, which slightly over-resolves the lower ones, so the blocks with the
+    same envelope form a group on one lockstep grid.  It is built and used in folds
+    of _FOLD_SIZE // (rows * group columns) steps, each one pass over the group into
+    its running product of planes (2, 2, columns, rows); rows whose grid has ended
+    drop out.  ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts (rows, columns).
     """
     two_mu = 2.0 * system.reduced_mass
     rows = len(energy)
     ends = np.cumsum([0] + [len(ranks) for _, ranks in blocks])
-    cols = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    run_m = np.multiply.outer(np.eye(2), np.ones((rows, ends[-1])))
-    run_e, counts = np.zeros((2, rows, ends[-1]), dtype=np.int64)
+    m_out = np.empty((rows, ends[-1], 2, 2))
+    e_out, counts = np.empty((2, rows, ends[-1]), dtype=np.int64)
     envelopes = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks]
     for l_env in sorted(set(envelopes)):
         members = [j for j, l in enumerate(envelopes) if l == l_env]
-        fold = max(1, _FOLD_SIZE // (rows * max(len(blocks[j][0]) for j in members)))
+        group = [blocks[j] for j in members]
+        cols = np.concatenate([np.arange(ends[j], ends[j + 1]) for j in members])
+        fold = max(1, _FOLD_SIZE // (rows * len(cols)))
+        run_m = np.multiply.outer(np.eye(2), np.ones((len(cols), rows)))
+        run_e = np.zeros((len(cols), rows), dtype=np.int64)
         r = r_start
         n_steps = np.zeros(rows, dtype=np.int64)
         while True:
-            starts, steps = grid.build_steps(
-                system, l_env, energy, r, r_stop, c3, max_steps=fold
-            )
+            starts, steps = grid.build_steps(system, l_env, energy, r, r_stop, c3, max_steps=fold)
             if len(steps) == 0:
                 break
             r = starts[-1] + steps[-1]
             n_steps += np.count_nonzero(steps, axis=0)
             if n_steps.max() > _MAX_STEPS:
-                raise _row_failure(
-                    GridError, "radial grid exceeds the step budget",
-                    n_steps > _MAX_STEPS, where,
-                )
+                raise _row_failure(GridError, "radial grid exceeds the step budget",
+                                   n_steps > _MAX_STEPS, where)
             live = np.flatnonzero(steps[0])  # rows whose grid goes on
             if len(live) == rows:
                 live = slice(None)
             starts, steps = starts[:, live], steps[:, live]
-            e_live, c3_live = energy[live, None], c3[live]
             nodes = gauss_nodes(starts, steps)
-            for j in members:
-                basis, ranks = blocks[j]
-                v1, v2 = (_block_eigenvalues(system, basis, g, c3_live, x_max) for g in nodes)
-                w1, w2 = (two_mu * (v[..., ranks] - e_live) for v in (v1, v2))
-                m, e = chain_product(step_matrices(steps[..., None], w1, w2))
-                run = np.stack([run_m[:, :, live, cols[j]], m], axis=2)
-                run_m[:, :, live, cols[j]], e_fold = chain_product(run)
-                run_e[live, cols[j]] += e + e_fold
+            w = two_mu * (_block_eigenvalues(system, group, nodes, c3[live], x_max) - energy[live])
+            m, e = chain_product(np.moveaxis(step_matrices(steps, w[:, 0], w[:, 1]), 3, 2))
+            run_m[..., live], e_fold = chain_product(np.stack([run_m[..., live], m], axis=2))
+            run_e[:, live] += e + e_fold
             if len(steps) < fold:
                 break  # every row has reached r_stop
-        for j in members:
-            counts[:, cols[j]] = n_steps[:, None]
-    return np.moveaxis(run_m, (0, 1), (2, 3)), run_e, counts
+        m_out[:, cols] = run_m.transpose(3, 2, 0, 1)
+        e_out[:, cols], counts[:, cols] = run_e.T, n_steps[:, None]
+    return m_out, e_out, counts
 
 
 class _Table(NamedTuple):

@@ -434,6 +434,82 @@ def test_build_table_diagonalizes_only_the_edge(monkeypatch):
     assert len(calls) == 1
 
 
+def test_group_transfers_match_each_block_alone():
+    # three envelopes (L = 1, 2, 3), each a group of a one-channel block and a
+    # rank subset of a larger one, with the groups' columns interleaved: all
+    # blocks together step each group in one pass, in shorter folds than a block
+    # alone, and read one-channel columns from the group's table
+    system = krb()
+    blocks = [
+        (build_basis(0, 1, 3), range(2)), (build_basis(0, 0, 2), [1]),
+        (build_basis(3, 1, 3), [0]), (build_basis(1, 1, 1), [0]),
+        (build_basis(2, 0, 2), [0]), (build_basis(1, 1, 3), [0]),
+    ]
+    energy = np.full(3, units.energy_from_microkelvin(0.25))
+    c3 = 2.0 * units.dipole_from_debye(np.array([0.0, 0.2, 0.5])) ** 2
+    r_start = np.full(3, 20.0)
+    r_stop = RadialGrid().outer_radius(system, energy, 20.0, c3)
+    args = (energy, c3, RadialGrid(), r_start, r_stop, 2.0 * MU * c3.max() / 20.0)
+    m, e, n = propagator._segment_transfers(system, blocks, *args)
+    start = 0
+    for block in blocks:
+        m_alone, e_alone, n_alone = propagator._segment_transfers(system, [block], *args)
+        cols = slice(start, start + len(block[1]))
+        start = cols.stop
+        # the same transfer m * 2**e, up to rounding
+        together = np.ldexp(m[:, cols], (e[:, cols] - e_alone)[..., None, None])
+        largest = np.abs(m_alone).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(together - m_alone) <= 1e-12 * largest)
+        assert np.array_equal(n[:, cols], n_alone)
+    assert start == m.shape[1]
+
+
+def test_each_fold_steps_a_whole_group_at_once(monkeypatch):
+    # l_max = 3 fermions: four blocks, six columns, one envelope (L = 3); each
+    # non-empty fold of a segment takes one step_matrices call over all six
+    system = krb()
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 3)]
+    assert len(blocks) == 4
+    calls, folds = [], []
+    step_matrices, build_steps = propagator.step_matrices, RadialGrid.build_steps
+
+    def counted_step_matrices(h, w1, w2):
+        calls.append(np.shape(w1))
+        return step_matrices(h, w1, w2)
+
+    def counted_build_steps(self, *args, **kwargs):
+        starts, steps = build_steps(self, *args, **kwargs)
+        folds.append(len(steps))
+        return starts, steps
+
+    monkeypatch.setattr(propagator, "step_matrices", counted_step_matrices)
+    monkeypatch.setattr(RadialGrid, "build_steps", counted_build_steps)
+    d = units.dipole_from_debye(np.linspace(0.1, 0.5, 20))
+    propagator.build_table(system, blocks, 20.0, np.full(20, E0 / 10.0), 2.0 * d**2, RadialGrid())
+    n_folds = sum(1 for n in folds if n > 0)
+    assert n_folds > 2  # two segments, in several folds
+    assert len(calls) == n_folds
+    assert all(shape[0] == 6 for shape in calls)
+
+
+def test_one_channel_group_reads_no_table(monkeypatch):
+    # l_max = 1 fermions: the blocks |1, 0> and |1, 1> have one channel each, so
+    # their group reads the exact matrix elements
+    system = krb()
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 1)]
+    assert [len(basis) for basis, _ in blocks] == [1, 1]
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("a one-channel group must not read the eigenvalue table")
+
+    monkeypatch.setattr(propagator, "_eigen_table", no_call)
+    d = units.dipole_from_debye(np.array([0.1, 0.3]))
+    table = propagator.build_table(
+        system, blocks, 20.0, np.full(2, E0 / 10.0), 2.0 * d**2, RadialGrid()
+    )
+    assert table.m1.shape == (2, 2, 2, 2)
+
+
 def test_table_row_does_not_depend_on_its_chunk():
     # a larger dipole in the chunk lengthens the eigenvalue tables; the knots
     # keep their spacing, so the other row's numbers do not move at all

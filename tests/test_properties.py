@@ -209,30 +209,40 @@ def test_unitarity_bound_at_finite_field(s, y, d, log_e):
 @PROPERTY
 @given(
     l_max=st.integers(1, 9),
-    pick=st.integers(0, 19),
+    picks=st.lists(st.integers(0, 19), min_size=1, max_size=3),
     r_match=st.floats(5.0, 100.0),
     d_max=st.floats(0.0, 3.0),  # debye
     seed=st.integers(0, 2**32 - 1),
 )
-def test_eigenvalue_table_matches_diagonalization(l_max, pick, r_match, d_max, seed):
-    # any (M, parity) block, radii beyond R_m out to the tails, and dipoles
-    # up to 3 D; the scale is the size of the block's terms, with L its
-    # largest partial wave, which is the scale of eigvalsh's own rounding
+def test_eigenvalue_table_matches_diagonalization(l_max, picks, r_match, d_max, seed):
+    # a group of one to three (M, parity) blocks, each with a random subset of
+    # its ranks, radii beyond R_m out to the tails, and dipoles up to 3 D; the
+    # scale is the size of a block's terms, with L its largest partial wave,
+    # which is the scale of eigvalsh's own rounding
     either = dataclasses.replace(KRB, symmetry=Symmetry.DISTINGUISHABLE)
     blocks = symmetry_blocks(either, l_max)
-    basis = blocks[pick % len(blocks)]
     rng = np.random.default_rng(seed)
+    group = []
+    for pick in picks:
+        basis = blocks[pick % len(blocks)]
+        ranks = np.flatnonzero(rng.uniform(size=len(basis)) < 0.7)
+        group.append((basis, list(ranks) if len(ranks) else [int(rng.integers(len(basis)))]))
     c3_max = 2.0 * units.dipole_from_debye(d_max) ** 2
     r = r_match * 10.0 ** rng.uniform(0.0, 3.0, 64)
     r[0] = r_match
     c3 = c3_max * rng.uniform(0.0, 1.0, 64)
     c3[0] = c3_max
-    table = propagator._block_eigenvalues(KRB, basis, r, c3, 2.0 * MU * c3_max / r_match)
-    exact = np.linalg.eigvalsh(potential_matrix(KRB, basis, r, c3))
-    ell = basis.channels[-1].L
-    scale = ell * (ell + 1) / (2.0 * MU * r**2) + C6 / r**6 + c3 / r**3
-    assert np.all(np.abs(table - exact) <= 1e-11 * scale[:, None])
-    assert np.all(np.diff(table, axis=-1) > 0)
+    table = propagator._block_eigenvalues(KRB, group, r, c3, 2.0 * MU * c3_max / r_match)
+    assert table.shape == (sum(len(ranks) for _, ranks in group), 64)
+    start = 0
+    for basis, ranks in group:
+        columns = table[start:start + len(ranks)].T
+        start += len(ranks)
+        exact = np.linalg.eigvalsh(potential_matrix(KRB, basis, r, c3))[:, ranks]
+        ell = basis.channels[-1].L
+        scale = ell * (ell + 1) / (2.0 * MU * r**2) + C6 / r**6 + c3 / r**3
+        assert np.all(np.abs(columns - exact) <= 1e-11 * scale[:, None])
+        assert np.all(np.diff(columns, axis=-1) > 0)
 
 
 # --- the Magnus transfers: step matrices and their chain product -------------
@@ -299,6 +309,54 @@ def test_step_matrices_are_unimodular(h, w_mean, w_spread, sign):
     w1, w2 = sign * w_mean * (1.0 + w_spread), sign * w_mean * (1.0 - w_spread)
     m = step_matrices(np.array([h]), np.array([w1]), np.array([w2]))[..., 0]
     assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) <= 1e-13
+
+
+def closed_form_steps(h, w1, w2):
+    """The step matrices from cos/sin or cosh/sinh, planes first, and the size
+    of the terms of each entry."""
+    a = math.sqrt(3.0) / 12.0 * h * h * (w1 - w2)
+    c = 0.5 * h * (w1 + w2)
+    om2 = a * a + h * c
+    om = np.sqrt(np.abs(om2))
+    with np.errstate(invalid="ignore"):
+        ch = np.where(om2 < 0, np.cos(om), np.cosh(om))
+        sc = np.where(om == 0, 1.0, np.where(om2 < 0, np.sin(om), np.sinh(om)) / om)
+    m = np.array([[ch + sc * a, sc * h], [sc * c, ch - sc * a]])
+    size = np.abs(np.array([[ch, sc * h], [sc * c, ch]])) + np.abs(sc * a) * np.eye(2)[..., None]
+    return m, om2, size
+
+
+@PROPERTY
+@given(
+    om2=st.one_of(st.floats(-0.25, 0.25), st.floats(-40.0, 40.0)),
+    h=st.floats(1e-4, 2.0),
+    skew=st.floats(-1.0, 1.0),
+)
+def test_step_matrices_match_the_closed_form(om2, h, skew):
+    # W1 - W2 = skew * 2 / h^2 and W1 + W2 chosen so that a^2 + h c = om2: the
+    # series where |om2| <= 0.25 and the closed form beyond it agree with the
+    # cos/sinh formula to 1e-15 of each entry's terms, and det = 1 to the
+    # rounding of the permanent, which grows as cosh(om)^2 beyond the series
+    diff = skew * 2.0 / (h * h)
+    a = math.sqrt(3.0) / 12.0 * h * h * diff
+    total = 2.0 * (om2 - a * a) / (h * h)
+    w1, w2 = np.array([(total + diff) / 2.0]), np.array([(total - diff) / 2.0])
+    m = step_matrices(np.array([h]), w1, w2)
+    ref, om2_used, size = closed_form_steps(h, w1, w2)
+    assert abs(om2_used[0] - om2) <= 1e-12 * max(1.0, abs(om2))
+    assert np.all(np.abs(m - ref) <= 1e-15 * size)
+    diagonal, cross = m[0, 0, 0] * m[1, 1, 0], m[0, 1, 0] * m[1, 0, 0]
+    assert abs(diagonal - cross - 1.0) <= 1e-14 * (abs(diagonal) + abs(cross))
+
+
+def test_step_matrices_match_the_closed_form_across_the_series_edge():
+    # om2 densely over [-1, 1], through both edges of the series at |om2| = 0.25
+    h = np.full(20001, 0.3)
+    w = np.linspace(-1.0, 1.0, h.size) / (h * h)
+    m = step_matrices(h, w, w)
+    ref, om2, size = closed_form_steps(h, w, w)
+    assert np.abs(om2).max() >= 0.99 and np.any(np.abs(om2) <= 0.25)
+    assert np.all(np.abs(m - ref) <= 1e-15 * size)
 
 
 @PROPERTY
