@@ -440,17 +440,17 @@ def _eigen_table(group: tuple[tuple[ChannelBasis, tuple[int, ...]], ...], u_max:
     knot spacing.  Also returns P of each one-channel column, 0 for the others.
     """
     x = np.expm1(np.arange(u_max * _KNOTS_PER_UNIT + 2) / _KNOTS_PER_UNIT)
-    parts, lines = [], []
+    parts, single_p = [], []
     for basis, ranks in group:
         ell, p = np.array([c.L for c in basis.channels], dtype=float), _coupling(basis)
         eps, vec = np.linalg.eigh(np.diag(ell * (ell + 1.0)) - x[:, None, None] * p)
         slope = -((p @ vec) * vec).sum(axis=-2) * (1.0 + x[:, None]) / _KNOTS_PER_UNIT
         parts.append(np.stack([eps, slope])[..., list(ranks)])
-        lines += [p[0, 0] if len(basis) == 1 else 0.0] * len(ranks)
+        single_p += [p[0, 0] if len(basis) == 1 else 0.0] * len(ranks)
     parts.append(np.stack([x, (1.0 + x) / _KNOTS_PER_UNIT])[..., None])
     table = np.concatenate(parts, axis=-1).transpose(0, 2, 1).copy()
     table.setflags(write=False)  # one cached array serves every caller
-    return table, tuple(lines)
+    return table, tuple(single_p)
 
 
 def _block_eigenvalues(system, group, r, c3, x_max) -> np.ndarray:
@@ -463,7 +463,7 @@ def _block_eigenvalues(system, group, r, c3, x_max) -> np.ndarray:
     if all(len(basis) == 1 for basis, _ in group):
         return np.stack([_exact_eigenvalues(system, basis, r, c3)[..., 0] for basis, _ in group])
     u_max = max(1, math.ceil(math.log1p(x_max)))
-    table, lines = _eigen_table(tuple((basis, tuple(ranks)) for basis, ranks in group), u_max)
+    table, single_p = _eigen_table(tuple((basis, tuple(ranks)) for basis, ranks in group), u_max)
     two_mu, r2 = 2.0 * system.reduced_mass, r * r
     x = two_mu * c3 / r
     s = np.log1p(x) * _KNOTS_PER_UNIT
@@ -473,7 +473,7 @@ def _block_eigenvalues(system, group, r, c3, x_max) -> np.ndarray:
     t1 = 1.0 - t
     eps = y0 + (y1 - y0) * (t * t * (3.0 - 2.0 * t)) + a * (t * t1 * t1) - b * (t * t * t1)
     # one-channel columns, L(L+1) - P x, less P times the error of x's own interpolant: exact
-    eps[:-1] -= np.multiply.outer(lines, x - eps[-1])
+    eps[:-1] -= np.multiply.outer(single_p, x - eps[-1])
     return eps[:-1] / (two_mu * r2) + C6_SIGN * system.c6 / (r2 * r2 * r2)
 
 
