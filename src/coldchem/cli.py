@@ -100,7 +100,6 @@ _CONFIG_KEYS: dict[str, tuple] = {
     # fit
     "dataset_csv": (str, ""),
     "fit_parameters": (str, "y"),
-    "max_fit_iterations": (int, "200"),
 }
 
 _REQUIRED_ALWAYS = ("c6_au", "symmetry")
@@ -435,7 +434,6 @@ def _cmd_fit(config: dict, out: str | None) -> int:
             fit=fit_names,
             grid=config["_grid"],
             l_max=config["l_max"],
-            max_iterations=config["max_fit_iterations"],
             energy_fraction=config["calibration_energy_fraction"],
             tolerance=config["calibration_tolerance"],
         )

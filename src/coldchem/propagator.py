@@ -698,7 +698,10 @@ def _phase_calibration(
     grid: RadialGrid | None = None,
     energy_fraction: float = 1e-4,
 ):
-    """delta_sr(s, tolerance) from one propagation: see ``calibrate_phase``."""
+    """``phase(s, tolerance)``, the delta_sr of ``calibrate_phase``, and its inverse.
+
+    The inverse ``s_of(delta)`` is the Moebius map ``phase`` inverts; it broadcasts.
+    """
     if not 0 < energy_fraction <= 1e-2:
         raise ValueError("energy_fraction must lie in (0, 1e-2]")
     bare = dataclasses.replace(system, dipole=0.0)
@@ -735,7 +738,11 @@ def _phase_calibration(
             )
         return delta
 
-    return phase
+    def s_of(delta):
+        sin, cos = np.sin(delta), np.cos(delta)
+        return -(g[0, 0] * sin + g[0, 1] * cos) / ((g[1, 0] * sin + g[1, 1] * cos) * k * abar)
+
+    return phase, s_of
 
 
 def calibrate_phase(
@@ -759,6 +766,5 @@ def calibrate_phase(
     ``tolerance`` relative.  Only ``params.s`` and ``params.r_match``
     matter here.
     """
-    return _phase_calibration(system, params.r_match, grid, energy_fraction)(
-        params.s, tolerance
-    )
+    phase, _ = _phase_calibration(system, params.r_match, grid, energy_fraction)
+    return phase(params.s, tolerance)

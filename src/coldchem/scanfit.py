@@ -12,6 +12,7 @@ rate-versus-dipole data.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from . import units
 from .errors import ColdchemError, FitError, ScanError
 from .potential import Channel, CollisionSystem, symmetry_blocks
 from .propagator import (
+    _FOLD_SIZE,
     RadialGrid,
     _phase_calibration,
     _point_results,
@@ -32,6 +34,9 @@ from .propagator import (
 from .qdt import ScatteringResult, ShortRangeParams
 
 DEFAULT_L_MAX = 7
+# Each zoom of the fit's (delta_sr, y) grid divides its spacing by _ZOOM, down to _FINEST.
+_ZOOM = 4
+_FINEST = 1e-6
 
 
 def _channel_weight(channel: Channel) -> int:
@@ -110,7 +115,7 @@ def _rate_curve(axis, x, system, columns, loss, energies, channels, energy, dipo
     """RateCurve of a scan from the loss of every column (channel) at every row."""
     pref = _rate_prefactor(system, np.sqrt(2.0 * system.reduced_mass * energies))
     kept = sorted((
-        (c, loss[:, j]) for j, c in enumerate(columns) if channels is None or c in channels
+        (c, loss[..., j]) for j, c in enumerate(columns) if channels is None or c in channels
     ), key=lambda column: column[0])
     per_channel = {c: _channel_weight(c) * (pref * p_loss) for c, p_loss in kept}
     total = sum(per_channel.values()) if per_channel else np.zeros(len(x))
@@ -361,17 +366,17 @@ class Dataset:
         object.__setattr__(self, "rate_cm3s", k)
         if d.ndim != 1 or len(d) == 0 or k.shape != d.shape:
             raise ValueError("dataset needs matching non-empty d and K columns")
-        if np.any(d < 0):
-            raise ValueError("dipole moments must be non-negative")
-        if np.any(k <= 0):
-            raise ValueError("rates must be positive")
+        if not np.all((d >= 0) & np.isfinite(d)):
+            raise ValueError("dipole moments must be finite and non-negative")
+        if not np.all((k > 0) & np.isfinite(k)):
+            raise ValueError("rates must be finite and positive")
         if self.sigma_cm3s is not None:
             s = np.asarray(self.sigma_cm3s, dtype=float)
             object.__setattr__(self, "sigma_cm3s", s)
             if s.shape != d.shape:
                 raise ValueError("sigma column length mismatch")
-            if np.any(s <= 0):
-                raise ValueError("uncertainties must be positive")
+            if not np.all((s > 0) & np.isfinite(s)):
+                raise ValueError("uncertainties must be finite and positive")
 
     def __len__(self) -> int:
         return len(self.d_debye)
@@ -433,33 +438,80 @@ def fit_short_range(
     fit: tuple[str, ...] = ("y",),
     grid: RadialGrid | None = None,
     l_max: int = DEFAULT_L_MAX,
-    max_iterations: int = 200,
     energy_fraction: float = 1e-4,
     tolerance: float = 1e-3,
 ) -> ShortRangeFit:
     """Weighted least squares of (a subset of) s and y on log rates.
 
-    The long range is propagated once: ``build_table`` at the dataset's
-    dipole values, and the bare s wave that calibrates delta_sr.  Each
-    objective evaluation takes delta_sr(s) in closed form and evaluates the
-    table at (y, delta_sr), with no propagation.  Chi-squared is minimized by
-    the Nelder-Mead simplex (``_nelder_mead``) from a simplex of steps 0.25
-    in s and 0.1 in y, to 1e-4 in the parameters and 1e-6 in chi-squared.
-    The objective reflects y into [0, 1], y -> 1 - |1 - (y mod 2)|, so the
-    optimizer meets a mirror image at each bound rather than a plateau
-    beyond it; a best fit sitting on a bound is flagged.  The covariance
-    comes from a finite-difference Hessian of chi-squared at the optimum
-    (scaled by the reduced chi-squared when the dataset carries no
-    uncertainties).  ``energy_fraction`` and ``tolerance`` are those of
-    ``calibrate_phase``.
+    s enters only through delta_sr(s), which maps it onto [0, pi), and y lies
+    in [0, 1], so ``_grid_search`` covers the whole model, each grid one
+    batched evaluation of the long-range table (``_fit_objective``).  The
+    initial values of the fitted parameters are not used as a start; the
+    others are held fixed.  The best delta_sr is reported as s by the forward
+    map of the calibration, whose round-trip check (``tolerance``) guards
+    every s evaluated after the search.  The covariance is twice the inverse
+    Hessian at the minimum of the quadratic through chi-squared on a 3 x 3
+    (s, y) patch of steps max(0.02, 0.02 |x|), one-sided in y within a step of
+    a bound; the quadratics of the axes are multiplied out, so on a centred
+    patch these are central differences.  It is scaled by the reduced
+    chi-squared when the dataset carries no uncertainties.  A best y within
+    1e-3 of a bound is flagged.  ``energy_fraction`` and ``tolerance`` are
+    those of ``calibrate_phase``.
     """
     if not fit or any(name not in ("s", "y") for name in fit):
         raise ValueError("fit must be a non-empty subset of ('s', 'y')")
     if len(set(fit)) != len(fit):
         raise ValueError("fit names must be unique")
-    grid = grid or RadialGrid()
-    d_au = units.dipole_from_debye(dataset.d_debye)
-    d_unique, inverse = np.unique(d_au, return_inverse=True)
+    chi2, phase, s_of = _fit_objective(
+        dataset, system, energy, initial.r_match, grid or RadialGrid(), l_max, energy_fraction
+    )
+    delta, y, evaluations = _grid_search(
+        chi2, None if "s" in fit else phase(initial.s, tolerance),
+        None if "y" in fit else initial.y,
+    )
+    best = {"s": float(s_of(delta)) if "s" in fit else initial.s, "y": y}
+    x = np.array([best[name] for name in fit])
+    h = np.maximum(0.02, 0.02 * np.abs(x))
+    u = np.array(list(itertools.product(*(
+        np.arange(-1, 2) + (name == "y") * (int(xi < hi) - int(xi > 1.0 - hi))
+        for name, xi, hi in zip(fit, x, h)
+    ))))
+    patch = {**best, **dict(zip(fit, (x + u * h).T))}
+    s_patch, back = np.unique(np.broadcast_to(patch["s"], len(u)), return_inverse=True)
+    values = chi2(np.broadcast_to(patch["y"], len(u)),
+                  np.array([phase(s, tolerance) for s in s_patch])[back])
+    chi2_min = float(values[~u.any(axis=1)][0])
+    powers = np.array(list(itertools.product(range(3), repeat=len(fit))))
+    coef = np.linalg.solve(np.prod(u[:, None] ** powers, axis=-1), values)
+    coef = coef.reshape((3,) * len(fit))
+    unit = np.eye(len(fit), dtype=int)
+    hess = np.array([[coef[tuple(i + j)] for j in unit] for i in unit])
+    hess = (hess + np.diag(np.diag(hess))) / np.outer(h, h)
+    cov = 2.0 * np.linalg.pinv(hess)
+    if dataset.sigma_cm3s is None:
+        # the reduced chi-squared estimates the data variance; an exact fit
+        # bounds it only by the rounding of the log rates
+        cov = cov * max(chi2_min / max(len(dataset) - len(fit), 1), np.finfo(float).eps ** 2)
+    return ShortRangeFit(
+        params=ShortRangeParams(s=best["s"], y=y, r_match=initial.r_match),
+        fitted=tuple(fit),
+        values=x,
+        covariance=cov,
+        chi2=chi2_min,
+        n_points=len(dataset),
+        n_evaluations=evaluations + len(values),
+        on_bound="y" in fit and not 1e-3 <= y <= 1.0 - 1e-3,
+    )
+
+
+def _fit_objective(dataset, system, energy, r_match, grid, l_max, energy_fraction):
+    """``chi2(y, delta)`` of 1-D arrays of trials, and ``_phase_calibration``'s maps.
+
+    The long range is propagated once, at the dataset's dipoles and for the
+    calibration; ``chi2`` evaluates the table at most _FOLD_SIZE trials x rows
+    x columns at a time.
+    """
+    d_unique, inverse = np.unique(units.dipole_from_debye(dataset.d_debye), return_inverse=True)
     log_obs = np.log(units.rate_from_cm3_per_s(dataset.rate_cm3s))
     if dataset.sigma_cm3s is not None:
         weights = dataset.sigma_cm3s / dataset.rate_cm3s  # sigma of log K
@@ -469,153 +521,56 @@ def fit_short_range(
     energies = np.full(len(d_unique), float(energy))
     where = [f"d = {d:.6g} a.u." for d in d_unique]
     try:
-        table = build_table(
-            system, blocks, initial.r_match, energies, 2.0 * d_unique**2, grid, where
-        )
-        phase = _phase_calibration(system, initial.r_match, grid, energy_fraction)
+        table = build_table(system, blocks, r_match, energies, 2.0 * d_unique**2, grid, where)
+        phase, s_of = _phase_calibration(system, r_match, grid, energy_fraction)
     except ColdchemError as exc:
         raise FitError(f"long-range propagation failed: {exc}") from exc
-    evaluations = 0
+    chunk = max(1, _FOLD_SIZE // (len(d_unique) * len(columns)))
 
-    def chi2_at(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        trial = {"s": initial.s, "y": initial.y}
-        for name, val in zip(fit, x):
-            trial[name] = float(val)
-        params = ShortRangeParams(
-            s=trial["s"], y=_reflect_unit(trial["y"]), r_match=initial.r_match
-        )
-        try:
-            _, loss, _ = evaluate(table, params.y, phase(params.s, tolerance))
-        except ColdchemError as exc:
-            raise FitError(
-                f"objective evaluation failed at s = {params.s:.6g}, "
-                f"y = {params.y:.6g}: {exc}"
-            ) from exc
-        curve = _rate_curve(
-            "dipole", d_unique, system, columns, loss, energies, None, energy, None
-        )
-        log_model = np.log(np.maximum(curve.total[inverse], 1e-300))
-        r = (log_model - log_obs) / weights
-        return float(np.dot(r, r))
+    def chi2(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        out = []
+        for start in range(0, len(y), chunk):
+            trials = slice(start, start + chunk)
+            try:
+                _, loss, _ = evaluate(table, y[trials, None, None], delta[trials, None, None])
+            except ColdchemError as exc:
+                raise FitError(f"objective evaluation failed: {exc}") from exc
+            total = _rate_curve(
+                "dipole", d_unique, system, columns, loss, energies, None, energy, None
+            ).total
+            r = (np.log(np.maximum(total[:, inverse], 1e-300)) - log_obs) / weights
+            out.append(np.einsum("ij,ij->i", r, r))
+        return np.concatenate(out)
 
-    x0 = np.array([getattr(initial, name) for name in fit], dtype=float)
-    best = _nelder_mead(chi2_at, _initial_simplex(x0, fit), max_iterations, 1e-4, 1e-6)
-    names = dict(zip(fit, best))
-    if "y" in names:
-        names["y"] = _reflect_unit(names["y"])
-        best[fit.index("y")] = names["y"]
-    params_best = ShortRangeParams(
-        s=float(names.get("s", initial.s)), y=float(names.get("y", initial.y)),
-        r_match=initial.r_match,
-    )
-    chi2_min = chi2_at(best)
-    on_bound = "y" in names and (names["y"] < 1e-3 or names["y"] > 1.0 - 1e-3)
-    cov = _fd_covariance(chi2_at, best, chi2_min, len(dataset), dataset.sigma_cm3s is not None)
-    return ShortRangeFit(
-        params=params_best,
-        fitted=tuple(fit),
-        values=best,
-        covariance=cov,
-        chi2=chi2_min,
-        n_points=len(dataset),
-        n_evaluations=evaluations,
-        on_bound=on_bound,
-    )
+    return chi2, phase, s_of
 
 
-def _reflect_unit(y: float) -> float:
-    """y reflected into [0, 1] at both ends; values inside are kept exactly."""
-    y = y % 2.0
-    return 2.0 - y if y > 1.0 else y
+def _grid_search(chi2, delta, y):
+    """Best (delta_sr, y) of ``chi2`` and the number of trials; a value given is held fixed.
 
-
-def _nelder_mead(f, simplex: np.ndarray, max_iterations: int, xatol: float, fatol: float):
-    """Minimum of f by the Nelder-Mead simplex (Nelder and Mead, Comput. J. 7, 308 (1965)).
-
-    Reflection, expansion, contraction and shrink coefficients are 1, 2, 1/2
-    and 1/2.  The vertex order, the stopping test and the max_iterations - 1
-    iterations follow scipy.optimize's Nelder-Mead step for step, so f is
-    evaluated at the same points; it gets a copy of each.
+    The coarse grid spans delta_sr over [0, pi) in 60 points and y over [0, 1]
+    in 21.  Each zoom spans the last spacing either side of the best point in
+    2 _ZOOM + 1 points per fitted axis, y clipped into [0, 1]; a best point on
+    the edge of a zoom, and not on a bound of y, moves it at the same spacing.
+    Zooming stops at spacings of _FINEST.  chi2 is pi-periodic in delta_sr.
     """
-    sim = np.array(simplex, dtype=float)
-    fsim = np.array([f(v.copy()) for v in sim])
-
-    def vertex(t):  # (1 + t) * centroid - t * worst, and f there
-        x = (1.0 + t) * xbar - t * sim[-1]
-        return x, f(x.copy())
-
-    for i in range(max_iterations + 1):
-        order = np.argsort(fsim)  # the first simplex is sorted twice, as in scipy
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-        if i == 0:
-            continue
-        if i == max_iterations or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                                   and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / (len(sim) - 1)
-        trial = xr, fxr = vertex(1.0)
-        if fxr < fsim[0]:
-            xe, fxe = vertex(2.0)
-            trial = (xe, fxe) if fxe < fxr else trial
-        elif fxr >= fsim[-2]:  # contraction, outside or inside
-            outside = fxr < fsim[-1]
-            xc, fxc = vertex(0.5 if outside else -0.5)
-            trial = (xc, fxc) if (fxc <= fxr if outside else fxc < fsim[-1]) else None
-        if trial is None:  # shrink towards the best vertex
-            for j in range(1, len(sim)):
-                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                fsim[j] = f(sim[j].copy())
+    fitted = [delta is None, y is None]
+    step = np.array([math.pi / 60, 1.0 / 20]) * fitted
+    best = np.array([delta or 0.0, y or 0.0])
+    offsets = [np.arange(n) if f else np.zeros(1) for n, f in zip((60, 21), fitted)]
+    zoom = [np.arange(-_ZOOM, _ZOOM + 1) if f else np.zeros(1) for f in fitted]
+    centre, evaluations = -math.inf, 0
+    while True:
+        axes = [best[0] + step[0] * offsets[0], np.clip(best[1] + step[1] * offsets[1], 0.0, 1.0)]
+        d, yy = np.meshgrid(*axes, indexing="ij")
+        values = chi2(yy.ravel(), d.ravel())
+        evaluations += values.size
+        index = np.unravel_index(np.argmin(values), d.shape)
+        best, offsets = np.array([d[index], yy[index]]), zoom
+        edge = [0 < len(a) - 1 and i in (0, len(a) - 1) for a, i in zip(axes, index)]
+        if values.min() < centre and (edge[0] or edge[1] and 0.0 < best[1] < 1.0):
+            centre = values.min()  # the minimum lies beyond this zoom
+        elif step.max() <= _FINEST:
+            return float(best[0]), float(best[1]), evaluations
         else:
-            sim[-1], fsim[-1] = trial
-    return sim[0]
-
-
-def _initial_simplex(x0: np.ndarray, fit: tuple[str, ...]) -> np.ndarray:
-    steps = {"s": 0.25, "y": 0.1}
-    simplex = np.tile(x0, (len(x0) + 1, 1))
-    for i, name in enumerate(fit):
-        step = steps[name]
-        if name == "y" and x0[i] + step > 1.0:
-            step = -step
-        simplex[i + 1, i] += step
-    return simplex
-
-
-def _fd_covariance(
-    objective, x: np.ndarray, f0: float, n_points: int, has_sigma: bool
-) -> np.ndarray:
-    """Covariance from a central-difference Hessian of chi-squared."""
-    p = len(x)
-    h = np.maximum(0.02, 0.02 * np.abs(x))
-    hess = np.empty((p, p))
-    f_plus = np.empty(p)
-    f_minus = np.empty(p)
-    for i in range(p):
-        e = np.zeros(p)
-        e[i] = h[i]
-        f_plus[i] = objective(x + e)
-        f_minus[i] = objective(x - e)
-        hess[i, i] = (f_plus[i] - 2.0 * f0 + f_minus[i]) / h[i] ** 2
-    for i in range(p):
-        for j in range(i + 1, p):
-            ei = np.zeros(p)
-            ej = np.zeros(p)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            fpp = objective(x + ei + ej)
-            fpm = objective(x + ei - ej)
-            fmp = objective(x - ei + ej)
-            fmm = objective(x - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    try:
-        cov = 2.0 * np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        cov = 2.0 * np.linalg.pinv(hess)
-    if not has_sigma:
-        # the reduced chi-squared estimates the data variance; an exact fit
-        # bounds it only by the rounding of the log rates
-        dof = max(n_points - p, 1)
-        cov = cov * max(f0 / dof, np.finfo(float).eps ** 2)
-    return cov
+            centre, step = values.min(), step / _ZOOM

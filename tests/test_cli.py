@@ -275,10 +275,15 @@ def test_rates_lossless_short_range_is_exactly_zero(tmp_path):
     assert all(float(v) == 0.0 for row in rows for v in row[1:])
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("d_debye,K_cm3_s\n0.05,1e-12\n0.1,2e-12\n")
+    fit = ["fit", "--config", "configs/krb.conf", "--set", "l_max=1", "--set",
+           "fit_parameters=s,y", "--set", f"dataset_csv={data}", "--out", str(tmp_path / "f.txt")]
     code = (
         "import sys, coldchem.cli\n"
         "coldchem.cli.resolve_config('configs/krb.conf', [])\n"
+        f"assert coldchem.cli.main({fit!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(coldchem.__file__).parents[1])
@@ -363,12 +368,29 @@ def test_fit_end_to_end(tmp_path):
 def test_fit_honours_calibration_tolerance(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("d_debye,K_cm3_s\n0.05,1e-12\n0.1,2e-12\n")
+    for fitted in ("y", "s"):  # s is checked at the best fit, after the search
+        code = main(["fit"] + BASE + [
+            "--set", "s=0.5", "--set", "l_max=1", "--set", "calibration_tolerance=1e-300",
+            "--set", f"fit_parameters={fitted}", "--set", f"dataset_csv={data}",
+            "--out", str(tmp_path / "fit.txt"),
+        ])
+        assert code == 3
+        assert "within 1.0e-300 relative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "d_debye,K_cm3_s\n0.05,1e-12\nnan,inf\n", "d_debye,K_cm3_s\n0.1,nan\n",
+    "d_debye,K_cm3_s\ninf,1e-12\n", "d_debye,K_cm3_s,sigma\n0.1,1e-12,nan\n",
+])
+def test_fit_rejects_non_finite_data(tmp_path, capsys, body):
+    data = tmp_path / "data.csv"
+    data.write_text(body)
     code = main(["fit"] + BASE + [
-        "--set", "s=0.5", "--set", "l_max=1", "--set", "calibration_tolerance=1e-300",
-        "--set", f"dataset_csv={data}", "--out", str(tmp_path / "fit.txt"),
+        "--set", "l_max=1", "--set", f"dataset_csv={data}", "--out", str(tmp_path / "fit.txt"),
     ])
-    assert code == 3
-    assert "within 1.0e-300 relative" in capsys.readouterr().err
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "fit.txt").exists()
 
 
 def test_fit_requires_dataset(capsys):

@@ -166,20 +166,20 @@ FIT_DATA = Dataset(
 
 
 def fit_objective():
-    """The chi-squared function fit_short_range hands to its optimizer."""
+    """The batched chi2(y, delta) fit_short_range minimizes, and its calibration phase(s)."""
     captured = []
-    nelder_mead = scanfit._nelder_mead
+    objective = scanfit._fit_objective
 
-    def capture(f, simplex, max_iterations, xatol, fatol):
-        captured.append(f)
-        return nelder_mead(f, simplex, 2, xatol, fatol)  # one iteration
+    def capture(*args):
+        captured.append(objective(*args))
+        return captured[-1]
 
-    with mock.patch.object(scanfit, "_nelder_mead", capture):
+    with mock.patch.object(scanfit, "_fit_objective", capture):
         fit_short_range(FIT_DATA, KRB, E_250NK, SCAN_PARAMS, fit=("s", "y"), l_max=3)
-    return captured[0]
+    return captured[0][:2]
 
 
-FIT_CHI2 = fit_objective()
+FIT_CHI2, FIT_PHASE = fit_objective()
 
 
 @SCAN_PROPERTY
@@ -194,7 +194,9 @@ def test_fit_chi2_equals_fresh_calibration_and_scan(s, y):
     r = np.log(np.maximum(curve.total, 1e-300)) - np.log(
         units.rate_from_cm3_per_s(FIT_DATA.rate_cm3s)
     )
-    assert FIT_CHI2(np.array([s, y])) == pytest.approx(float(r @ r), rel=1e-12, abs=1e-24)
+    # one trial of a batch of two
+    chi2 = FIT_CHI2(np.array([0.5, y]), np.array([0.0, FIT_PHASE(s)]))
+    assert chi2[1] == pytest.approx(float(r @ r), rel=1e-12, abs=1e-24)
 
 
 @SCAN_PROPERTY

@@ -1,11 +1,9 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import optimize
 
-from coldchem import scanfit, units
+from coldchem import units
 from coldchem.errors import FitError, ScanError
 from coldchem.potential import Channel, CollisionSystem, Symmetry, symmetry_blocks
 from coldchem.propagator import RadialGrid, calibrate_phase
@@ -370,6 +368,11 @@ def test_dataset_validation():
         )
     with pytest.raises(ValueError):
         Dataset(d_debye=np.array([-0.1]), rate_cm3s=np.array([1e-12]), sigma_cm3s=None)
+    for d, k, sigma in [(math.nan, 1e-12, None), (0.1, math.inf, None), (0.1, math.nan, None),
+                        (0.1, 1e-12, math.nan), (0.1, 1e-12, math.inf), (math.inf, 1e-12, None)]:
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(d_debye=np.array([d]), rate_cm3s=np.array([k]),
+                    sigma_cm3s=None if sigma is None else np.array([sigma]))
 
 
 def test_fit_recovers_y_from_noiseless_data(fermi_calibration):
@@ -461,6 +464,48 @@ def test_fit_does_not_stall_beyond_the_y_bound(fermi_calibration):
     assert not fit.on_bound
 
 
+def test_fit_recovers_s_at_fixed_y(fermi_calibration):
+    system, _, grid, _ = fermi_calibration
+    d_debye = np.array([0.05, 0.1, 0.15, 0.2])
+    curve = scan_dipole(
+        system, ShortRangeParams(s=-0.7, y=0.3), E_250NK, units.dipole_from_debye(d_debye),
+        grid=grid, l_max=3,
+    )
+    ds = Dataset(d_debye=d_debye, rate_cm3s=units.rate_to_cm3_per_s(curve.total))
+    fit = fit_short_range(
+        ds, system, E_250NK, initial=ShortRangeParams(s=0.5, y=0.3), fit=("s",),
+        grid=grid, l_max=3,
+    )
+    assert fit.params.s == pytest.approx(-0.7, abs=1e-3)
+    assert fit.params.y == 0.3
+    assert fit.values.tolist() == [fit.params.s]
+    assert fit.chi2 < 1e-8
+    assert fit.covariance.shape == (1, 1) and fit.covariance[0, 0] > 0
+    assert not fit.on_bound
+
+
+def test_fit_leaves_the_wrong_s_basin_at_small_y(fermi_calibration):
+    # at small y chi2 has several s basins; from the start (0.5, 0.5) a local
+    # simplex settled near (0.18, 0.06) with chi2 about 1,800, while the
+    # minimum lies near the truth (-1, 0.05) with chi2 about 11
+    system, _, grid, _ = fermi_calibration
+    d_debye = np.linspace(0.04, 0.40, 16)
+    truth = scan_dipole(
+        system, ShortRangeParams(s=-1.0, y=0.05), E_250NK, units.dipole_from_debye(d_debye),
+        grid=grid, l_max=3,
+    )
+    k_true = units.rate_to_cm3_per_s(truth.total)
+    k_obs = k_true * (1.0 + 0.1 * np.random.default_rng(11).standard_normal(16))
+    ds = Dataset(d_debye=d_debye, rate_cm3s=k_obs, sigma_cm3s=0.1 * k_obs)
+    fit = fit_short_range(
+        ds, system, E_250NK, initial=ShortRangeParams(s=0.5, y=0.5), fit=("s", "y"),
+        grid=grid, l_max=3,
+    )
+    resid = (np.log(k_true) - np.log(k_obs)) / 0.1
+    assert fit.chi2 <= float(resid @ resid)
+    assert abs(fit.params.s + 1.0) < 0.1
+
+
 def test_fit_requires_known_parameters(fermi_calibration):
     system, _, grid, _ = fermi_calibration
     ds = Dataset(
@@ -485,67 +530,3 @@ def test_lmax_convergence(fermi_calibration):
     c5 = scan_dipole(system, params, E_250NK, d, grid=grid, l_max=5, delta_sr=delta)
     c7 = scan_dipole(system, params, E_250NK, d, grid=grid, l_max=7, delta_sr=delta)
     assert np.all(np.abs(c7.total - c5.total) / c7.total < 0.01)
-
-
-# --- the Nelder-Mead simplex against scipy.optimize as the reference ------------
-
-
-def nelder_mead_both(f, simplex, max_iterations, xatol=1e-4, fatol=1e-6):
-    """Every point each of _nelder_mead and scipy's Nelder-Mead evaluates, and its result."""
-    ours, theirs = [], []
-    best = scanfit._nelder_mead(
-        lambda x: ours.append(x.copy()) or f(x), simplex, max_iterations, xatol, fatol
-    )
-    reference = optimize.minimize(
-        lambda x: theirs.append(x.copy()) or f(x), simplex[0], method="Nelder-Mead",
-        options={"maxiter": max_iterations, "xatol": xatol, "fatol": fatol,
-                 "initial_simplex": simplex},
-    )
-    return (best, np.array(ours)), (reference.x, np.array(theirs))
-
-
-def rosenbrock(x):
-    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-
-
-@pytest.mark.parametrize("max_iterations", [200, 15, 1])
-def test_nelder_mead_matches_scipy_on_rosenbrock(max_iterations):
-    simplex = np.array([[-1.2, 1.0], [-0.95, 1.0], [-1.2, 1.1]])
-    (best, ours), (ref, theirs) = nelder_mead_both(rosenbrock, simplex, max_iterations)
-    assert np.array_equal(best, ref)
-    assert np.array_equal(ours, theirs)
-    if max_iterations == 200:
-        assert np.allclose(best, 1.0, atol=1e-3)  # converged, before the limit
-        assert len(ours) < 2 * 200
-
-
-def criterion_9_objective(fit):
-    """The chi-squared fit_short_range minimizes on the criterion-9 dataset, and its simplex."""
-    system = krb()
-    d_debye = np.linspace(0.04, 0.24, 8)
-    curve = scan_dipole(
-        system, ShortRangeParams(s=0.5, y=0.83), E_250NK, units.dipole_from_debye(d_debye),
-        l_max=3,
-    )
-    k = units.rate_to_cm3_per_s(curve.total)
-    k = k * (1.0 + 0.1 * np.random.default_rng(7).standard_normal(k.shape))
-    captured = []
-
-    def capture(f, simplex, *args):
-        captured.append((f, simplex))
-        return simplex[0]
-
-    with mock.patch.object(scanfit, "_nelder_mead", capture):
-        fit_short_range(
-            Dataset(d_debye=d_debye, rate_cm3s=k, sigma_cm3s=0.1 * k), system, E_250NK,
-            initial=ShortRangeParams(s=0.5, y=0.5), fit=fit, l_max=3,
-        )
-    return captured[0]
-
-
-@pytest.mark.parametrize("fit", [("y",), ("s", "y")])
-def test_nelder_mead_matches_scipy_on_the_fit_objective(fit):
-    f, simplex = criterion_9_objective(fit)
-    (best, ours), (ref, theirs) = nelder_mead_both(f, simplex, 200)
-    assert np.array_equal(best, ref)
-    assert np.array_equal(ours, theirs)
