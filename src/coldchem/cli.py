@@ -6,8 +6,8 @@ physical inputs come from a flat key=value config file plus repeated
 carrying the package version, a hash of the resolved config, and the
 config itself, so a run is reproducible from its own artifact.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical or
-runtime failure.
+Exit codes: 0 success, 2 configuration/validation error or unwritable output,
+3 numerical or runtime failure.
 """
 from __future__ import annotations
 
@@ -264,6 +264,15 @@ def _format(x: float) -> str:
 # --- subcommands -------------------------------------------------------------
 
 
+def _calibrate(config: dict, params: ShortRangeParams) -> float:
+    """``calibrate_phase`` of ``params`` with the configured system, grid and settings."""
+    return calibrate_phase(
+        config["_system"], params, config["_grid"],
+        energy_fraction=config["calibration_energy_fraction"],
+        tolerance=config["calibration_tolerance"],
+    )
+
+
 def _cmd_adiabats(config: dict, out: str | None) -> int:
     system: CollisionSystem = config["_system"]
     params: ShortRangeParams = config["_params"]
@@ -306,13 +315,7 @@ def _cmd_ploss(config: dict, out: str | None) -> int:
     energies = units.energy_from_microkelvin(
         np.geomspace(config["e_min_uk"], config["e_max_uk"], config["n_energy"])
     )
-    delta_sr = calibrate_phase(
-        system,
-        params,
-        grid,
-        energy_fraction=config["calibration_energy_fraction"],
-        tolerance=config["calibration_tolerance"],
-    )
+    delta_sr = _calibrate(config, params)
     k = np.sqrt(2.0 * system.reduced_mass * energies)
     rows = []
     for L in l_values:
@@ -354,13 +357,6 @@ def _run_dipole_scan(config: dict):
     grid: RadialGrid = config["_grid"]
     d_debye = _dipole_grid(config)
     energy = units.energy_from_microkelvin(config["energy_nk"] * 1e-3)
-    delta_sr = calibrate_phase(
-        system,
-        params,
-        grid,
-        energy_fraction=config["calibration_energy_fraction"],
-        tolerance=config["calibration_tolerance"],
-    )
     curve = scan_dipole(
         system,
         params,
@@ -368,7 +364,7 @@ def _run_dipole_scan(config: dict):
         units.dipole_from_debye(d_debye),
         grid=grid,
         l_max=config["l_max"],
-        delta_sr=delta_sr,
+        delta_sr=_calibrate(config, params),
     )
     return d_debye, curve
 
@@ -512,10 +508,7 @@ def _cmd_selfcheck(config: dict, out: str | None) -> int:
     )
 
     universal = ShortRangeParams(s=params.s, y=1.0, r_match=params.r_match)
-    delta = calibrate_phase(
-        system, universal, grid, energy_fraction=config["calibration_energy_fraction"],
-        tolerance=config["calibration_tolerance"],
-    )
+    delta = _calibrate(config, universal)
     res = propagate(bare, single_channel_curve(bare, Channel(0, 0)), universal, e0 / 100.0,
                     delta, grid)
     beta = res.scattering_length.beta
@@ -582,6 +575,10 @@ def main(argv=None) -> int:
     except ColdchemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # the config and dataset readers report their own files: this is the output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

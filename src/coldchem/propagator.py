@@ -4,24 +4,25 @@ The wave function on one adiabatic curve is carried from the short-range
 matching radius R_m to the asymptotic region by a fourth-order Magnus
 log-derivative scheme: each step maps the pair (psi, psi') through the
 exponential of a 2x2 traceless matrix built from the potential at the two
-Gauss-Legendre nodes of the step.  The boundary condition at R_m is the
-log-derivative of a WKB wave with unit incoming flux and reflected
-amplitude (1 - y)/(1 + y) * exp(2 i delta_sr); y = 1 is a perfect
-absorber, y = 0 a lossless wall.  The phase delta_sr is not a free input:
-it is calibrated so that the y = 0 zero-energy s-wave scattering length
-equals s * abar, after which the same (s, y, delta_sr) triple is reused
-at every field, energy and partial wave.
+Gauss-Legendre nodes of the step.  The boundary condition at R_m is a WKB
+wave with unit incoming flux and reflected amplitude (1 - y)/(1 + y) *
+exp(2 i delta_sr); y = 1 is a perfect absorber, y = 0 a lossless wall.  The
+phase delta_sr is not a free input: it is calibrated so that the y = 0
+zero-energy s-wave scattering length equals s * abar, after which the same
+(s, y, delta_sr) triple is reused at every field, energy and partial wave.
 
 One batched core propagates every curve, in two steps.  ``build_table``
-propagates and keeps all that (y, delta_sr) do not touch; ``evaluate``
-turns a table and any (y, delta_sr) into scattering in closed form.  A row
+propagates and keeps all that (y, delta_sr) do not touch: at each matching
+radius, one real Moebius map from the boundary state to t = tan(delta_L).
+``evaluate`` applies it to any (y, delta_sr) in closed form.  A row
 is one point, an (energy, c3) pair; a block is the eigenvalue ranks of one
 (M, parity) basis, and a column of the table is one rank of one block.
 Rows are built in chunks; the blocks whose grids share an envelope form a
 group on one lockstep grid, stepped in folds that each take all its columns
 at once.  The finished table is flat, so ``evaluate`` is arithmetic on (rows,
 columns) arrays.  A single curve at a single point is a table of one row and
-one column.  Scans, the fit and the phase calibration all use these two steps.
+one column.  Scans, the fit and the phase calibration all use these two steps;
+the calibration inverts the map at r1 in closed form.
 """
 from __future__ import annotations
 
@@ -269,26 +270,6 @@ def chain_product(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[:, :, 0], e
 
 
-def _carry_log_derivative(
-    m: np.ndarray, e: np.ndarray, y: np.ndarray, where: Sequence[str] | None = None
-) -> np.ndarray:
-    """Image of y under the transfer m * 2**e, with Im y carried by the flux.
-
-    The flux Im(psi* psi') is conserved by the real transfer, which has
-    determinant 1: Im y_out = det(m * 2**e) Im y / |m00 + m01 y|^2 with
-    det(m) = 2**(-2 e).  The Moebius quotient alone would lose a small
-    Im y to cancellation against the real part.
-    """
-    den = m[..., 0, 0] + m[..., 0, 1] * y
-    if np.any(den == 0):
-        raise _row_failure(
-            MatchingError, "log-derivative pole exactly at the matching radius",
-            den == 0, where,
-        )
-    num = m[..., 1, 0] + m[..., 1, 1] * y
-    return (num / den).real + 1j * np.ldexp(y.imag / np.abs(den) ** 2, -2 * e)
-
-
 def _point_labels(energy: np.ndarray, c3: np.ndarray) -> list[str]:
     """One label per row, naming its energy and dipole."""
     return [
@@ -343,22 +324,21 @@ def _wkb_wavenumber(
     return kappa, -reduced_mass * v_slope / kappa
 
 
-def boundary_log_derivative(y: float, delta_sr, kappa, dkappa) -> complex | np.ndarray:
-    """Complex log-derivative at R_m of the absorbing WKB wave.
+def boundary_state(y, delta_sr):
+    """The absorbing WKB wave at R_m as a homogeneous pair (p, q), and its flux.
 
-    ``kappa`` and ``dkappa`` are the local wavenumber at R_m and its radial
-    derivative (``_wkb_wavenumber``).  The wave carries unit incoming flux
-    and the reflected amplitude rho * exp(2 i delta_sr), rho = (1 - y)/(1 + y).
-    The imaginary part is the flux in closed form, -kappa (1 - rho^2) /
-    |1 + refl|^2: exactly 0 at y = 0 and never positive for y in [0, 1].
-    Arguments broadcast.
+    The wave carries unit incoming flux and the reflected amplitude refl =
+    rho * exp(2 i delta_sr), rho = (1 - y)/(1 + y): p = i (1 - refl), q = 1 + refl,
+    and its log-derivative at R_m is -kappa p/q - kappa'/(2 kappa) with kappa the
+    local wavenumber there (``_wkb_wavenumber``).  The flux Im(p q*) = 1 - rho^2
+    is returned in closed form: exactly 0 at y = 0.  At y = 1 the pair is exactly
+    (i, 1) whatever delta_sr.  Arguments broadcast.
     """
     two_delta = 2.0 * np.asarray(delta_sr, dtype=float)
     rho = (1.0 - y) / (1.0 + y)
-    refl = rho * (np.cos(two_delta) + 1j * np.sin(two_delta))
     # psi = exp(-i int kappa)/sqrt(kappa) + refl * exp(+i int kappa)/sqrt(kappa)
-    real = (-1j * kappa * (1.0 - refl) / (1.0 + refl)).real - dkappa / (2.0 * kappa)
-    return real - 1j * kappa * (1.0 - rho * rho) / np.abs(1.0 + refl) ** 2
+    refl = rho * (np.cos(two_delta) + 1j * np.sin(two_delta))
+    return 1j * (1.0 - refl), 1.0 + refl, 1.0 - rho * rho
 
 
 def _riccati_bessel(L, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -409,26 +389,24 @@ def _regular_series(n, x):
         k += 1
 
 
-def match_free_solution(y_out, k, f, where: Sequence[str] | None = None):
-    """Tangent of the (complex) phase shift from the log-derivative at r.
+def match_free_solution(h, e, det, p, q, flux, where: Sequence[str] | None = None):
+    """Tangent t of the (complex) phase shift at a matching radius.
 
-    Matches psi to s_L(kr) + t c_L(kr) with Riccati-Bessel functions
-    s_L = x j_L(x), c_L = -x y_L(x); ``f`` holds (s_L, s_L', c_L, c_L') at
-    kr on its last axis (``_riccati_bessel``).  Arguments broadcast;
-    ``where`` labels the rows (axis 0) in errors.
+    ``h`` (..., 2, 2) times 2**e maps the boundary state (p, q) to the numerator
+    and denominator of t, psi matched there to s_L(kr) + t c_L(kr), and ``det``
+    times 2**(-2 e) is its determinant.  Im t is the flux of (p, q) carried by that
+    determinant, free of the cancellation in the quotient.  Arguments broadcast;
+    ``where`` labels the rows (axis -2) in errors.
     """
-    sf, sf_p, cf, cf_p = np.moveaxis(f, -1, 0)
-    num = k * sf_p - y_out * sf
-    den = y_out * cf - k * cf_p
+    den = h[..., 1, 0] * p + h[..., 1, 1] * q
     degenerate = np.abs(den) < 1e-300
     if np.any(degenerate):
         raise _row_failure(
             MatchingError, "degenerate asymptotic match (irregular solution absent)",
             degenerate, where,
         )
-    # Im t from the Wronskian sf cf' - sf' cf = -1: the flux of y, free of
-    # the cancellation in the quotient
-    return (num / den).real - 1j * k * np.imag(y_out) / np.abs(den) ** 2
+    num = h[..., 0, 0] * p + h[..., 0, 1] * q
+    return (num / den).real + 1j * np.ldexp(det * flux / np.abs(den) ** 2, -2 * e)
 
 
 @functools.lru_cache(maxsize=64)
@@ -532,18 +510,16 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
 class _Table(NamedTuple):
     """The long-range response: all that (y, delta_sr) do not touch.
 
-    A column is one rank of one block, the blocks in the order given.
+    A column is one rank of one block, the blocks in the order given.  The map at
+    r1 or r2 takes the boundary state (p, q) to the numerator and denominator of t.
     """
 
-    kappa: np.ndarray  # (rows, cols): WKB wavenumber at R_m
-    dkappa: np.ndarray  # (rows, cols): its radial derivative
     k: np.ndarray  # (rows, 1): asymptotic wavenumber
-    m1: np.ndarray  # (rows, cols, 2, 2): transfer R_m -> r1 is m1 * 2**e1
+    h1: np.ndarray  # (rows, cols, 2, 2): the map at r1 is h1 * 2**e1
     e1: np.ndarray  # (rows, cols)
-    m2: np.ndarray  # (rows, cols, 2, 2): transfer r1 -> r2
+    h2: np.ndarray  # (rows, cols, 2, 2): the map at r2 is h2 * 2**e2
     e2: np.ndarray  # (rows, cols)
-    f1: np.ndarray  # (rows, cols, 4): s_L, s_L', c_L, c_L' at k r1
-    f2: np.ndarray  # (rows, cols, 4): the same at k r2
+    det: np.ndarray  # (rows, cols): k kappa; a map's determinant is det * 2**(-2 e)
     n_points: np.ndarray  # (rows, cols): grid steps of both segments
     where: np.ndarray  # (rows,): row labels for errors
 
@@ -561,6 +537,9 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
             energy[:, None], v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu, where
         ))
     kappa, dkappa = np.concatenate(walls, axis=-1)
+    # (psi, psi') at R_m of the boundary state (p, q)
+    wall = np.stack([np.zeros_like(kappa), np.ones_like(kappa), -kappa, -dkappa / (2.0 * kappa)],
+                    axis=-1).reshape(kappa.shape + (2, 2))
     ell = np.array([basis.channels[i].L for basis, ranks in blocks for i in ranks], dtype=int)
     k = np.sqrt(2.0 * mu * energy)[:, None]
     r1 = grid.outer_radius(system, energy, r_match, c3)
@@ -570,8 +549,12 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
         system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max, where
     )
     m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max, where)
-    f1, f2 = (np.stack(_riccati_bessel(ell, k * r[:, None]), axis=-1) for r in (r1, r2))
-    return _Table(kappa, dkappa, k, m1, e1, m2, e2, f1, f2, n1 + n2, where)
+    # (num, den) of t from (psi, psi') at r1 and r2, psi = s_L(kr) + t c_L(kr) there
+    s, s_p, c, c_p = _riccati_bessel(ell, k * np.stack([r1, r2])[..., None])
+    match = np.stack([k * s_p, -s, -k * c_p, c], axis=-1).reshape(s.shape + (2, 2))
+    h1 = match[0] @ m1 @ wall
+    h2 = match[1] @ (m2 @ m1) @ wall
+    return _Table(k, h1, e1, h2, e1 + e2, k * kappa, n1 + n2, where)
 
 
 def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table:
@@ -582,8 +565,9 @@ def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table
     cross, and at large R the centrifugal term orders them by L).  The
     columns of the table are these ranks in block order.  Each rank is
     propagated from R_m to the tail-criterion radius r1 and on to r2 =
-    ``match_factor`` * r1, once, _CHUNK_ROWS rows at a time: ``evaluate``
-    then gives the scattering at any (y, delta_sr) in closed form.
+    ``match_factor`` * r1, once, _CHUNK_ROWS rows at a time, and the table keeps
+    the composed map from the boundary state to t at r1 and r2 (``_Table``):
+    ``evaluate`` then gives the scattering at any (y, delta_sr) in closed form.
     Failures and warnings of the long range (forbidden boundary, marginal
     WKB, step budget) are raised here.  A failure names its row by
     ``where[i]`` (by default its energy and dipole) and carries its index
@@ -619,22 +603,19 @@ def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table
 def evaluate(table: _Table, y: float, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S, loss and match spread, each (rows, cols), of a table at (y, delta_sr).
 
-    ``delta`` is delta_sr, one value or one per column.  The boundary
-    log-derivative is carried to r1 and r2 and matched at both; S and the
-    loss (from the conserved flux) come from r1, and the spread |t2 - t1|
-    is the error estimate.  This is arithmetic on the table alone.
+    ``delta`` is delta_sr, one value or one per column.  The boundary state,
+    which no row changes, goes through the table's maps to t at r1 and at r2;
+    S and the loss (from the conserved flux) come from r1, and the spread
+    |t2 - t1| is the error estimate.  This is arithmetic on the table alone.
     """
-    t = table
-    y1 = _carry_log_derivative(
-        t.m1, t.e1, boundary_log_derivative(y, delta, t.kappa, t.dkappa), t.where
-    )
-    t1 = match_free_solution(y1, t.k, t.f1, t.where)
-    t2 = match_free_solution(_carry_log_derivative(t.m2, t.e2, y1, t.where), t.k, t.f2, t.where)
+    p, q, flux = boundary_state(y, delta)
+    t1 = match_free_solution(table.h1, table.e1, table.det, p, q, flux, table.where)
+    t2 = match_free_solution(table.h2, table.e2, table.det, p, q, flux, table.where)
     s_el = (1.0 + 1j * t1) / (1.0 - 1j * t1)
     # algebraically identical to 1 - |S|^2 but immune to cancellation
     loss = 4.0 * t1.imag / np.abs(1.0 - 1j * t1) ** 2
     if np.any(loss < -1e-9):
-        raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, t.where)
+        raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, table.where)
     return s_el, loss, np.abs(t2 - t1)
 
 
@@ -714,14 +695,10 @@ def _phase_calibration(
         tail_tolerance=min(grid.tail_tolerance, 1e-6),
     )
     table = build_table(bare, [(build_basis(0, 0, 0), [0])], r_match, e_cal, 0.0, grid)
-    kappa, dkappa, k = (float(x[0, 0]) for x in (table.kappa, table.dkappa, table.k))
-    sf, sf_p, cf, cf_p = table.f1[0, 0]
-    # with tau = tan(delta_sr) the wall state is (psi, psi') = wall @ (tau, 1);
-    # m1 carries it to r1 and match gives (num, den) of t = -k a, so
-    # t = (g00 tau + g01) / (g10 tau + g11)
-    wall = np.array([[0.0, 1.0], [-kappa, -dkappa / (2.0 * kappa)]])
-    match = np.array([[k * sf_p, -sf], [-k * cf_p, cf]])
-    g = match @ table.m1[0, 0] @ wall
+    k = float(table.k[0, 0])
+    # at y = 0 the boundary state is (tau, 1) times a phase, tau = tan(delta_sr),
+    # so t = -k a = (g00 tau + g01) / (g10 tau + g11)
+    g = table.h1[0, 0]
 
     def phase(s: float, tolerance: float = 1e-3) -> float:
         target = s * abar
@@ -755,13 +732,12 @@ def calibrate_phase(
     """Short-range phase delta_sr in [0, pi) reproducing a = s * abar at zero field.
 
     The bare van der Waals s wave is tabulated (``build_table``) at a
-    near-threshold energy.  With y = 0 the boundary log-derivative is real,
-    -kappa tan(delta_sr) - kappa'/(2 kappa), and both the transfer matrix to
-    the matching radius and the Riccati-Bessel match are Moebius maps.  The
+    near-threshold energy.  With y = 0 the boundary state is real, (tan(delta_sr), 1)
+    up to a phase, and the table's map at r1 takes it to t = -k a.  The
     scattering length is therefore a Moebius function of tan(delta_sr) (the
     quantum-defect separation of Idziaszek and Julienne, PRL 104, 113202
-    (2010)) whose coefficients come from the table, and it is inverted in
-    closed form.  ``evaluate`` at y = 0 checks the result, and
+    (2010)) whose coefficients are that map, and it is inverted in closed
+    form.  ``evaluate`` at y = 0 checks the result, and
     CalibrationError is raised if it misses s * abar by more than
     ``tolerance`` relative.  Only ``params.s`` and ``params.r_match``
     matter here.

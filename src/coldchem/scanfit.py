@@ -136,6 +136,8 @@ def _run_scan(
 ) -> RateCurve:
     """Every point of a scan as one batch; a failure keeps the points before it."""
     blocks, columns = _blocks(system, l_max)
+    if missing := sorted(set(channels or ()) - set(columns)):
+        raise ValueError(f"channels {missing} are in no block of this system at l_max = {l_max}")
     delta = _phases(columns, delta_sr, phase_overrides)
 
     def curve(stop: int) -> RateCurve:

@@ -429,3 +429,19 @@ def test_adiabats_csv(tmp_path):
     for radii in by_label.values():
         assert len(radii) == 20
         assert radii == sorted(radii)
+
+
+@pytest.mark.parametrize("command", ["adiabats", "fit"])
+def test_unwritable_out_is_one_line_and_exit_2(tmp_path, capsys, command):
+    # the CSV writer and fit's text writer: no traceback, the path named
+    data = tmp_path / "data.csv"
+    data.write_text("d_debye,K_cm3_s\n0.05,1e-12\n0.1,2e-12\n")
+    out = tmp_path / "no" / "such" / "dir" / "out.txt"
+    code = main([command] + BASE + [
+        "--set", "l_max=1", "--set", "n_r=20", "--set", f"dataset_csv={data}",
+        "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err
+    assert "Traceback" not in err

@@ -17,10 +17,9 @@ from coldchem.potential import (
 )
 from coldchem.propagator import (
     RadialGrid,
-    _carry_log_derivative,
     _riccati_bessel,
     _wkb_wavenumber,
-    boundary_log_derivative,
+    boundary_state,
     calibrate_phase,
     chain_product,
     gauss_nodes,
@@ -52,13 +51,25 @@ def edge_values(curve, r):
     return float(curve(r)), float(curve(r + dr) - curve(r - dr)) / (2.0 * dr)
 
 
+def log_derivative(y, delta, kappa, dkappa):
+    """Log-derivative at R_m of the boundary state, -kappa p/q - kappa'/(2 kappa)."""
+    p, q, _ = boundary_state(y, delta)
+    return -kappa * p / q - dkappa / (2.0 * kappa)
+
+
 def boundary(params, curve, energy, delta):
     """Boundary log-derivative at R_m from the curve's V and V' there."""
     v, v_slope = edge_values(curve, params.r_match)
     kappa, dkappa = _wkb_wavenumber(
         energy, v, v_slope, params.r_match, curve.system.reduced_mass
     )
-    return boundary_log_derivative(params.y, delta, kappa, dkappa)
+    return log_derivative(params.y, delta, kappa, dkappa)
+
+
+def carry(steps, w1, w2, y0):
+    """Image of the log-derivative y0 under the chained Magnus step matrices."""
+    m, _ = chain_product(step_matrices(steps, w1, w2))
+    return (m[1, 0] + m[1, 1] * y0) / (m[0, 0] + m[0, 1] * y0)
 
 
 def reference_log_derivative(curve, energy, y0, a, b, rtol=1e-11):
@@ -92,7 +103,7 @@ def test_propagation_matches_solve_ivp():
     g1, g2 = gauss_nodes(starts, steps)
     w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
     w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
-    y_prop = _carry_log_derivative(*chain_product(step_matrices(steps, w1, w2)), y0)
+    y_prop = carry(steps, w1, w2, y0)
     y_ref = reference_log_derivative(curve, energy, y0, params.r_match, r1)
     assert abs(y_prop - y_ref) / abs(y_ref) < 5e-5
 
@@ -109,7 +120,7 @@ def test_propagation_matches_solve_ivp_high_resolution():
     g1, g2 = gauss_nodes(starts, steps)
     w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
     w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
-    y_prop = _carry_log_derivative(*chain_product(step_matrices(steps, w1, w2)), y0)
+    y_prop = carry(steps, w1, w2, y0)
     y_ref = reference_log_derivative(curve, energy, y0, params.r_match, r1)
     assert abs(y_prop - y_ref) / abs(y_ref) < 2e-6
 
@@ -127,7 +138,7 @@ def test_fourth_order_convergence():
         g1, g2 = gauss_nodes(starts, steps)
         w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
         w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
-        return _carry_log_derivative(*chain_product(step_matrices(steps, w1, w2)), y0)
+        return carry(steps, w1, w2, y0)
 
     ref = reference_log_derivative(curve, energy, y0, a, b, rtol=1e-13)
     errors = [abs(run(n) - ref) for n in (400, 800, 1600)]
@@ -168,7 +179,7 @@ def test_boundary_reflection_magnitude():
         v, v_slope = edge_values(curve, params.r_match)
         kappa = math.sqrt(2.0 * MU * (energy - v))
         dkappa = -MU * v_slope / kappa
-        y0 = boundary_log_derivative(y, 0.7, kappa, dkappa)
+        y0 = log_derivative(y, 0.7, kappa, dkappa)
         # invert y0 = -i kappa (1 - R)/(1 + R) - kappa'/(2 kappa) for R
         u = 1j * (y0 + dkappa / (2.0 * kappa)) / kappa
         reflection = (1.0 - u) / (1.0 + u)
@@ -188,11 +199,12 @@ def test_full_absorber_boundary_ignores_phase():
 
 def test_lossless_boundary_is_real():
     system = krb()
-    curve = single_channel_curve(system, Channel(0, 0))
-    params = ShortRangeParams(s=0.0, y=0.0)
+    table = propagator.build_table(
+        system, [(build_basis(0, 0, 0), [0])], 20.0, E0 / 50.0, 0.0, RadialGrid()
+    )
     for delta in (0.0, 0.4, 1.1, 2.9):
-        y0 = boundary(params, curve, E0 / 50.0, delta)
-        assert y0.imag == 0.0  # the flux, -kappa (1 - rho^2)/|1 + refl|^2, in closed form
+        _, loss, _ = propagator.evaluate(table, 0.0, delta)
+        assert loss[0, 0] == 0.0  # the flux, 1 - rho^2, in closed form
 
 
 def test_riccati_bessel_matches_scipy():
@@ -507,7 +519,7 @@ def test_one_channel_group_reads_no_table(monkeypatch):
     table = propagator.build_table(
         system, blocks, 20.0, np.full(2, E0 / 10.0), 2.0 * d**2, RadialGrid()
     )
-    assert table.m1.shape == (2, 2, 2, 2)
+    assert table.h1.shape == (2, 2, 2, 2)
 
 
 def test_table_row_does_not_depend_on_its_chunk():
@@ -519,8 +531,8 @@ def test_table_row_does_not_depend_on_its_chunk():
     c3 = 2.0 * units.dipole_from_debye(np.array([0.1, 2.0])) ** 2
     alone = propagator.build_table(system, blocks, 20.0, energy, c3[0], RadialGrid())
     both = propagator.build_table(system, blocks, 20.0, [energy] * 2, c3, RadialGrid())
-    assert np.array_equal(alone.m1[0], both.m1[0])
-    assert np.array_equal(alone.m2[0], both.m2[0])
+    assert np.array_equal(alone.h1[0], both.h1[0])
+    assert np.array_equal(alone.h2[0], both.h2[0])
 
 
 def test_build_table_rejects_negative_c3():

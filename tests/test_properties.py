@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldchem import propagator, scanfit, units
+from coldchem import potential, propagator, scanfit, units
 from coldchem.potential import (
     Channel,
     CollisionSystem,
@@ -19,6 +19,9 @@ from coldchem.potential import (
 )
 from coldchem.propagator import (
     RadialGrid,
+    _riccati_bessel,
+    _wkb_wavenumber,
+    boundary_state,
     calibrate_phase,
     chain_product,
     propagate,
@@ -154,6 +157,91 @@ def test_table_evaluation_equals_rate_point(s, y):
             res = point[channel]
             assert s_matrix[i, j] == pytest.approx(res.s_matrix, rel=1e-12, abs=0.0)
             assert loss[i, j] == pytest.approx(res.loss_probability, rel=1e-12, abs=0.0)
+
+
+def reference_parts(system, blocks, r_match, energy, c3, grid):
+    """What the maps are composed of: kappa and kappa' at R_m, k, the transfers
+    (m, e) from R_m to r1 and from r1 to r2, and s_L, s_L', c_L, c_L' at k r1 and k r2."""
+    mu = system.reduced_mass
+    dr = 1e-4 * r_match
+    edge = np.array([r_match - dr, r_match, r_match + dr])[:, None]
+    walls = []
+    for basis, ranks in blocks:
+        v = potential._block_eigenvalues(system, basis, edge, c3)[..., list(ranks)]
+        walls.append(_wkb_wavenumber(energy[:, None], v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu))
+    kappa, dkappa = np.concatenate(walls, axis=-1)
+    ell = np.array([basis.channels[i].L for basis, ranks in blocks for i in ranks])
+    k = np.sqrt(2.0 * mu * energy)[:, None]
+    r1 = grid.outer_radius(system, energy, r_match, c3)
+    r2 = grid.match_factor * r1
+    x_max = 2.0 * mu * float(c3.max()) / r_match
+    start = np.full(len(energy), r_match)
+    m1, e1, _ = propagator._segment_transfers(system, blocks, energy, c3, grid, start, r1, x_max)
+    m2, e2, _ = propagator._segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max)
+    f1, f2 = (np.stack(_riccati_bessel(ell, k * r[:, None]), axis=-1) for r in (r1, r2))
+    return kappa, dkappa, k, (m1, e1, f1), (m2, e2, f2)
+
+
+def reference_evaluate(parts, y, delta):
+    """S, loss and spread in two steps: the boundary log-derivative carried to r1
+    and on to r2, each time with its imaginary part carried by the flux, and
+    matched to Riccati-Bessel functions at both.  Also 1 + |t1| + |t2|, the scale
+    of the spread's rounding."""
+    kappa, dkappa, k, *segments = parts
+    rho = (1.0 - y) / (1.0 + y)
+    refl = rho * np.exp(2j * np.asarray(delta, dtype=float))
+    ld = (-1j * kappa * (1.0 - refl) / (1.0 + refl)).real - dkappa / (2.0 * kappa)
+    ld = ld - 1j * kappa * (1.0 - rho * rho) / np.abs(1.0 + refl) ** 2
+    t = []
+    for m, e, f in segments:
+        den = m[..., 0, 0] + m[..., 0, 1] * ld
+        ld = ((m[..., 1, 0] + m[..., 1, 1] * ld) / den).real + 1j * np.ldexp(
+            ld.imag / np.abs(den) ** 2, -2 * e)
+        s, s_p, c, c_p = np.moveaxis(f, -1, 0)
+        den = ld * c - k * c_p
+        t.append(((k * s_p - ld * s) / den).real - 1j * k * ld.imag / np.abs(den) ** 2)
+    t1, t2 = t
+    s_matrix = (1.0 + 1j * t1) / (1.0 - 1j * t1)
+    loss = 4.0 * t1.imag / np.abs(1.0 - 1j * t1) ** 2
+    return s_matrix, loss, np.abs(t2 - t1), 1.0 + np.abs(t1) + np.abs(t2)
+
+
+TABLE_PARTS = reference_parts(
+    KRB, TABLE_BLOCKS, 20.0, np.full(len(TABLE_D), E_250NK), 2.0 * TABLE_D**2, RadialGrid()
+)
+N_COLS = TABLE.h1.shape[1]
+
+
+@PROPERTY
+@given(
+    y=unit_y,
+    delta=st.one_of(
+        phases,
+        st.lists(phases, min_size=N_COLS, max_size=N_COLS).map(np.array),
+        # under a leading trial axis, as the fit evaluates
+        st.lists(phases, min_size=2 * N_COLS, max_size=2 * N_COLS).map(
+            lambda d: np.reshape(d, (2, 1, N_COLS))),
+    ),
+)
+def test_table_maps_equal_the_two_step_reference(y, delta):
+    y = np.array([y, 1.0 - y])[:, None, None] if np.ndim(delta) == 3 else y
+    s_matrix, loss, spread = propagator.evaluate(TABLE, y, delta)
+    want_s, want_loss, want_spread, size = reference_evaluate(TABLE_PARTS, y, delta)
+    assert s_matrix.shape == loss.shape == spread.shape == want_s.shape
+    assert np.all(np.abs(s_matrix - want_s) <= 1e-12 * np.abs(want_s))
+    assert np.all(np.abs(loss - want_loss) <= 1e-12 * want_loss)
+    # t = tan(delta_L) is rounded as delta_L is, absolutely: a spread |t2 - t1| of
+    # 1e-9 may differ by 1e-19 where t itself is 1e-8
+    assert np.all(np.abs(spread - want_spread) <= 1e-12 * size)
+
+
+@PROPERTY
+@given(delta=st.floats(-1e3, 1e3))
+def test_boundary_state_exact_limits(delta):
+    # y = 1 is the purely incoming wave whatever delta_sr; y = 0 carries no flux
+    p, q, flux = boundary_state(1.0, delta)
+    assert (p, q, flux) == (1j, 1.0, 1.0)
+    assert boundary_state(0.0, delta)[2] == 0.0
 
 
 # the dataset of acceptance criterion 9, without noise
@@ -307,7 +395,7 @@ def test_chain_product_determinant_bookkeeping(n, batch, seed):
 def test_step_matrices_are_unimodular(h, w_mean, w_spread, sign):
     # om2 = h^2 (h^2 (W1 - W2)^2 / 48 + (W1 + W2) / 2) takes the sign of W's
     # mean here, so both the oscillatory and the growing branch are drawn;
-    # _carry_log_derivative's flux formula relies on det = 1
+    # the table's determinant k kappa 2**(-2 e) relies on det = 1
     w1, w2 = sign * w_mean * (1.0 + w_spread), sign * w_mean * (1.0 - w_spread)
     m = step_matrices(np.array([h]), np.array([w1]), np.array([w2]))[..., 0]
     assert abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) <= 1e-13

@@ -161,6 +161,16 @@ def test_scan_energy_channel_filter(fermi_calibration):
     assert set(curve.loss) == set(wanted)
 
 
+def test_scan_energy_rejects_channels_the_system_lacks(fermi_calibration):
+    # fermions have no even L: |2, 0> is in no block, and must not read as a zero rate
+    system, params, grid, delta = fermi_calibration
+    with pytest.raises(ValueError, match=r"Channel\(L=2, M=0\)"):
+        scan_energy(
+            system, params, np.array([E0 / 100.0, E0 / 10.0]), grid=grid, l_max=3,
+            delta_sr=delta, channels=[Channel(1, 0), Channel(2, 0)],
+        )
+
+
 def test_scan_parallel_matches_serial(fermi_calibration):
     system, params, grid, delta = fermi_calibration
     d = units.dipole_from_debye(np.linspace(0.0, 0.1, 4))

@@ -1,8 +1,13 @@
-"""Layout rules of the package source."""
+"""Layout rules of the package source, and the names the benchmark traces in it."""
+import importlib.util
+import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "coldchem"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "coldchem"
 MAX_LINE = 99
+# traced layers of earlier versions of the package, reported as absent
+ABSENT_LAYERS = {"propagator.propagate_block", "qdt.rates_from_s_matrix"}
 
 
 def test_source_lines_fit_the_limit():
@@ -15,3 +20,15 @@ def test_source_lines_fit_the_limit():
         if len(line) > MAX_LINE
     ]
     assert not long_lines, "\n".join(long_lines)
+
+
+def test_benchmark_layers_resolve(monkeypatch):
+    # a renamed function would silently drop its per-layer metric from the benchmark
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    absent = {t.name for t in tracer.TARGETS if tracer._resolve(t) is None}
+    assert absent == ABSENT_LAYERS
