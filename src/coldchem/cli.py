@@ -354,7 +354,6 @@ def _dipole_grid(config: dict) -> np.ndarray:
 def _run_dipole_scan(config: dict):
     system: CollisionSystem = config["_system"]
     params: ShortRangeParams = config["_params"]
-    grid: RadialGrid = config["_grid"]
     d_debye = _dipole_grid(config)
     energy = units.energy_from_microkelvin(config["energy_nk"] * 1e-3)
     curve = scan_dipole(
@@ -362,7 +361,7 @@ def _run_dipole_scan(config: dict):
         params,
         energy,
         units.dipole_from_debye(d_debye),
-        grid=grid,
+        grid=config["_grid"],
         l_max=config["l_max"],
         delta_sr=_calibrate(config, params),
     )
@@ -508,9 +507,8 @@ def _cmd_selfcheck(config: dict, out: str | None) -> int:
     )
 
     universal = ShortRangeParams(s=params.s, y=1.0, r_match=params.r_match)
-    delta = _calibrate(config, universal)
     res = propagate(bare, single_channel_curve(bare, Channel(0, 0)), universal, e0 / 100.0,
-                    delta, grid)
+                    _calibrate(config, universal), grid)
     beta = res.scattering_length.beta
     gates.append(("universal s-wave beta within 2% of abar", abs(beta / abar - 1) < 0.02))
 
@@ -576,8 +574,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        # the config and dataset readers report their own files: this is the output
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # an output path that cannot be written: the readers report their own files
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -327,11 +327,10 @@ def _wkb_wavenumber(
 def boundary_state(y, delta_sr):
     """The absorbing WKB wave at R_m as a homogeneous pair (p, q), and its flux.
 
-    The wave carries unit incoming flux and the reflected amplitude refl =
-    rho * exp(2 i delta_sr), rho = (1 - y)/(1 + y): p = i (1 - refl), q = 1 + refl,
-    and its log-derivative at R_m is -kappa p/q - kappa'/(2 kappa) with kappa the
-    local wavenumber there (``_wkb_wavenumber``).  The flux Im(p q*) = 1 - rho^2
-    is returned in closed form: exactly 0 at y = 0.  At y = 1 the pair is exactly
+    With refl = rho exp(2 i delta_sr), rho = (1 - y)/(1 + y), the reflected amplitude
+    of a unit incoming wave, p = i (1 - refl) and q = 1 + refl: the log-derivative at
+    R_m is -kappa p/q - kappa'/(2 kappa) (``_wkb_wavenumber``).  The flux Im(p q*) =
+    1 - rho^2 is in closed form, exactly 0 at y = 0; at y = 1 the pair is exactly
     (i, 1) whatever delta_sr.  Arguments broadcast.
     """
     two_delta = 2.0 * np.asarray(delta_sr, dtype=float)
@@ -524,6 +523,12 @@ class _Table(NamedTuple):
     where: np.ndarray  # (rows,): row labels for errors
 
 
+def _match_matrix(ell, k, r) -> np.ndarray:
+    """(num, den) of t from (psi, psi') at r, psi = s_L(kr) + t c_L(kr) there, per column."""
+    s, s_p, c, c_p = _riccati_bessel(ell, k * r[:, None])
+    return np.stack([k * s_p, -s, -k * c_p, c], axis=-1).reshape(s.shape + (2, 2))
+
+
 def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
     mu = system.reduced_mass
     # every boundary first: a forbidden one fails before any propagation;
@@ -537,9 +542,6 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
             energy[:, None], v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu, where
         ))
     kappa, dkappa = np.concatenate(walls, axis=-1)
-    # (psi, psi') at R_m of the boundary state (p, q)
-    wall = np.stack([np.zeros_like(kappa), np.ones_like(kappa), -kappa, -dkappa / (2.0 * kappa)],
-                    axis=-1).reshape(kappa.shape + (2, 2))
     ell = np.array([basis.channels[i].L for basis, ranks in blocks for i in ranks], dtype=int)
     k = np.sqrt(2.0 * mu * energy)[:, None]
     r1 = grid.outer_radius(system, energy, r_match, c3)
@@ -549,11 +551,11 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
         system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max, where
     )
     m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max, where)
-    # (num, den) of t from (psi, psi') at r1 and r2, psi = s_L(kr) + t c_L(kr) there
-    s, s_p, c, c_p = _riccati_bessel(ell, k * np.stack([r1, r2])[..., None])
-    match = np.stack([k * s_p, -s, -k * c_p, c], axis=-1).reshape(s.shape + (2, 2))
-    h1 = match[0] @ m1 @ wall
-    h2 = match[1] @ (m2 @ m1) @ wall
+    # (psi, psi') at R_m of the boundary state (p, q)
+    wall = np.stack([np.zeros_like(kappa), np.ones_like(kappa), -kappa, -dkappa / (2.0 * kappa)],
+                    axis=-1).reshape(kappa.shape + (2, 2))
+    h1 = _match_matrix(ell, k, r1) @ m1 @ wall
+    h2 = _match_matrix(ell, k, r2) @ (m2 @ m1) @ wall
     return _Table(k, h1, e1, h2, e1 + e2, k * kappa, n1 + n2, where)
 
 
