@@ -551,7 +551,7 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
         system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max, where
     )
     m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max, where)
-    # (psi, psi') at R_m of the boundary state (p, q)
+    # (psi, psi') at R_m of the boundary state (p, q), formed past the propagation's peak
     wall = np.stack([np.zeros_like(kappa), np.ones_like(kappa), -kappa, -dkappa / (2.0 * kappa)],
                     axis=-1).reshape(kappa.shape + (2, 2))
     h1 = _match_matrix(ell, k, r1) @ m1 @ wall
