@@ -56,11 +56,13 @@ from .qdt import (
 
 _SQRT3 = math.sqrt(3.0)
 _MAX_STEPS = 10_000_000
-# Rows per chunk, and steps times rows times group columns per fold.  The chunk bounds
-# the per-row arrays; on a 201-row, 20-column scan, folds of 12,288 and 16,384 ran no
-# faster than 8,192 and took up to 1.2 MB more peak RSS and 40 times the page faults.
-_CHUNK_ROWS = 256
-_FOLD_SIZE = 8192
+# Rows per chunk, and steps times rows times (group columns + _GRID_COLUMNS) per fold.
+# The chunk bounds the per-row arrays.  A fold holds about six float64 per step, row and
+# column in its buffers, and the grid's own arrays per step and row weigh about as much
+# as _GRID_COLUMNS columns, which matters where a group has few columns.
+_CHUNK_ROWS = 1024
+_FOLD_SIZE = 32768
+_GRID_COLUMNS = 3
 # Up to this many rows a grid is faster built row by row in Python floats.
 # Every command calibrates on a 1-row grid (about 2,000 steps: 4-7 ms this
 # way, 29-38 ms in lockstep) and the fit tables 8 rows; scans take the lockstep.
@@ -213,7 +215,12 @@ def gauss_nodes(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return starts + np.multiply.outer([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0], steps)
 
 
-def step_matrices(steps: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+def _buffer(flat, shape) -> np.ndarray:
+    """A contiguous array of ``shape`` at the start of the flat buffer ``flat``, or a fresh one."""
+    return np.empty(shape) if flat is None else flat[:math.prod(shape)].reshape(shape)
+
+
+def step_matrices(steps, w1, w2, out=None, work=None) -> np.ndarray:
     """Exponentials of the fourth-order Magnus generator for every step.
 
     For psi'' = W(R) psi the generator over one step h is the traceless
@@ -221,32 +228,41 @@ def step_matrices(steps: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
     where W1, W2 are samples at the Gauss nodes.  G^2 is a scalar om2, so exp(G) =
     cosh(om) I + sinh(om)/om G: by Horner in om2 where |om2| <= _SERIES_OM2 (nearly
     every step), in closed form elsewhere.  The planes m[i, j] lead, each of the
-    arguments' broadcast shape; h = 0 gives exactly I.
+    arguments' broadcast shape; h = 0 gives exactly I.  They are written to ``out``,
+    and om2 to the flat buffer ``work``, which may share memory with w1 and w2; by
+    default both are fresh.
     """
     h = np.asarray(steps, dtype=float)
-    a = _SQRT3 / 12.0 * h * h * (w1 - w2)
-    c = 0.5 * h * (w1 + w2)
-    om2 = a * a + h * c
-    ch, sc = (np.full_like(om2, series[-1]) for series in (_COSH_SERIES, _SINHC_SERIES))
-    for out, series in ((ch, _COSH_SERIES), (sc, _SINHC_SERIES)):
+    shape = np.broadcast_shapes(h.shape, np.shape(w1), np.shape(w2))
+    m = np.empty((2, 2) + shape) if out is None else out
+    a, sc, c, ch = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    np.subtract(w1, w2, out=a)
+    a *= _SQRT3 / 12.0 * h * h
+    np.add(w1, w2, out=c)
+    c *= 0.5 * h
+    om2 = _buffer(work, shape)
+    np.multiply(h, c, out=om2)
+    om2 += np.multiply(a, a, out=ch)
+    for plane, series in ((ch, _COSH_SERIES), (sc, _SINHC_SERIES)):
+        plane.fill(series[-1])
         for coeff in series[-2::-1]:  # Horner
-            out *= om2
-            out += coeff
-    far = np.abs(om2) > _SERIES_OM2
-    x = om2[far]
-    om = np.sqrt(np.abs(x))
-    ch[far] = np.where(x < 0, np.cos(om), np.cosh(om))
-    sc[far] = np.where(x < 0, np.sin(om), np.sinh(om)) / om
-    m = np.empty((2, 2) + om2.shape)
-    sa = sc * a
-    np.add(ch, sa, out=m[0, 0, ...])
-    np.multiply(sc, h, out=m[0, 1, ...])
-    np.multiply(sc, c, out=m[1, 0, ...])
-    np.subtract(ch, sa, out=m[1, 1, ...])
+            plane *= om2
+            plane += coeff
+    if max(om2.max(initial=0.0), -om2.min(initial=0.0)) > _SERIES_OM2:  # rare; no mask otherwise
+        far = np.abs(om2) > _SERIES_OM2
+        x = om2[far]
+        om = np.sqrt(np.abs(x))
+        ch[far] = np.where(x < 0, np.cos(om), np.cosh(om))
+        sc[far] = np.where(x < 0, np.sin(om), np.sinh(om)) / om
+    c *= sc
+    sa = np.multiply(sc, a, out=om2)
+    np.add(ch, sa, out=a)
+    ch -= sa
+    sc *= h
     return m
 
 
-def chain_product(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def chain_product(matrices: np.ndarray, work=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Ordered product M[n-1] @ ... @ M[0] by pairwise reduction, as (m, e).
 
     The factors are planes (2, 2, n, batch...), and the product is m * 2**e with
@@ -254,19 +270,31 @@ def chain_product(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     adjacent pairs and divides each product by the power of two nearest its
     largest entry.  That division is exact, so the scale is pure bookkeeping: the
     Moebius map ignores it, and as every Magnus step has determinant 1, det(m) = 2**(-2 e).
+    The rounds alternate between the two flat buffers of ``work``, by default fresh; the
+    first takes half the factors' size, the second a quarter and may hold the factors
+    themselves, which it then overwrites.  m is a view.
     """
     m = matrices
-    e = np.zeros(m.shape[3:], dtype=np.int64)
+    batch = m.shape[3:]
+    e = np.zeros(batch, dtype=np.int64)
     if m.shape[2] == 0:
-        return np.multiply.outer(np.eye(2), np.ones(e.shape)), e
+        return np.multiply.outer(np.eye(2), np.ones(batch)), e
     while (n := m.shape[2]) > 1:
-        a, b = m[:, :, 1::2], m[:, :, 0:n - 1:2]
-        prod = a[:, 0, None] * b[None, 0]
-        prod += a[:, 1, None] * b[None, 1]
-        _, exps = np.frexp(np.abs(prod).max(axis=(0, 1)))
-        np.ldexp(prod, -exps, out=prod)
-        e = e + exps.sum(axis=0)
-        m = np.concatenate([prod, m[:, :, -1:]], axis=2) if n % 2 else prod
+        half, (out, other) = n // 2, work
+        prod = _buffer(out, (2, 2, n - half) + batch)
+        pairs = prod[:, :, :half]
+        np.einsum("ikn...,kjn...->ijn...", m[:, :, 1::2], m[:, :, 0:n - 1:2], out=pairs)
+        prod[:, :, half:] = m[:, :, 2 * half:]  # an odd factor out carries over
+        # the other buffer, free once m is spent, takes each product's largest entry
+        top, spare = _buffer(other, (2, half) + batch)
+        np.abs(pairs[0, 0], out=top)
+        for plane in (pairs[0, 1], pairs[1, 0], pairs[1, 1]):
+            np.maximum(top, np.abs(plane, out=spare), out=top)
+        exps = spare.reshape(-1).view(np.int32)[:top.size].reshape(top.shape)
+        np.frexp(top, out=(top, exps))
+        e += exps.sum(axis=0)
+        np.ldexp(pairs, np.negative(exps, out=exps), out=pairs)
+        m, work = prod, work[::-1]
     return m[:, :, 0], e
 
 
@@ -430,28 +458,43 @@ def _eigen_table(group: tuple[tuple[ChannelBasis, tuple[int, ...]], ...], u_max:
     return table, tuple(single_p)
 
 
-def _block_eigenvalues(system, group, r, c3, x_max) -> np.ndarray:
+def _block_eigenvalues(system, group, r, c3, x_max, out=None, work=None) -> np.ndarray:
     """Eigenvalues of the columns of ``group``, shape (columns,) + broadcast(r, c3).
 
     With x = 2 mu c3 / r <= ``x_max`` they are eps(x) / (2 mu r^2) - C6/r^6, eps the cubic
     Hermite interpolant of ``_eigen_table`` in log1p(x), its knot and weights found once for
-    every column.  A group of one-channel blocks reads its matrix elements instead.
+    every column.  A group of one-channel blocks reads its matrix elements instead.  ``out``
+    and ``work`` are flat buffers of (columns + 1) times the points, by default fresh: the
+    result is a view of ``out``, and ``work`` takes the gather.
     """
+    columns = sum(len(ranks) for _, ranks in group)
+    eps = _buffer(out, (columns + 1,) + np.broadcast_shapes(np.shape(r), np.shape(c3)))
     if all(len(basis) == 1 for basis, _ in group):
-        return np.stack([_exact_eigenvalues(system, basis, r, c3)[..., 0] for basis, _ in group])
+        return np.stack([_exact_eigenvalues(system, basis, r, c3)[..., 0] for basis, _ in group],
+                        out=eps[:-1])
     u_max = max(1, math.ceil(math.log1p(x_max)))
-    table, single_p = _eigen_table(tuple((basis, tuple(ranks)) for basis, ranks in group), u_max)
+    (values, slopes), single_p = _eigen_table(
+        tuple((basis, tuple(ranks)) for basis, ranks in group), u_max)
     two_mu, r2 = 2.0 * system.reduced_mass, r * r
     x = two_mu * c3 / r
     s = np.log1p(x) * _KNOTS_PER_UNIT
     i = s.astype(np.intp)  # at most u_max * _KNOTS_PER_UNIT, the last knot but one
     t = s - i
-    (y0, a), (y1, b) = (table.take(k, axis=-1) for k in (i, i + 1))
     t1 = 1.0 - t
-    eps = y0 + (y1 - y0) * (t * t * (3.0 - 2.0 * t)) + a * (t * t1 * t1) - b * (t * t * t1)
+    # eps = y0 + (y1 - y0) (t^2 (3 - 2t)) + a (t t1^2) - b (t^2 t1), a and b the knot slopes
+    term = _buffer(work, eps.shape)
+    np.take(values, i + 1, axis=-1, out=eps, mode="clip")
+    eps -= np.take(values, i, axis=-1, out=term, mode="clip")
+    eps *= t * t * (3.0 - 2.0 * t)
+    eps += term
+    eps += np.multiply(np.take(slopes, i, axis=-1, out=term, mode="clip"), t * t1 * t1, out=term)
+    eps -= np.multiply(np.take(slopes, i + 1, axis=-1, out=term, mode="clip"), t * t * t1,
+                       out=term)
     # one-channel columns, L(L+1) - P x, less P times the error of x's own interpolant: exact
-    eps[:-1] -= np.multiply.outer(single_p, x - eps[-1])
-    return eps[:-1] / (two_mu * r2) + C6_SIGN * system.c6 / (r2 * r2 * r2)
+    eps[:-1] -= np.multiply.outer(single_p, x - eps[-1], out=term[:-1])
+    eps[:-1] /= two_mu * r2
+    eps[:-1] += C6_SIGN * system.c6 / (r2 * r2 * r2)
+    return eps[:-1]
 
 
 def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max, where=None):
@@ -462,9 +505,11 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     is m * 2**e.  The grid of a block is built for the largest L among its
     ranks, which slightly over-resolves the lower ones, so the blocks with the
     same envelope form a group on one lockstep grid.  It is built and used in folds
-    of _FOLD_SIZE // (rows * group columns) steps, each one pass over the group into
-    its running product of planes (2, 2, columns, rows); rows whose grid has ended
-    drop out.  ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts (rows, columns).
+    of _FOLD_SIZE // (rows * (group columns + _GRID_COLUMNS)) steps, each one pass over
+    the group into its running product; rows whose grid has ended drop out.  A group
+    allocates its buffers once, the planes of the running product and the steps and an
+    arena, and each fold takes views at their start.  ``x_max`` bounds 2 mu c3 / R.
+    Also returns the step counts (rows, columns).
     """
     two_mu = 2.0 * system.reduced_mass
     rows = len(energy)
@@ -476,9 +521,12 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
         members = [j for j, l in enumerate(envelopes) if l == l_env]
         group = [blocks[j] for j in members]
         cols = np.concatenate([np.arange(ends[j], ends[j + 1]) for j in members])
-        fold = max(1, _FOLD_SIZE // (rows * len(cols)))
-        run_m = np.multiply.outer(np.eye(2), np.ones((len(cols), rows)))
-        run_e = np.zeros((len(cols), rows), dtype=np.int64)
+        n = len(cols)
+        fold = max(1, _FOLD_SIZE // (rows * (n + _GRID_COLUMNS)))
+        planes = np.empty(4 * n * (fold + 1) * rows)
+        arena = np.empty(2 * max((n + 1) * fold, n * (fold + 2)) * rows)
+        run_m = np.multiply.outer(np.eye(2), np.ones((n, rows)))
+        run_e = np.zeros((n, rows), dtype=np.int64)
         r = r_start
         n_steps = np.zeros(rows, dtype=np.int64)
         while True:
@@ -495,10 +543,16 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
                 live = slice(None)
             starts, steps = starts[:, live], steps[:, live]
             nodes = gauss_nodes(starts, steps)
-            w = two_mu * (_block_eigenvalues(system, group, nodes, c3[live], x_max) - energy[live])
-            m, e = chain_product(np.moveaxis(step_matrices(steps, w[:, 0], w[:, 1]), 3, 2))
-            run_m[..., live], e_fold = chain_product(np.stack([run_m[..., live], m], axis=2))
-            run_e[:, live] += e + e_fold
+            w = _block_eigenvalues(system, group, nodes, c3[live], x_max, out=arena, work=planes)
+            w -= energy[live]
+            w *= two_mu
+            # factor 0 is the running product, then the steps, each (columns, rows)
+            m = _buffer(planes, (2, 2, len(steps) + 1, n, steps.shape[1]))
+            m[:, :, 0] = run_m[..., live]
+            w1, w2 = (w[:, k].swapaxes(0, 1) for k in (0, 1))
+            step_matrices(steps[:, None], w1, w2, out=m[:, :, 1:], work=arena)
+            run_m[..., live], e = chain_product(m, work=(arena, planes))
+            run_e[:, live] += e
             if len(steps) < fold:
                 break  # every row has reached r_stop
         m_out[:, cols] = run_m.transpose(3, 2, 0, 1)

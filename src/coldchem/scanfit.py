@@ -22,7 +22,6 @@ from . import units
 from .errors import ColdchemError, FitError, ScanError
 from .potential import Channel, CollisionSystem, symmetry_blocks
 from .propagator import (
-    _FOLD_SIZE,
     RadialGrid,
     _phase_calibration,
     _point_results,
@@ -37,6 +36,9 @@ DEFAULT_L_MAX = 7
 # Each zoom of the fit's (delta_sr, y) grid divides its spacing by _ZOOM, down to _FINEST.
 _ZOOM = 4
 _FINEST = 1e-6
+# Trials x rows x columns per chi2 evaluation of the table; each cell takes a few complex
+# temporaries in ``evaluate``.
+_TRIAL_CELLS = 8192
 
 
 def _channel_weight(channel: Channel) -> int:
@@ -510,8 +512,8 @@ def _fit_objective(dataset, system, energy, r_match, grid, l_max, energy_fractio
     """``chi2(y, delta)`` of 1-D arrays of trials, and ``_phase_calibration``'s maps.
 
     The long range is propagated once, at the dataset's dipoles and for the
-    calibration; ``chi2`` evaluates the table at most _FOLD_SIZE trials x rows
-    x columns at a time.
+    calibration; ``chi2`` evaluates the table at most _TRIAL_CELLS trials x
+    rows x columns at a time.
     """
     d_unique, inverse = np.unique(units.dipole_from_debye(dataset.d_debye), return_inverse=True)
     log_obs = np.log(units.rate_from_cm3_per_s(dataset.rate_cm3s))
@@ -527,7 +529,7 @@ def _fit_objective(dataset, system, energy, r_match, grid, l_max, energy_fractio
         phase, s_of = _phase_calibration(system, r_match, grid, energy_fraction)
     except ColdchemError as exc:
         raise FitError(f"long-range propagation failed: {exc}") from exc
-    chunk = max(1, _FOLD_SIZE // (len(d_unique) * len(columns)))
+    chunk = max(1, _TRIAL_CELLS // (len(d_unique) * len(columns)))
 
     def chi2(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
         out = []
