@@ -508,8 +508,8 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     of _FOLD_SIZE // (rows * (group columns + _GRID_COLUMNS)) steps, each one pass over
     the group into its running product; rows whose grid has ended drop out.  A group
     allocates its buffers once, the planes of the running product and the steps and an
-    arena, and each fold takes views at their start.  ``x_max`` bounds 2 mu c3 / R.
-    Also returns the step counts (rows, columns).
+    arena for W and x, om2 or the chain's first round, and each fold takes views at their
+    start.  ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts (rows, columns).
     """
     two_mu = 2.0 * system.reduced_mass
     rows = len(energy)

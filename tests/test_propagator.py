@@ -501,7 +501,7 @@ def test_transfers_do_not_depend_on_the_fold_length(monkeypatch, fold_size):
 
 
 def _traced_peak(build) -> int:
-    build()  # the eigenvalue table and the calibration-free set-up are cached
+    build()  # fills the eigenvalue table's cache
     tracemalloc.start()
     try:
         build()
@@ -511,11 +511,10 @@ def _traced_peak(build) -> int:
 
 
 def test_fold_buffers_bound_the_build_memory():
-    # Each group's fold runs in buffers allocated once per segment.  Measured peaks: 2.67 MB
-    # for the 201-row l_max = 7 scan, 1.35 MB for 256 energies of one channel; the bounds
-    # leave about 12 % for numpy's own overhead.  With fresh arrays per fold they read
-    # 5.45 and 2.14 MB, and with the folds of 8,192 elements that allocated them 2.25
-    # and 1.20 MB.
+    # Each group's folds run in buffers allocated once per segment.  Measured peaks: 2.71 MB
+    # for the 201-row l_max = 7 scan and 1.35 MB for 256 energies of one channel; the
+    # bounds leave 11 % over them.  With fresh arrays in every fold the same folds read
+    # 5.45 and 2.14 MB.
     system = krb()
     scan = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 7)]
     d = units.dipole_from_debye(np.linspace(0.0, 0.5, 201))
