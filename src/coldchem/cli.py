@@ -316,28 +316,21 @@ def _cmd_ploss(config: dict, out: str | None) -> int:
         np.geomspace(config["e_min_uk"], config["e_max_uk"], config["n_energy"])
     )
     delta_sr = _calibrate(config, params)
-    k = np.sqrt(2.0 * system.reduced_mass * energies)
+    curves = [_ploss_curve(system, params, config, L) for L in l_values]
+    table = build_table(system, [(curve.basis, [curve.index]) for curve in curves],
+                        params.r_match, energies, system.c3, grid)
+    _, loss, _ = evaluate(table, params.y, delta_sr)
+    e_uk = list(map(repr, units.energy_to_microkelvin(energies).tolist()))
+    k, nan = np.sqrt(2.0 * system.reduced_mass * energies).tolist(), [math.nan] * len(energies)
     rows = []
-    for L in l_values:
-        curve = _ploss_curve(system, params, config, L)
-        barrier = find_barrier(curve)
+    for L, curve, p_loss in zip(l_values, curves, loss.T.tolist()):
+        barrier, qt = find_barrier(curve), nan
+        analytic = low_energy_loss_probability(L, system, k) if L <= 1 else nan
         if barrier is not None:
             p_b = 0.37 if L == 1 else barrier_top_transmission(L, 6)
-        table = build_table(
-            system, [(curve.basis, [curve.index])], params.r_match, energies, system.c3, grid
-        )
-        _, loss, _ = evaluate(table, params.y, delta_sr)
-        for e, k_e, p_loss in zip(energies, k, loss[:, 0]):
-            analytic = (
-                low_energy_loss_probability(L, system, k_e) if L <= 1 else math.nan
-            )
-            qt = (
-                barrier_transmission_qt(e, barrier.height, p_b)
-                if barrier is not None
-                else math.nan
-            )
-            rows.append((_format(units.energy_to_microkelvin(e)), L, 0, _format(p_loss),
-                         _format(analytic), _format(qt)))
+            qt = barrier_transmission_qt(energies.tolist(), barrier.height, p_b)
+        columns = (map(repr, c) for c in (p_loss, analytic, qt))
+        rows.extend(zip(e_uk, [L] * len(k), [0] * len(k), *columns))
     _write_csv(out or "ploss.csv", config,
                ["E_uK", "L", "M", "P_loss_numeric", "P_loss_analytic_lowE", "P_loss_qt"], rows)
     return 0

@@ -17,12 +17,13 @@ radius, one real Moebius map from the boundary state to t = tan(delta_L).
 ``evaluate`` applies it to any (y, delta_sr) in closed form.  A row
 is one point, an (energy, c3) pair; a block is the eigenvalue ranks of one
 (M, parity) basis, and a column of the table is one rank of one block.
-Rows are built in chunks; the blocks whose grids share an envelope form a
-group on one lockstep grid, stepped in folds that each take all its columns
-at once.  The finished table is flat, so ``evaluate`` is arithmetic on (rows,
-columns) arrays.  A single curve at a single point is a table of one row and
-one column.  Scans, the fit and the phase calibration all use these two steps;
-the calibration inverts the map at r1 in closed form.
+Rows are built in chunks.  Each segment of a chunk is one lockstep grid with
+an axis for the envelopes, the largest L of each block, stepped in folds that
+each take every column at once.  The finished table is flat, so ``evaluate``
+is arithmetic on (rows, columns) arrays.  A single curve at a single point is
+a table of one row and one column.  Scans, ``ploss``, the fit and the phase
+calibration all use these two steps; the calibration inverts the map at r1 in
+closed form.
 """
 from __future__ import annotations
 
@@ -56,10 +57,10 @@ from .qdt import (
 
 _SQRT3 = math.sqrt(3.0)
 _MAX_STEPS = 10_000_000
-# Rows per chunk, and steps times rows times (group columns + _GRID_COLUMNS) per fold.
-# The chunk bounds the per-row arrays.  A fold holds about six float64 per step, row and
-# column in its buffers, and the grid's own arrays per step and row weigh about as much
-# as _GRID_COLUMNS columns, which matters where a group has few columns.
+# Rows per chunk, and steps times rows times (columns + _GRID_COLUMNS) per fold, counted
+# over all columns of a segment.  The chunk bounds the per-row arrays.  A fold holds about
+# six float64 per step, row and column in its buffers, and the grid's own arrays per step
+# and row weigh about as much as _GRID_COLUMNS columns, which matters for few columns.
 _CHUNK_ROWS = 1024
 _FOLD_SIZE = 32768
 _GRID_COLUMNS = 3
@@ -70,9 +71,8 @@ _SCALAR_ROWS = 16
 # Knots per unit of log1p(x) in a block's eigenvalue table.  The spacing is fixed,
 # so a row's eigenvalues do not depend on the other rows of its chunk.
 _KNOTS_PER_UNIT = 288
-# om2^k coefficients of cosh(om) and sinh(om)/om; at |om2| <= _SERIES_OM2 the rest is < 1e-18
+# om2^k coefficients of sinh(om)/om; at |om2| <= _SERIES_OM2 the rest is < 1e-18
 _SERIES_OM2 = 0.25
-_COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(8))
 _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(7))
 
 
@@ -127,26 +127,26 @@ class RadialGrid:
     def build_steps(
         self,
         system: CollisionSystem,
-        L: int,
+        L: int | np.ndarray,
         energy: float | np.ndarray,
         r_start: float | np.ndarray,
         r_stop: float | np.ndarray,
         c3: float | np.ndarray | None = None,
         max_steps: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Step starts and sizes covering [r_start, r_stop], in lockstep over rows.
+        """Step starts and sizes covering [r_start, r_stop], in lockstep over grid rows.
 
-        ``energy``, ``r_start``, ``r_stop`` and ``c3`` (by default the
-        system's) broadcast to one value per row; the arrays returned have
-        shape (steps, rows), or (steps,) for scalar inputs, and a row that
-        has reached its r_stop is padded with zero-length steps there.  At
-        most ``max_steps`` steps are built, so a long grid can be taken fold
-        by fold; without it a grid beyond the step budget raises GridError.
+        ``L``, ``energy``, ``r_start``, ``r_stop`` and ``c3`` (by default the system's)
+        broadcast to one value per grid row, so ``L`` as (envelopes, 1) against values
+        per row gives a grid per envelope and row.  The arrays returned have shape
+        (steps,) + that shape, and a grid row that has reached its r_stop is padded with
+        zero-length steps there.  At most ``max_steps`` steps are built, so a long grid
+        can be taken fold by fold; without it a grid beyond the budget raises GridError.
         """
-        energy, r, r_stop, c3 = np.broadcast_arrays(
-            *(np.asarray(x, dtype=float) for x in (energy, r_start, r_stop,
-                                                   system.c3 if c3 is None else c3))
-        )
+        c3 = system.c3 if c3 is None else c3
+        ll = np.multiply(L, np.add(L, 1.0))
+        shape = np.broadcast_shapes(*map(np.shape, (ll, energy, r_start, r_stop, c3)))
+        r = np.broadcast_to(np.asarray(r_start, dtype=float), shape)
         if max_steps is None and np.any(r_stop <= r):
             raise GridError(
                 f"outer radius {np.min(r_stop):.3g} does not exceed inner radius "
@@ -154,20 +154,16 @@ class RadialGrid:
             )
         # q^2 = a + b/r^6 + c/r^3 + ll/r^2 with a, b, c = 2 mu (E, C6, C3)
         two_mu = 2.0 * system.reduced_mass
-        terms = (two_mu * energy, two_mu * system.c6, two_mu * c3, float(L * (L + 1)),
+        terms = (two_mu * np.asarray(energy), two_mu * system.c6, two_mu * np.asarray(c3), ll,
                  2.0 * math.pi / self.points_per_wavelength, self.scale_fraction)
         limit = _MAX_STEPS if max_steps is None else max_steps
         if r.size <= _SCALAR_ROWS:
-            # a few rows step faster one by one in Python floats; the same
+            # a few grid rows step faster one by one in Python floats; the same
             # correctly rounded operations give the same grid as the lockstep
-            rows = [
-                _row_radii(*args, limit)
-                for args in zip(*(np.broadcast_to(x, r.shape).flat for x in terms),
-                                r.flat, r_stop.flat)
-            ]
-            n = max(len(x) for x, _ in rows)
-            radii = np.array([x + x[-1:] * (n - len(x)) for x, _ in rows])
-            radii = radii.T.reshape((n,) + r.shape)
+            rows = [_row_radii(*args, limit) for args in zip(
+                *(np.broadcast_to(x, shape).ravel().tolist() for x in (*terms, r, r_stop)))]
+            n = max((len(x) for x, _ in rows), default=1)
+            radii = np.array([x + x[-1:] * (n - len(x)) for x, _ in rows]).T.reshape((n,) + shape)
             unfinished = any(more for _, more in rows)
         else:
             radii = [r]
@@ -210,9 +206,11 @@ def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
     return radii[:-1], True
 
 
-def gauss_nodes(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Two-point Gauss-Legendre nodes of every step, stacked on a new leading axis."""
-    return starts + np.multiply.outer([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0], steps)
+def gauss_nodes(starts: np.ndarray, steps: np.ndarray, out=None) -> np.ndarray:
+    """Two-point Gauss-Legendre nodes of every step on a new leading axis, in flat ``out``."""
+    nodes = np.multiply.outer([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0], steps,
+                              out=_buffer(out, (2,) + np.shape(steps)))
+    return np.add(nodes, starts, out=nodes)
 
 
 def _buffer(flat, shape) -> np.ndarray:
@@ -223,14 +221,14 @@ def _buffer(flat, shape) -> np.ndarray:
 def step_matrices(steps, w1, w2, out=None, work=None) -> np.ndarray:
     """Exponentials of the fourth-order Magnus generator for every step.
 
-    For psi'' = W(R) psi the generator over one step h is the traceless
-    matrix G = [[a, h], [h (W1+W2)/2, -a]] with a = sqrt(3) h^2 (W1 - W2) / 12,
-    where W1, W2 are samples at the Gauss nodes.  G^2 is a scalar om2, so exp(G) =
-    cosh(om) I + sinh(om)/om G: by Horner in om2 where |om2| <= _SERIES_OM2 (nearly
-    every step), in closed form elsewhere.  The planes m[i, j] lead, each of the
-    arguments' broadcast shape; h = 0 gives exactly I.  They are written to ``out``,
-    and om2 to the flat buffer ``work``, which may share memory with w1 and w2; by
-    default both are fresh.
+    For psi'' = W(R) psi the generator over one step h is the traceless matrix
+    G = [[a, h], [h (W1+W2)/2, -a]] with a = sqrt(3) h^2 (W1 - W2) / 12, where W1, W2 are
+    samples at the Gauss nodes.  G^2 is a scalar om2, so exp(G) = cosh(om) I + sinhc G,
+    sinhc = sinh(om)/om: where |om2| <= _SERIES_OM2 (nearly every step) sinhc by Horner
+    in om2 and cosh(om) = sqrt(1 + om2 sinhc^2) > 0, elsewhere both in closed form.  The
+    planes m[i, j] lead, each of the arguments' broadcast shape; h = 0 gives exactly I.
+    They are written to ``out``, and om2 to the flat buffer ``work``, which may share
+    memory with w1 and w2; by default both are fresh.
     """
     h = np.asarray(steps, dtype=float)
     shape = np.broadcast_shapes(h.shape, np.shape(w1), np.shape(w2))
@@ -243,14 +241,18 @@ def step_matrices(steps, w1, w2, out=None, work=None) -> np.ndarray:
     om2 = _buffer(work, shape)
     np.multiply(h, c, out=om2)
     om2 += np.multiply(a, a, out=ch)
-    for plane, series in ((ch, _COSH_SERIES), (sc, _SINHC_SERIES)):
-        plane.fill(series[-1])
-        for coeff in series[-2::-1]:  # Horner
-            plane *= om2
-            plane += coeff
+    far = None
     if max(om2.max(initial=0.0), -om2.min(initial=0.0)) > _SERIES_OM2:  # rare; no mask otherwise
         far = np.abs(om2) > _SERIES_OM2
         x = om2[far]
+        om2[far] = 0.0  # the series and the square root see om = 0 there
+    sc.fill(_SINHC_SERIES[-1])
+    for coeff in _SINHC_SERIES[-2::-1]:  # Horner
+        sc *= om2
+        sc += coeff
+    np.multiply(np.multiply(sc, sc, out=ch), om2, out=ch)
+    np.sqrt(np.add(ch, 1.0, out=ch), out=ch)  # cosh(om)
+    if far is not None:
         om = np.sqrt(np.abs(x))
         ch[far] = np.where(x < 0, np.cos(om), np.cosh(om))
         sc[far] = np.where(x < 0, np.sin(om), np.sinh(om)) / om
@@ -437,127 +439,132 @@ def match_free_solution(h, e, det, p, q, flux, where: Sequence[str] | None = Non
 
 
 @functools.lru_cache(maxsize=64)
-def _eigen_table(group: tuple[tuple[ChannelBasis, tuple[int, ...]], ...], u_max: int):
+def _eigen_table(blocks: tuple[tuple[ChannelBasis, tuple[int, ...]], ...], u_max: int):
     """Eigenvalues eps of diag(L(L+1)) - x P at the knots of u = log1p(x) up to u_max.
 
-    Shape (2, columns + 1, knots), a column per rank in ``group`` and x itself last: the
-    values, and the slopes d eps / du = -(v^T P v) (1 + x) (Hellmann-Feynman) times the
-    knot spacing.  Also returns P of each one-channel column, 0 for the others.
+    Shape (2, columns, knots), a column per rank in ``blocks``: the values, and the
+    slopes d eps / du = -(v^T P v) (1 + x) (Hellmann-Feynman) times the knot spacing.
+    A one-channel column holds L(L+1) alone: its caller subtracts P x in closed form.
     """
     x = np.expm1(np.arange(u_max * _KNOTS_PER_UNIT + 2) / _KNOTS_PER_UNIT)
-    parts, single_p = [], []
-    for basis, ranks in group:
+    parts = []
+    for basis, ranks in blocks:
         ell, p = np.array([c.L for c in basis.channels], dtype=float), _coupling(basis)
+        p = p * (len(basis) > 1)
         eps, vec = np.linalg.eigh(np.diag(ell * (ell + 1.0)) - x[:, None, None] * p)
         slope = -((p @ vec) * vec).sum(axis=-2) * (1.0 + x[:, None]) / _KNOTS_PER_UNIT
         parts.append(np.stack([eps, slope])[..., list(ranks)])
-        single_p += [p[0, 0] if len(basis) == 1 else 0.0] * len(ranks)
-    parts.append(np.stack([x, (1.0 + x) / _KNOTS_PER_UNIT])[..., None])
     table = np.concatenate(parts, axis=-1).transpose(0, 2, 1).copy()
     table.setflags(write=False)  # one cached array serves every caller
-    return table, tuple(single_p)
+    return table
 
 
-def _block_eigenvalues(system, group, r, c3, x_max, out=None, work=None) -> np.ndarray:
-    """Eigenvalues of the columns of ``group``, shape (columns,) + broadcast(r, c3).
+def _block_eigenvalues(system, blocks, r, c3, x_max, out=None, work=None) -> np.ndarray:
+    """Eigenvalues of the columns of ``blocks``, shape (columns,) + broadcast(r[0], c3).
 
-    With x = 2 mu c3 / r <= ``x_max`` they are eps(x) / (2 mu r^2) - C6/r^6, eps the cubic
-    Hermite interpolant of ``_eigen_table`` in log1p(x), its knot and weights found once for
-    every column.  A group of one-channel blocks reads its matrix elements instead.  ``out``
-    and ``work`` are flat buffers of (columns + 1) times the points, by default fresh: the
-    result is a view of ``out``, and ``work`` takes the gather.
+    The leading axis of ``r`` holds the radii of each column, or of all if its length is
+    1.  With x = 2 mu c3 / r <= ``x_max`` they are eps / (2 mu r^2) - C6/r^6, eps the
+    matrix element L(L+1) - P x of a one-channel column and for the others the cubic
+    Hermite interpolant of ``_eigen_table`` in log1p(x), from each column's own row of
+    the flat table.  ``out`` is a flat buffer for the result, and ``work`` one of twice
+    its size plus broadcast(r, c3) for the gather and x; by default both are fresh.
     """
-    columns = sum(len(ranks) for _, ranks in group)
-    eps = _buffer(out, (columns + 1,) + np.broadcast_shapes(np.shape(r), np.shape(c3)))
-    if all(len(basis) == 1 for basis, _ in group):
-        return np.stack([_exact_eigenvalues(system, basis, r, c3)[..., 0] for basis, _ in group],
-                        out=eps[:-1])
-    u_max = max(1, math.ceil(math.log1p(x_max)))
-    (values, slopes), single_p = _eigen_table(
-        tuple((basis, tuple(ranks)) for basis, ranks in group), u_max)
-    two_mu, r2 = 2.0 * system.reduced_mass, r * r
-    x = two_mu * c3 / r
-    s = np.log1p(x) * _KNOTS_PER_UNIT
-    i = s.astype(np.intp)  # at most u_max * _KNOTS_PER_UNIT, the last knot but one
-    t = s - i
-    t1 = 1.0 - t
-    # eps = y0 + (y1 - y0) (t^2 (3 - 2t)) + a (t t1^2) - b (t^2 t1), a and b the knot slopes
-    term = _buffer(work, eps.shape)
-    np.take(values, i + 1, axis=-1, out=eps, mode="clip")
-    eps -= np.take(values, i, axis=-1, out=term, mode="clip")
-    eps *= t * t * (3.0 - 2.0 * t)
-    eps += term
-    eps += np.multiply(np.take(slopes, i, axis=-1, out=term, mode="clip"), t * t1 * t1, out=term)
-    eps -= np.multiply(np.take(slopes, i + 1, axis=-1, out=term, mode="clip"), t * t * t1,
-                       out=term)
-    # one-channel columns, L(L+1) - P x, less P times the error of x's own interpolant: exact
-    eps[:-1] -= np.multiply.outer(single_p, x - eps[-1], out=term[:-1])
-    eps[:-1] /= two_mu * r2
-    eps[:-1] += C6_SIGN * system.c6 / (r2 * r2 * r2)
-    return eps[:-1]
+    bases = [basis for basis, ranks in blocks for _ in ranks]
+    single = [len(basis) == 1 for basis in bases]
+    column = (-1,) + (1,) * (np.ndim(r) - 1)
+    points = np.broadcast_shapes(np.shape(r), np.shape(c3))
+    eps = _buffer(out, np.broadcast_shapes(points, (len(bases),) + column[1:]))
+    work = np.empty(2 * eps.size + math.prod(points)) if work is None else work
+    term, knot = _buffer(work, eps.shape), _buffer(work[eps.size:], eps.shape).view(np.intp)
+    x = np.divide(2.0 * system.reduced_mass * c3, r, out=_buffer(work[2 * eps.size:], points))
+    if all(single):
+        eps[...] = np.reshape([b.channels[0].L * (b.channels[0].L + 1.0) for b in bases], column)
+    else:
+        table = _eigen_table(tuple((basis, tuple(ranks)) for basis, ranks in blocks),
+                             max(1, math.ceil(math.log1p(x_max))))
+        t = np.log1p(x) * _KNOTS_PER_UNIT
+        i = t.astype(np.intp)  # at most u_max * _KNOTS_PER_UNIT, the last knot but one
+        t -= i
+        t1 = 1.0 - t
+        np.add(i, (np.arange(len(bases)) * table.shape[-1]).reshape(column), out=knot)
+        values, slopes = table.reshape(2, -1)
+        # eps = y0 + (y1 - y0) (t^2 (3 - 2t)) + a (t t1^2) - b (t^2 t1), a and b the slopes
+        np.take(values[1:], knot, out=eps, mode="clip")
+        eps -= np.take(values, knot, out=term, mode="clip")
+        eps *= t * t * (3.0 - 2.0 * t)
+        eps += term
+        eps += np.multiply(np.take(slopes, knot, out=term, mode="clip"), t * t1 * t1, out=term)
+        eps -= np.multiply(np.take(slopes[1:], knot, out=term, mode="clip"), t * t * t1, out=term)
+    if any(single):
+        p = np.array([_coupling(b)[0, 0] if one else 0.0 for b, one in zip(bases, single)])
+        eps -= np.multiply(p.reshape(column), x, out=term)
+    # eps / (2 mu r^2) - C6/r^6, with the spent terms for scratch
+    inv = np.reciprocal(np.multiply(r, r, out=x), out=x)
+    tail = np.multiply(inv, inv, out=_buffer(work, points))
+    tail *= inv
+    tail *= C6_SIGN * system.c6
+    inv *= 0.5 / system.reduced_mass
+    eps *= inv
+    eps += tail
+    return eps
 
 
 def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max, where=None):
     """(psi, psi') transfer (m, e) of every column over [r_start, r_stop], one per row.
 
-    ``blocks`` pairs each basis with the ranks to propagate, and the columns
-    are those ranks in block order; m is (rows, columns, 2, 2) and the transfer
-    is m * 2**e.  The grid of a block is built for the largest L among its
-    ranks, which slightly over-resolves the lower ones, so the blocks with the
-    same envelope form a group on one lockstep grid.  It is built and used in folds
-    of _FOLD_SIZE // (rows * (group columns + _GRID_COLUMNS)) steps, each one pass over
-    the group into its running product; rows whose grid has ended drop out.  A group
-    allocates its buffers once, the planes of the running product and the steps and an
-    arena for W and x, om2 or the chain's first round, and each fold takes views at their
-    start.  ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts (rows, columns).
+    ``blocks`` pairs each basis with the ranks to propagate, and the columns are those
+    ranks in block order; m is (rows, columns, 2, 2) and the transfer is m * 2**e.  A
+    column steps on the grid of its envelope, the largest L of its block, which slightly
+    over-resolves the lower ranks.  One lockstep grid (steps, envelopes, rows) is built
+    and used in folds of _FOLD_SIZE // (rows * (columns + _GRID_COLUMNS)) steps, each
+    one pass over every column; rows whose grids have all ended drop out.  Buffers made
+    once take each fold: the step planes, with the running product as factor 0, after
+    the gather of W, and an arena for W and the nodes, om2 or the chain's first round.
+    ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts (rows, columns).
     """
-    two_mu = 2.0 * system.reduced_mass
     rows = len(energy)
-    ends = np.cumsum([0] + [len(ranks) for _, ranks in blocks])
-    m_out = np.empty((rows, ends[-1], 2, 2))
-    e_out, counts = np.empty((2, rows, ends[-1]), dtype=np.int64)
-    envelopes = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks]
-    for l_env in sorted(set(envelopes)):
-        members = [j for j, l in enumerate(envelopes) if l == l_env]
-        group = [blocks[j] for j in members]
-        cols = np.concatenate([np.arange(ends[j], ends[j + 1]) for j in members])
-        n = len(cols)
-        fold = max(1, _FOLD_SIZE // (rows * (n + _GRID_COLUMNS)))
-        planes = np.empty(4 * n * (fold + 1) * rows)
-        arena = np.empty(2 * max((n + 1) * fold, n * (fold + 2)) * rows)
-        run_m = np.multiply.outer(np.eye(2), np.ones((n, rows)))
-        run_e = np.zeros((n, rows), dtype=np.int64)
-        r = r_start
-        n_steps = np.zeros(rows, dtype=np.int64)
-        while True:
-            starts, steps = grid.build_steps(system, l_env, energy, r, r_stop, c3, max_steps=fold)
-            if len(steps) == 0:
-                break
-            r = starts[-1] + steps[-1]
-            n_steps += np.count_nonzero(steps, axis=0)
-            if n_steps.max() > _MAX_STEPS:
-                raise _row_failure(GridError, "radial grid exceeds the step budget",
-                                   n_steps > _MAX_STEPS, where)
-            live = np.flatnonzero(steps[0])  # rows whose grid goes on
-            if len(live) == rows:
-                live = slice(None)
-            starts, steps = starts[:, live], steps[:, live]
-            nodes = gauss_nodes(starts, steps)
-            w = _block_eigenvalues(system, group, nodes, c3[live], x_max, out=arena, work=planes)
-            w -= energy[live]
-            w *= two_mu
-            # factor 0 is the running product, then the steps, each (columns, rows)
-            m = _buffer(planes, (2, 2, len(steps) + 1, n, steps.shape[1]))
-            m[:, :, 0] = run_m[..., live]
-            w1, w2 = (w[:, k].swapaxes(0, 1) for k in (0, 1))
-            step_matrices(steps[:, None], w1, w2, out=m[:, :, 1:], work=arena)
-            run_m[..., live], e = chain_product(m, work=(arena, planes))
-            run_e[:, live] += e
-            if len(steps) < fold:
-                break  # every row has reached r_stop
-        m_out[:, cols] = run_m.transpose(3, 2, 0, 1)
-        e_out[:, cols], counts[:, cols] = run_e.T, n_steps[:, None]
-    return m_out, e_out, counts
+    ell = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks for _ in ranks]
+    envelopes, env = np.unique(ell, return_inverse=True)
+    n = len(env)
+    # a column's steps and nodes: a view where all share one envelope or each has its own
+    pick = slice(None) if len(envelopes) == 1 or np.array_equal(env, np.arange(n)) else env
+    fold = max(1, _FOLD_SIZE // (rows * (n + _GRID_COLUMNS)))
+    radii = 1 if len(envelopes) == 1 else n  # arrays at each radius, as in _block_eigenvalues
+    planes = np.empty(max(4 * n * (fold + 1), 2 * fold * (2 * n + radii)) * rows)
+    arena = np.empty(2 * max(n * (fold + 2), fold * (n + len(envelopes))) * rows)
+    run_m = np.multiply.outer(np.eye(2), np.ones((n, rows)))
+    run_e = np.zeros((n, rows), dtype=np.int64)
+    r, n_steps = r_start, np.zeros((len(envelopes), rows), dtype=np.int64)
+    while True:
+        starts, steps = grid.build_steps(system, envelopes[:, None], energy, r, r_stop, c3,
+                                         max_steps=fold)
+        if len(steps) == 0:
+            break
+        r = starts[-1] + steps[-1]
+        n_steps += np.count_nonzero(steps, axis=0)
+        if n_steps.max() > _MAX_STEPS:
+            raise _row_failure(GridError, "radial grid exceeds the step budget",
+                               (n_steps > _MAX_STEPS).any(axis=0), where)
+        live = np.flatnonzero(steps[0].any(axis=0))  # rows whose grid goes on
+        if len(live) == rows:
+            live = slice(None)
+        starts, steps = starts[..., live], steps[..., live]
+        # (columns or 1, 2, steps, rows), the nodes after W in the arena
+        nodes = gauss_nodes(starts, steps, out=arena[2 * n * len(steps) * steps.shape[-1]:])
+        nodes = nodes.transpose(2, 0, 1, 3)[pick]
+        w = _block_eigenvalues(system, blocks, nodes, c3[live], x_max, out=arena, work=planes)
+        w -= energy[live]
+        w *= 2.0 * system.reduced_mass
+        # factor 0 is the running product, then the steps, each (columns, rows)
+        m = _buffer(planes, (2, 2, len(steps) + 1, n, w.shape[-1]))
+        m[:, :, 0] = run_m[..., live]
+        w1, w2 = (w[:, k].swapaxes(0, 1) for k in (0, 1))
+        step_matrices(steps[:, pick], w1, w2, out=m[:, :, 1:], work=arena)
+        run_m[..., live], e = chain_product(m, work=(arena, planes))
+        run_e[:, live] += e
+        if len(steps) < fold:
+            break  # every row has reached r_stop
+    return run_m.transpose(3, 2, 0, 1), run_e.T, n_steps[env].T
 
 
 class _Table(NamedTuple):

@@ -178,41 +178,41 @@ def length_from_s_matrix(s_el: complex, k: float) -> ComplexScatteringLength:
     return ComplexScatteringLength.from_complex(a)
 
 
-def low_energy_loss_probability(L: int, system: CollisionSystem, k: float) -> float:
+def low_energy_loss_probability(L: int, system: CollisionSystem, k: float | list):
     """Universal threshold loss probability P = 1 - exp(-4 k beta_L).
 
     beta_0 = abar and beta_1 = abar1 (k abar)^2 are the y = 1 absorption
     lengths, so this is the fully reactive limit; the exponent exhibits the
-    Wigner threshold laws P ~ k (s wave) and P ~ k^3 (p wave).
+    Wigner threshold laws P ~ k (s wave) and P ~ k^3 (p wave).  A list ``k``
+    gives a list of P.
     """
-    if k < 0:
+    ks = k if isinstance(k, list) else [k]
+    if min(ks, default=0.0) < 0:
         raise ValueError("wavenumber must be non-negative")
-    if L == 0:
-        beta = mean_scattering_length(system.reduced_mass, system.c6)
-    elif L == 1:
-        abar = mean_scattering_length(system.reduced_mass, system.c6)
-        beta = p_wave_mean_scattering_length(system.reduced_mass, system.c6) * (
-            k * abar
-        ) ** 2
-    else:
+    if L not in (0, 1):
         raise ValueError(f"threshold loss formula supports L = 0, 1 only, got {L}")
-    return -math.expm1(-4.0 * k * beta)
+    abar = mean_scattering_length(system.reduced_mass, system.c6)
+    abar1 = P_WAVE_LENGTH_RATIO * abar  # the p-wave length, abar1 (k abar)^2 = beta_1
+    p = [-math.expm1(-4.0 * x * (abar if L == 0 else abar1 * (x * abar) ** 2)) for x in ks]
+    return p if isinstance(k, list) else p[0]
 
 
-def barrier_transmission_qt(energy: float, barrier_height: float, p_b: float = 0.37) -> float:
+def barrier_transmission_qt(energy: float | list, barrier_height: float, p_b: float = 0.37):
     """Quantum-threshold loss model P = p_b (E / V_b)^(3/2), capped at 1.
 
     The single number p_b encodes the short-range loss probability at the
     barrier top; the 3/2 power follows from the k^3 Wigner law with the
-    barrier height as the only energy scale.
+    barrier height as the only energy scale.  A list ``energy`` gives a list.
     """
-    if energy < 0:
+    energies = energy if isinstance(energy, list) else [energy]
+    if min(energies, default=0.0) < 0:
         raise ValueError("energy must be non-negative")
     if barrier_height <= 0:
         raise ValueError("barrier height must be positive")
     if not 0.0 <= p_b <= 1.0:
         raise ValueError("p_b must lie in [0, 1]")
-    return min(1.0, p_b * (energy / barrier_height) ** 1.5)
+    p = [min(1.0, p_b * (e / barrier_height) ** 1.5) for e in energies]
+    return p if isinstance(energy, list) else p[0]
 
 
 def inverse_morse_exponent(L: int, n: int) -> float:

@@ -322,7 +322,7 @@ def test_eigenvalue_table_matches_diagonalization(l_max, picks, r_match, d_max, 
     r[0] = r_match
     c3 = c3_max * rng.uniform(0.0, 1.0, 64)
     c3[0] = c3_max
-    table = propagator._block_eigenvalues(KRB, group, r, c3, 2.0 * MU * c3_max / r_match)
+    table = propagator._block_eigenvalues(KRB, group, r[None], c3, 2.0 * MU * c3_max / r_match)
     assert table.shape == (sum(len(ranks) for _, ranks in group), 64)
     start = 0
     for basis, ranks in group:
