@@ -186,6 +186,45 @@ def test_ploss_csv(tmp_path, capsys):
             assert float(row[5]) >= 0.0
 
 
+@pytest.mark.parametrize("dipole", [0.0, 0.2])
+def test_ploss_is_one_table_equal_to_single_partial_waves(tmp_path, monkeypatch, dipole):
+    # all partial waves step in one table; each agrees with a run of its L alone, on
+    # one-channel columns at zero field and on rank columns of larger blocks at 0.2 D
+    import coldchem.cli as cli_module
+    from coldchem import propagator
+
+    builds = []
+
+    def counted(module):
+        build_table = module.build_table
+
+        def wrapper(*args, **kwargs):
+            builds.append(module.__name__)
+            return build_table(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_table", wrapper)
+
+    counted(cli_module)
+    counted(propagator)
+
+    def run(l_values):
+        out = tmp_path / f"ploss_{l_values}.csv"
+        sets = [f"dipole_debye={dipole}", f"ploss_l_values={l_values}", "l_max=3",
+                "n_energy=12", "e_min_uk=0.01", "e_max_uk=50.0"]
+        assert main(["ploss"] + BASE + [a for x in sets for a in ("--set", x)]
+                    + ["--out", str(out)]) == 0
+        return read_csv(str(out))
+
+    header, rows = run("0,1,2,3")
+    # the scan is one table, and the phase calibration builds the other
+    assert builds == ["coldchem.propagator", "coldchem.cli"]
+    alone = [row for L in range(4) for row in run(str(L))[1]]
+    assert len(rows) == len(alone) == 48
+    for row, ref in zip(rows, alone):
+        assert row[:3] == ref[:3] and row[4:] == ref[4:]
+        assert float(row[3]) == pytest.approx(float(ref[3]), rel=1e-12, abs=0.0)
+
+
 # --- rates -------------------------------------------------------------------------
 
 

@@ -448,10 +448,9 @@ def test_build_table_diagonalizes_only_the_edge(monkeypatch):
 
 
 def test_group_transfers_match_each_block_alone():
-    # three envelopes (L = 1, 2, 3), each a group of a one-channel block and a
-    # rank subset of a larger one, with the groups' columns interleaved: all
-    # blocks together step each group in one pass, in shorter folds than a block
-    # alone, and read one-channel columns from the group's table
+    # three envelopes (L = 1, 2, 3), each of a one-channel block and a rank subset of
+    # a larger one, with their columns interleaved: all blocks together step in one
+    # lockstep, in shorter folds than a block alone, each column on its own envelope
     system = krb()
     blocks = [
         (build_basis(0, 1, 3), range(2)), (build_basis(0, 0, 2), [1]),
@@ -500,6 +499,38 @@ def test_transfers_do_not_depend_on_the_fold_length(monkeypatch, fold_size):
     assert np.all(np.abs(rescaled - m) <= 1e-12 * largest)
 
 
+def test_envelopes_far_apart_step_together(monkeypatch):
+    # rows at 0.002 and 2,400 uK in folds of 6 steps: the warm row's grids run many folds
+    # past the cold row's, and the four envelopes (L = 0-3) of a row end in different
+    # folds; one- and multi-channel columns step in the same folds
+    monkeypatch.setattr(propagator, "_FOLD_SIZE", 97)
+    system = krb()
+    blocks = [(build_basis(0, 0, 0), [0]), (build_basis(0, 1, 3), [0, 1]),
+              (build_basis(0, 0, 2), [1]), (build_basis(1, 1, 1), [0])]
+    energy = units.energy_from_microkelvin(np.array([0.002, 2400.0]))
+    c3 = 2.0 * units.dipole_from_debye(np.array([0.1, 0.2])) ** 2
+    grid = RadialGrid()
+    r_stop = grid.outer_radius(system, energy, 20.0, c3)
+    args = (energy, c3, grid, np.full(2, 20.0), r_stop, 2.0 * MU * c3.max() / 20.0)
+    m, e, n = propagator._segment_transfers(system, blocks, *args)
+    assert n[1].min() - n[0].max() > 10 * 6
+    assert len(set(n[0])) == len(set(n[1])) == 4
+    start = 0
+    for block in blocks:
+        m_alone, e_alone, n_alone = propagator._segment_transfers(system, [block], *args)
+        cols = slice(start, start + len(block[1]))
+        start = cols.stop
+        together = np.ldexp(m[:, cols], (e[:, cols] - e_alone)[..., None, None])
+        largest = np.abs(m_alone).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(together - m_alone) <= 1e-12 * largest)
+        assert np.array_equal(n[:, cols], n_alone)
+    # a budget between the two rows' step counts stops the warm row, and names it
+    monkeypatch.setattr(propagator, "_MAX_STEPS", (n[0].max() + n[1].min()) // 2)
+    with pytest.raises(GridError, match="at warm") as info:
+        propagator._segment_transfers(system, blocks, *args, where=["cold", "warm"])
+    assert info.value.row == 1
+
+
 def _traced_peak(build) -> int:
     build()  # fills the eigenvalue table's cache
     tracemalloc.start()
@@ -511,14 +542,19 @@ def _traced_peak(build) -> int:
 
 
 def test_fold_buffers_bound_the_build_memory():
-    # Each group's folds run in buffers allocated once per segment.  Measured peaks: 2.71 MB
-    # for the 201-row l_max = 7 scan and 1.35 MB for 256 energies of one channel; the
-    # bounds leave 11 % over them.  With fresh arrays in every fold the same folds read
-    # 5.45 and 2.14 MB.
+    # The folds of a segment run in buffers allocated once.  Measured peaks: 2.71 MB for
+    # the 201-row l_max = 7 scan and 1.35 MB for 256 energies of one channel when each
+    # envelope group had its own buffers (2.43 and 1.06 MB with one lockstep); the
+    # bounds leave 11 % over the former.  With fresh arrays in every fold the same folds
+    # read 5.45 and 2.14 MB.  The ploss_wide shape, 1,000 energies of L = 0-3 with one
+    # channel each on four envelopes, reads 2.68 MB, bounded with 12 % over it; with W
+    # and its gather fresh in every fold it reads 3.73 MB.
     system = krb()
     scan = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 7)]
     d = units.dipole_from_debye(np.linspace(0.0, 0.5, 201))
     energies = units.energy_from_microkelvin(np.geomspace(0.002, 2400.0, 256))
+    wide = units.energy_from_microkelvin(np.geomspace(0.002, 2400.0, 1000))
+    partial_waves = [(single_channel_curve(system, Channel(L, 0)).basis, [0]) for L in range(4)]
 
     def rates():
         propagator.build_table(
@@ -530,8 +566,12 @@ def test_fold_buffers_bound_the_build_memory():
             system, [(build_basis(0, 0, 0), [0])], 20.0, energies, 0.0, RadialGrid()
         )
 
+    def ploss_wide():
+        propagator.build_table(system, partial_waves, 20.0, wide, 0.0, RadialGrid())
+
     assert _traced_peak(rates) < 3.0e6
     assert _traced_peak(ploss) < 1.5e6
+    assert _traced_peak(ploss_wide) < 3.0e6
 
 
 def test_each_fold_steps_a_whole_group_at_once(monkeypatch):
@@ -673,23 +713,34 @@ def test_build_steps_cover_interval():
 
 
 def test_lockstep_grid_rows_equal_single_rows():
-    # wide batches step in numpy lockstep, single rows in Python floats; the
-    # same correctly rounded operations must give the same grid
+    # wide batches step in numpy lockstep, few grid rows in Python floats; the same
+    # correctly rounded operations must give the same grid, per envelope as for one L
     grid = RadialGrid()
     system = krb()
     energy = E0 * np.geomspace(1e-3, 10.0, 20)
     c3 = np.linspace(0.0, 0.05, 20)
     r_out = grid.outer_radius(system, energy, 20.0, c3)
-    starts, steps = grid.build_steps(system, 3, energy, 20.0, r_out, c3)
-    assert starts.shape == steps.shape == (len(steps), 20)
-    for i in (0, 7, 19):
-        row_starts, row_steps = grid.build_steps(system, 3, energy[i], 20.0, r_out[i], c3[i])
-        n = len(row_steps)
-        assert np.array_equal(starts[:n, i], row_starts)
-        assert np.array_equal(steps[:n, i], row_steps)
-        # a row that has stopped is padded with zero steps at its end radius
-        assert np.all(steps[n:, i] == 0.0)
-        assert np.all(starts[n:, i] == row_starts[-1] + row_steps[-1])
+    envelopes = np.array([[1], [3], [6]])
+    starts, steps = grid.build_steps(system, envelopes, energy, 20.0, r_out, c3)
+    assert starts.shape == steps.shape == (len(steps), 3, 20)
+    few = [0, 19]  # 3 envelopes x 2 rows take the row-by-row path
+    few_starts, few_steps = grid.build_steps(system, envelopes, energy[few], 20.0, r_out[few],
+                                             c3[few])
+    assert few_steps.shape[1:] == (3, 2)
+    for g, L in enumerate(envelopes[:, 0]):
+        for i in (0, 7, 19):
+            row_starts, row_steps = grid.build_steps(system, L, energy[i], 20.0, r_out[i], c3[i])
+            n = len(row_steps)
+            assert np.array_equal(starts[:n, g, i], row_starts)
+            assert np.array_equal(steps[:n, g, i], row_steps)
+            # a row that has stopped is padded with zero steps at its end radius
+            assert np.all(steps[n:, g, i] == 0.0)
+            assert np.all(starts[n:, g, i] == row_starts[-1] + row_steps[-1])
+            if i in few:
+                j = few.index(i)
+                assert np.array_equal(few_starts[:n, g, j], row_starts)
+                assert np.array_equal(few_steps[:n, g, j], row_steps)
+                assert np.all(few_steps[n:, g, j] == 0.0)
 
 
 def test_calibration_forward_check_raises():
