@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,20 @@ def test_step_matrices_small_step_series():
     m = step_matrices(steps, w, w)  # planes first: m[i, j, step]
     assert m[..., 0] == pytest.approx(np.eye(2), abs=1e-8)
     assert m[0, 1, 0] == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_far_steps_give_no_nan_and_no_warning():
+    # cosh(om) is sqrt(1 + om2 sinhc^2) only where |om2| <= 0.25; steps beyond it, such
+    # as om2 = -60 where that radicand is negative, are masked before the square root
+    h = np.full(2, 0.3)
+    w = np.array([-60.0, 60.0]) / (h * h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = step_matrices(h, w, w)
+    om = math.sqrt(60.0)
+    assert m[0, 0] == pytest.approx([math.cos(om), math.cosh(om)], rel=1e-13)
+    assert m[0, 1] == pytest.approx([0.3 * math.sin(om) / om, 0.3 * math.sinh(om) / om],
+                                    rel=1e-13)
 
 
 def test_chain_product_orders_factors():
