@@ -207,7 +207,7 @@ def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
 
 
 def gauss_nodes(starts: np.ndarray, steps: np.ndarray, out=None) -> np.ndarray:
-    """Two-point Gauss-Legendre nodes of every step on a new leading axis, in flat ``out``."""
+    """Two-point Gauss-Legendre nodes of every step on a new leading axis, in ``out`` if given."""
     nodes = np.multiply.outer([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0], steps,
                               out=_buffer(out, (2,) + np.shape(steps)))
     return np.add(nodes, starts, out=nodes)
@@ -517,10 +517,10 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     column steps on the grid of its envelope, the largest L of its block, which slightly
     over-resolves the lower ranks.  One lockstep grid (steps, envelopes, rows) is built
     and used in folds of _FOLD_SIZE // (rows * (columns + _GRID_COLUMNS)) steps, each
-    one pass over every column; rows whose grids have all ended drop out.  Buffers made
-    once take each fold: the step planes, with the running product as factor 0, after
-    the gather of W, and an arena for W and the nodes, om2 or the chain's first round.
-    ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts (rows, columns).
+    one pass over every column; rows whose grids have all ended drop out.  Each fold
+    takes views of buffers made once: the step planes (the running product as factor 0),
+    which first hold the gather of W, and an arena for W and the nodes, then om2 or the
+    chain's first round.  ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts.
     """
     rows = len(energy)
     ell = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks for _ in ranks]
@@ -529,8 +529,8 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     # a column's steps and nodes: a view where all share one envelope or each has its own
     pick = slice(None) if len(envelopes) == 1 or np.array_equal(env, np.arange(n)) else env
     fold = max(1, _FOLD_SIZE // (rows * (n + _GRID_COLUMNS)))
-    radii = 1 if len(envelopes) == 1 else n  # arrays at each radius, as in _block_eigenvalues
-    planes = np.empty(max(4 * n * (fold + 1), 2 * fold * (2 * n + radii)) * rows)
+    node_columns = 1 if len(envelopes) == 1 else n  # of the nodes, x and the C6/r^6 term
+    planes = np.empty(max(4 * n * (fold + 1), 2 * fold * (2 * n + node_columns)) * rows)
     arena = np.empty(2 * max(n * (fold + 2), fold * (n + len(envelopes))) * rows)
     run_m = np.multiply.outer(np.eye(2), np.ones((n, rows)))
     run_e = np.zeros((n, rows), dtype=np.int64)

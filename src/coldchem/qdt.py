@@ -192,7 +192,7 @@ def low_energy_loss_probability(L: int, system: CollisionSystem, k: float | list
     if L not in (0, 1):
         raise ValueError(f"threshold loss formula supports L = 0, 1 only, got {L}")
     abar = mean_scattering_length(system.reduced_mass, system.c6)
-    abar1 = P_WAVE_LENGTH_RATIO * abar  # the p-wave length, abar1 (k abar)^2 = beta_1
+    abar1 = P_WAVE_LENGTH_RATIO * abar
     p = [-math.expm1(-4.0 * x * (abar if L == 0 else abar1 * (x * abar) ** 2)) for x in ks]
     return p if isinstance(k, list) else p[0]
 

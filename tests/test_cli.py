@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import coldchem
-from coldchem import units
+import coldchem.cli as cli_module
+from coldchem import propagator, units
 from coldchem.cli import main, resolve_config, ConfigError
 from coldchem.potential import CollisionSystem
 from coldchem.qdt import (
@@ -190,9 +191,6 @@ def test_ploss_csv(tmp_path, capsys):
 def test_ploss_is_one_table_equal_to_single_partial_waves(tmp_path, monkeypatch, dipole):
     # all partial waves step in one table; each agrees with a run of its L alone, on
     # one-channel columns at zero field and on rank columns of larger blocks at 0.2 D
-    import coldchem.cli as cli_module
-    from coldchem import propagator
-
     builds = []
 
     def counted(module):
