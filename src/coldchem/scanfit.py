@@ -3,11 +3,11 @@
 A dipole scan propagates every eigenvalue rank of every symmetry-allowed
 (M, parity) block at every grid point, rank i standing for the block's
 channel i, and sums the quenching rates into a total loss rate versus
-induced dipole moment.  The points of a scan are the rows of one batched
-propagation, run in-process.  On top of the scans sit three analysis stages:
+induced dipole moment; the points of a scan are the rows of one batched
+in-process propagation.  Three analysis stages sit on top, on numpy alone:
 peak detection against a running-median baseline, the confluent-series fit
-for resonance positions, and the (s, y) short-range fit to measured
-rate-versus-dipole data.
+for resonance positions (linear least squares refined by damped Gauss-Newton),
+and the (s, y) short-range fit to measured rate-versus-dipole data.
 """
 from __future__ import annotations
 
@@ -244,6 +244,14 @@ class Resonance:
     index: int
 
 
+def _running_median(v, window):
+    """Upper median of the ``window`` samples from ``window // 2`` before each point, the
+    end values repeated beyond the ends: ``scipy.ndimage.median_filter``, mode "nearest"."""
+    half = window // 2
+    padded = np.pad(v, (half, (window - 1) // 2), mode="edge")
+    return np.partition(np.lib.stride_tricks.sliding_window_view(padded, window), half, 1)[:, half]
+
+
 def detect_resonances(
     curve: RateCurve,
     prominence_factor: float = 1.5,
@@ -257,17 +265,17 @@ def detect_resonances(
     maximum.  An empty list is a perfectly valid outcome (washed-out
     spectra).
     """
-    from scipy import ndimage
-
     if prominence_factor <= 1.0:
         raise ValueError("prominence_factor must exceed 1")
+    if baseline_window < 1:
+        raise ValueError("baseline_window must be a positive integer")
     v = np.asarray(curve.total, dtype=float)
     if len(v) < baseline_window:
         raise ValueError("curve has fewer points than the baseline window")
     x = np.asarray(curve.x, dtype=float)
     floor = np.max(v) * 1e-300 if np.max(v) > 0 else 1e-300
     v = np.maximum(v, floor)
-    baseline = ndimage.median_filter(v, size=baseline_window, mode="nearest")
+    baseline = _running_median(v, baseline_window)
     out = []
     for i in range(1, len(v) - 1):
         if not (v[i] > v[i - 1] and v[i] >= v[i + 1]):
@@ -277,11 +285,7 @@ def detect_resonances(
             continue
         y0, y1, y2 = np.log(v[i - 1 : i + 2])
         denom = y0 - 2.0 * y1 + y2
-        if denom < 0:
-            shift = 0.5 * (y0 - y2) / denom
-            shift = min(0.5, max(-0.5, shift))
-        else:
-            shift = 0.0
+        shift = min(0.5, max(-0.5, 0.5 * (y0 - y2) / denom)) if denom < 0 else 0.0
         spacing = 0.5 * (x[i + 1] - x[i - 1])
         out.append(Resonance(position=x[i] + shift * spacing,
                              prominence=float(prominence), index=i))
@@ -301,54 +305,48 @@ class SeriesFit:
 def fit_resonance_series(positions) -> SeriesFit:
     """Fit x(n) = scale * sqrt((n_zero + n)/(n_infinity - n)) to positions.
 
-    Positions are assigned consecutive integers n = 0, 1, ... in order; the
-    fit minimizes relative residuals with several starts of the accumulation
-    index to escape its shallow valley.
+    Positions are assigned consecutive integers n = 0, 1, ... in order.  The fit
+    minimizes the relative residuals x(n)/position - 1 with scale > 0, n_zero in
+    [0, 1e3] and tail = n_infinity - n_last in [1e-9, 1e9].  It starts from the
+    best of 181 tails on a log grid over the bounds, each with the least-squares
+    (A, B) = (scale^2, scale^2 n_zero) of x^2 (n_infinity - n) = A n + B, weighted
+    to relative residuals.  Damped Gauss-Newton (Levenberg-Marquardt) steps
+    refine it, each clipped into the bounds.  FitError if the fit ends non-finite.
     """
-    from scipy import optimize
-
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 1 or len(pos) < 4:
         raise ValueError("need at least 4 resonance positions")
-    if np.any(pos <= 0) or np.any(np.diff(pos) <= 0):
-        raise ValueError("positions must be positive and strictly increasing")
-    count = len(pos)
-    n = np.arange(count, dtype=float)
+    if not np.all(np.isfinite(pos) & (pos > 0)) or np.any(np.diff(pos) <= 0):
+        raise ValueError("positions must be finite, positive and strictly increasing")
+    n = np.arange(len(pos), dtype=float)
+    bounds = np.array([[1e-300, 0.0, 1e-9], [np.inf, 1e3, 1e9]])  # of scale, n_zero, tail
 
-    def residuals(p):
-        scale, n_zero, tail = p
-        model = scale * np.sqrt((n_zero + n) / (count - 1 + tail - n))
-        return model / pos - 1.0
+    def residuals(p):  # relative; p is one parameter row or a stack of rows
+        scale, n_zero, tail = p.T[..., None]
+        return scale * np.sqrt((n_zero + n) / (n[-1] + tail - n)) / pos - 1.0
 
-    best = None
-    for tail0 in (0.5, 1.0, 3.0, 8.0, 20.0, 60.0):
-        root0 = math.sqrt(0.5 / (count - 1 + tail0))
-        p0 = np.array([pos[0] / root0, 0.5, tail0])
-        try:
-            res = optimize.least_squares(
-                residuals,
-                p0,
-                bounds=([1e-300, 0.0, 1e-9], [np.inf, 1e3, 1e9]),
-                xtol=1e-14,
-                ftol=1e-14,
-                gtol=1e-14,
-            )
-        except Exception:  # noqa: BLE001 - a failed start is not fatal
-            continue
-        if not np.all(np.isfinite(res.x)):
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None:
-        raise FitError("resonance-series fit failed from every starting point")
-    scale, n_zero, tail = best.x
-    rms = float(np.sqrt(np.mean(best.fun**2)))
-    return SeriesFit(
-        scale=float(scale),
-        n_zero=float(n_zero),
-        n_infinity=float(count - 1 + tail),
-        residual_rms=rms,
-    )
+    with np.errstate(all="ignore"):  # a start or step off the domain costs nan and loses
+        tail = np.logspace(-9, 9, 181)[:, None]
+        w = 1.0 / (pos**2 * (n[-1] + tail - n))  # (A n + B) w = 1 at a perfect fit
+        a, b = (np.linalg.pinv(np.stack([n * w, w], axis=-1)) @ np.ones_like(pos)).T
+        start = np.clip(np.column_stack([np.sqrt(a), b / a, tail[:, 0]]), *bounds)
+        p = start[np.argmin(np.nan_to_num(np.sum(residuals(start) ** 2, axis=1), nan=np.inf))]
+        r, damping = residuals(p), 1e-3
+        for _ in range(200):
+            jac = (r + 1.0) * np.array(np.broadcast_arrays(  # row k: d r / d p[k]
+                1.0 / p[0], 0.5 / (p[1] + n), -0.5 / (n[-1] + p[2] - n)))
+            hess = jac @ jac.T * (1.0 + damping * np.eye(3))  # Marquardt's scaled damping
+            trial = np.clip(p - np.linalg.solve(hess, jac @ r), *bounds)
+            gain = r @ r - (r_trial := residuals(trial)) @ r_trial
+            if gain > 0:
+                p, r = trial, r_trial
+            damping = max(damping / 10, 1e-12) if gain > 0 else damping * 10
+            if 0 < gain <= 1e-15 * (r @ r) or damping > 1e12:
+                break
+    if not np.all(np.isfinite(r)):
+        raise FitError("resonance-series fit ended non-finite")
+    return SeriesFit(scale=float(p[0]), n_zero=float(p[1]), n_infinity=float(n[-1] + p[2]),
+                     residual_rms=float(np.sqrt(np.mean(r**2))))
 
 
 # --- dataset ingestion and the (s, y) fit ------------------------------------
