@@ -312,6 +312,18 @@ def test_rates_lossless_short_range_is_exactly_zero(tmp_path):
     assert all(float(v) == 0.0 for row in rows for v in row[1:])
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter at the repository root, on this package."""
+    src = str(Path(coldchem.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        check=True,
+    )
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("d_debye,K_cm3_s\n0.05,1e-12\n0.1,2e-12\n")
@@ -323,15 +335,26 @@ def test_cli_import_loads_no_scipy(tmp_path):
         f"assert coldchem.cli.main({fit!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    src = str(Path(coldchem.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
-        check=True,
+    assert run_python(code).stdout.strip() == "[]"
+
+
+def test_resonances_and_series_fit_run_without_scipy(tmp_path):
+    # scipy made unimportable: detection and the series fit use numpy alone
+    out = tmp_path / "res.csv"
+    res = ["resonances", "--config", "configs/krb.conf", "--set", "y=0.1", "--set", "l_max=3",
+           "--out", str(out)]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import coldchem, coldchem.cli\n"
+        f"assert coldchem.cli.main({res!r}) == 0\n"
+        "fit = coldchem.fit_resonance_series([0.1, 0.2, 0.26, 0.3, 0.33])\n"
+        "assert fit.residual_rms < 0.1, fit\n"
     )
-    assert done.stdout.strip() == "[]"
+    run_python(code)
+    _, rows = read_csv(str(out))
+    assert len(rows) >= 4
+    assert any(line.startswith("# series_residual_rms") for line in comment_lines(out))
 
 
 # --- resonances ----------------------------------------------------------------------
@@ -354,6 +377,19 @@ def test_resonances_smooth_universal_case(tmp_path):
     header, rows = read_csv(str(out))
     assert header == ["position_debye", "prominence", "index"]
     assert rows == []  # y = 1 washes out every resonance
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_resonances_rejects_a_non_positive_baseline_window(tmp_path, capsys, window):
+    out = tmp_path / "res.csv"
+    code = main(["resonances"] + BASE + [
+        "--set", "l_max=1", "--set", "n_dipole=20", "--set", f"baseline_window={window}",
+        "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: baseline_window must be a positive integer"]
+    assert not out.exists()
 
 
 # --- fit -----------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Layout rules of the package source, and the names the benchmark traces in it."""
+import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "coldchem"
@@ -32,3 +36,27 @@ def test_benchmark_layers_resolve(monkeypatch):
     spec.loader.exec_module(tracer)
     absent = {t.name for t in tracer.TARGETS if tracer._resolve(t) is None}
     assert absent == ABSENT_LAYERS
+
+
+def test_package_imports_no_scipy():
+    # the package runs on numpy alone; scipy is a test-only reference
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, "\n".join(found)
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
