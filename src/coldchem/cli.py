@@ -52,11 +52,7 @@ from .scanfit import (
     scan_dipole,
 )
 
-_SYMMETRY_NAMES = {
-    "fermions": Symmetry.FERMIONS,
-    "bosons": Symmetry.BOSONS,
-    "distinguishable": Symmetry.DISTINGUISHABLE,
-}
+_SYMMETRY_NAMES = {symmetry.value: symmetry for symmetry in Symmetry}
 
 # key -> (converter, default-as-string or None when required/optional)
 _CONFIG_KEYS: dict[str, tuple] = {
@@ -162,6 +158,8 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             continue
         try:
             config[key] = conv(value)
+            if conv is float and not math.isfinite(config[key]):
+                problems.append(f"config key {key!r}: {value!r} is not a finite number")
         except ValueError:
             problems.append(f"config key {key!r}: cannot parse {value!r} as {conv.__name__}")
 
@@ -319,7 +317,7 @@ def _cmd_ploss(config: dict, out: str | None) -> int:
     curves = [_ploss_curve(system, params, config, L) for L in l_values]
     table = build_table(system, [(curve.basis, [curve.index]) for curve in curves],
                         params.r_match, energies, system.c3, grid)
-    _, loss, _ = evaluate(table, params.y, delta_sr)
+    _, loss = evaluate(table, params.y, delta_sr)
     e_uk = list(map(repr, units.energy_to_microkelvin(energies).tolist()))
     k, nan = np.sqrt(2.0 * system.reduced_mass * energies).tolist(), [math.nan] * len(energies)
     rows = []

@@ -51,7 +51,6 @@ from .qdt import (
     ScatteringResult,
     ShortRangeParams,
     characteristic_energies,
-    length_from_s_matrix,
     mean_scattering_length,
 )
 
@@ -95,14 +94,14 @@ class RadialGrid:
     match_factor: float = 1.2
 
     def __post_init__(self):
-        if self.points_per_wavelength < 20:
-            raise ValueError("points_per_wavelength must be at least 20")
-        if self.scale_fraction < 4:
-            raise ValueError("scale_fraction must be at least 4")
+        if not 20 <= self.points_per_wavelength < math.inf:
+            raise ValueError("points_per_wavelength must be finite and at least 20")
+        if not 4 <= self.scale_fraction < math.inf:
+            raise ValueError("scale_fraction must be finite and at least 4")
         if not 0 < self.tail_tolerance <= 1e-4:
             raise ValueError("tail_tolerance must lie in (0, 1e-4]")
-        if self.match_factor <= 1.0:
-            raise ValueError("match_factor must exceed 1")
+        if not 1.0 < self.match_factor < math.inf:
+            raise ValueError("match_factor must be finite and exceed 1")
 
     def outer_radius(
         self,
@@ -663,23 +662,20 @@ def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table
     return _Table(*map(np.concatenate, zip(*parts)))
 
 
-def evaluate(table: _Table, y: float, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S, loss and match spread, each (rows, cols), of a table at (y, delta_sr).
+def evaluate(table: _Table, y: float, delta) -> tuple[np.ndarray, np.ndarray]:
+    """t = tan(delta_L) at r1 and the loss, each (rows, cols), of a table at (y, delta_sr).
 
     ``delta`` is delta_sr, one value or one per column.  The boundary state,
-    which no row changes, goes through the table's maps to t at r1 and at r2;
-    S and the loss (from the conserved flux) come from r1, and the spread
-    |t2 - t1| is the error estimate.  This is arithmetic on the table alone.
+    which no row changes, goes through the table's map at r1 to t, and the loss
+    comes from the conserved flux.  This is arithmetic on the table alone; the
+    table's r2 view, ``table._replace(h1=table.h2, e1=table.e2)``, gives t at r2.
     """
-    p, q, flux = boundary_state(y, delta)
-    t1 = match_free_solution(table.h1, table.e1, table.det, p, q, flux, table.where)
-    t2 = match_free_solution(table.h2, table.e2, table.det, p, q, flux, table.where)
-    s_el = (1.0 + 1j * t1) / (1.0 - 1j * t1)
-    # algebraically identical to 1 - |S|^2 but immune to cancellation
-    loss = 4.0 * t1.imag / np.abs(1.0 - 1j * t1) ** 2
+    t = match_free_solution(table.h1, table.e1, table.det, *boundary_state(y, delta), table.where)
+    # algebraically identical to 1 - |S|^2, S = (1 + i t)/(1 - i t), but immune to cancellation
+    loss = 4.0 * t.imag / np.abs(1.0 - 1j * t) ** 2
     if np.any(loss < -1e-9):
         raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, table.where)
-    return s_el, loss, np.abs(t2 - t1)
+    return t, loss
 
 
 def _rate_prefactor(system: CollisionSystem, k):
@@ -688,11 +684,13 @@ def _rate_prefactor(system: CollisionSystem, k):
 
 
 def _point_results(system, blocks, delta, params, energy, grid) -> list[ScatteringResult]:
-    """Scattering result of every column at one point: a table of one row."""
+    """Every column's result at one point, a table of one row: S and |t(r2) - t(r1)| from t."""
     k = math.sqrt(2.0 * system.reduced_mass * energy)
     pref = _rate_prefactor(system, k)
     table = build_table(system, blocks, params.r_match, energy, system.c3, grid)
-    s_matrix, loss, spread = (x[0] for x in evaluate(table, params.y, delta))
+    t, loss = (x[0] for x in evaluate(table, params.y, delta))
+    t_far, _ = evaluate(table._replace(h1=table.h2, e1=table.e2), params.y, delta)
+    s_matrix, spread = (1.0 + 1j * t) / (1.0 - 1j * t), np.abs(t_far[0] - t)
     channels = [basis.channels[i] for basis, ranks in blocks for i in ranks]
     return [
         ScatteringResult(
@@ -768,8 +766,7 @@ def _phase_calibration(
         t = -k * target
         delta = math.atan2(t * g[1, 1] - g[0, 1], g[0, 0] - t * g[1, 0]) % math.pi
         delta = delta if delta < math.pi else 0.0  # a tiny negative angle rounds to pi
-        s_matrix, _, _ = evaluate(table, 0.0, delta)
-        a = length_from_s_matrix(complex(s_matrix[0, 0]), k).alpha
+        a = -float(evaluate(table, 0.0, delta)[0][0, 0].real) / k
         if not abs(a - target) <= tolerance * abar * max(1.0, abs(s)):
             raise CalibrationError(
                 f"delta_sr = {delta:.6g} gives a = {a / abar:.6g} * abar instead of "

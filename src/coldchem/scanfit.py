@@ -146,7 +146,7 @@ def _run_scan(
         table = build_table(
             system, blocks, params.r_match, energies[:stop], c3[:stop], grid, where[:stop]
         )
-        _, loss, _ = evaluate(table, params.y, delta)
+        _, loss = evaluate(table, params.y, delta)
         return _rate_curve(
             axis, x[:stop], system, columns, loss, energies[:stop], channels, energy, dipole
         )
@@ -193,7 +193,7 @@ def scan_dipole(
         raise ValueError("d_values must be a non-empty 1-D array")
     if np.any(d_values < 0) or np.any(np.diff(d_values) <= 0):
         raise ValueError("d_values must be non-negative and strictly increasing")
-    if energy <= 0:
+    if not energy > 0:
         raise ValueError("collision energy must be positive")
     grid = grid or RadialGrid()
     if delta_sr is None:
@@ -265,7 +265,7 @@ def detect_resonances(
     maximum.  An empty list is a perfectly valid outcome (washed-out
     spectra).
     """
-    if prominence_factor <= 1.0:
+    if not prominence_factor > 1.0:
         raise ValueError("prominence_factor must exceed 1")
     if baseline_window < 1:
         raise ValueError("baseline_window must be a positive integer")
@@ -325,24 +325,27 @@ def fit_resonance_series(positions) -> SeriesFit:
         scale, n_zero, tail = p.T[..., None]
         return scale * np.sqrt((n_zero + n) / (n[-1] + tail - n)) / pos - 1.0
 
-    with np.errstate(all="ignore"):  # a start or step off the domain costs nan and loses
-        tail = np.logspace(-9, 9, 181)[:, None]
-        w = 1.0 / (pos**2 * (n[-1] + tail - n))  # (A n + B) w = 1 at a perfect fit
-        a, b = (np.linalg.pinv(np.stack([n * w, w], axis=-1)) @ np.ones_like(pos)).T
-        start = np.clip(np.column_stack([np.sqrt(a), b / a, tail[:, 0]]), *bounds)
-        p = start[np.argmin(np.nan_to_num(np.sum(residuals(start) ** 2, axis=1), nan=np.inf))]
-        r, damping = residuals(p), 1e-3
-        for _ in range(200):
-            jac = (r + 1.0) * np.array(np.broadcast_arrays(  # row k: d r / d p[k]
-                1.0 / p[0], 0.5 / (p[1] + n), -0.5 / (n[-1] + p[2] - n)))
-            hess = jac @ jac.T * (1.0 + damping * np.eye(3))  # Marquardt's scaled damping
-            trial = np.clip(p - np.linalg.solve(hess, jac @ r), *bounds)
-            gain = r @ r - (r_trial := residuals(trial)) @ r_trial
-            if gain > 0:
-                p, r = trial, r_trial
-            damping = max(damping / 10, 1e-12) if gain > 0 else damping * 10
-            if 0 < gain <= 1e-15 * (r @ r) or damping > 1e12:
-                break
+    try:
+        with np.errstate(all="ignore"):  # a start or step off the domain costs nan and loses
+            tail = np.logspace(-9, 9, 181)[:, None]
+            w = 1.0 / (pos**2 * (n[-1] + tail - n))  # (A n + B) w = 1 at a perfect fit
+            a, b = (np.linalg.pinv(np.stack([n * w, w], axis=-1)) @ np.ones_like(pos)).T
+            start = np.clip(np.column_stack([np.sqrt(a), b / a, tail[:, 0]]), *bounds)
+            p = start[np.argmin(np.nan_to_num(np.sum(residuals(start) ** 2, axis=1), nan=np.inf))]
+            r, damping = residuals(p), 1e-3
+            for _ in range(200):
+                jac = (r + 1.0) * np.array(np.broadcast_arrays(  # row k: d r / d p[k]
+                    1.0 / p[0], 0.5 / (p[1] + n), -0.5 / (n[-1] + p[2] - n)))
+                hess = jac @ jac.T * (1.0 + damping * np.eye(3))  # Marquardt's scaled damping
+                trial = np.clip(p - np.linalg.solve(hess, jac @ r), *bounds)
+                gain = r @ r - (r_trial := residuals(trial)) @ r_trial
+                if gain > 0:
+                    p, r = trial, r_trial
+                damping = max(damping / 10, 1e-12) if gain > 0 else damping * 10
+                if 0 < gain <= 1e-15 * (r @ r) or damping > 1e12:
+                    break
+    except np.linalg.LinAlgError as exc:  # weights or steps beyond float range
+        raise FitError(f"resonance-series fit failed: {exc}") from exc
     if not np.all(np.isfinite(r)):
         raise FitError("resonance-series fit ended non-finite")
     return SeriesFit(scale=float(p[0]), n_zero=float(p[1]), n_infinity=float(n[-1] + p[2]),
@@ -534,7 +537,7 @@ def _fit_objective(dataset, system, energy, r_match, grid, l_max, energy_fractio
         for start in range(0, len(y), chunk):
             trials = slice(start, start + chunk)
             try:
-                _, loss, _ = evaluate(table, y[trials, None, None], delta[trials, None, None])
+                _, loss = evaluate(table, y[trials, None, None], delta[trials, None, None])
             except ColdchemError as exc:
                 raise FitError(f"objective evaluation failed: {exc}") from exc
             total = _rate_curve(

@@ -121,6 +121,19 @@ def test_bad_symmetry_exit_code(capsys):
     assert "symmetry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [k for k, (conv, _) in cli_module._CONFIG_KEYS.items()
+                                 if conv is float])
+def test_non_finite_float_key_is_one_config_error(capsys, key, value):
+    # a nan or infinite value never reaches the physics: one line names the key
+    code = main(["rates", "--config", str(ROOT / "configs" / "krb.conf"),
+                 "--set", f"{key}={value}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if repr(key) in line] == [
+        f"config error: config key {key!r}: {value!r} is not a finite number"]
+
+
 def test_runtime_value_error_is_config_error(capsys):
     # r_match above abar only surfaces when the physics objects meet
     code = main(["selfcheck"] + BASE + ["--set", "r_match_bohr=500"])

@@ -219,7 +219,7 @@ def test_lossless_boundary_is_real():
         system, [(build_basis(0, 0, 0), [0])], 20.0, E0 / 50.0, 0.0, RadialGrid()
     )
     for delta in (0.0, 0.4, 1.1, 2.9):
-        _, loss, _ = propagator.evaluate(table, 0.0, delta)
+        _, loss = propagator.evaluate(table, 0.0, delta)
         assert loss[0, 0] == 0.0  # the flux, 1 - rho^2, in closed form
 
 
@@ -437,7 +437,8 @@ def test_evaluate_is_arithmetic_only(monkeypatch):
 
     monkeypatch.setattr(propagator, "_riccati_bessel", no_call)
     monkeypatch.setattr(propagator, "_block_eigenvalues", no_call)
-    s_matrix, loss, _ = propagator.evaluate(table, params.y, delta)
+    t, loss = propagator.evaluate(table, params.y, delta)
+    s_matrix = (1.0 + 1j * t) / (1.0 - 1j * t)
     columns = [basis.channels[i] for basis, ranks in blocks for i in ranks]
     for i, point in enumerate(points):
         for j, channel in enumerate(columns):
@@ -714,6 +715,15 @@ def test_grid_policies():
         RadialGrid(tail_tolerance=1e-3)
     with pytest.raises(ValueError):
         RadialGrid(match_factor=0.9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field", ["points_per_wavelength", "scale_fraction", "tail_tolerance", "match_factor"])
+def test_grid_rejects_non_finite_values(field, value):
+    # nan or inf made every step nan or zero, and the grid had no steps
+    with pytest.raises(ValueError, match=field):
+        RadialGrid(**{field: value})
 
 
 def test_build_steps_cover_interval():

@@ -139,6 +139,8 @@ TABLE_BLOCKS = [(basis, range(len(basis))) for basis in symmetry_blocks(KRB, 3)]
 TABLE = propagator.build_table(
     KRB, TABLE_BLOCKS, 20.0, np.full(len(TABLE_D), E_250NK), 2.0 * TABLE_D**2, RadialGrid()
 )
+# the same table matched at r2: evaluate's t there
+TABLE_FAR = TABLE._replace(h1=TABLE.h2, e1=TABLE.e2)
 unit_y = st.floats(0.0, 1.0)
 
 
@@ -147,7 +149,9 @@ unit_y = st.floats(0.0, 1.0)
 def test_table_evaluation_equals_rate_point(s, y):
     params = ShortRangeParams(s=s, y=y)
     delta = calibrate_phase(KRB, params)
-    s_matrix, loss, _ = propagator.evaluate(TABLE, y, delta)
+    t, loss = propagator.evaluate(TABLE, y, delta)
+    t_far, _ = propagator.evaluate(TABLE_FAR, y, delta)
+    s_matrix, size = (1.0 + 1j * t) / (1.0 - 1j * t), 1.0 + np.abs(t) + np.abs(t_far)
     columns = [basis.channels[j] for basis, ranks in TABLE_BLOCKS for j in ranks]
     for i, d_i in enumerate(TABLE_D):
         point = rate_point(
@@ -157,6 +161,8 @@ def test_table_evaluation_equals_rate_point(s, y):
             res = point[channel]
             assert s_matrix[i, j] == pytest.approx(res.s_matrix, rel=1e-12, abs=0.0)
             assert loss[i, j] == pytest.approx(res.loss_probability, rel=1e-12, abs=0.0)
+            # the point API's spread is |t(r2) - t(r1)|, rounded as t is
+            assert abs(res.match_spread - abs(t_far[i, j] - t[i, j])) <= 1e-12 * size[i, j]
 
 
 def reference_parts(system, blocks, r_match, energy, c3, grid):
@@ -225,7 +231,9 @@ N_COLS = TABLE.h1.shape[1]
 )
 def test_table_maps_equal_the_two_step_reference(y, delta):
     y = np.array([y, 1.0 - y])[:, None, None] if np.ndim(delta) == 3 else y
-    s_matrix, loss, spread = propagator.evaluate(TABLE, y, delta)
+    t, loss = propagator.evaluate(TABLE, y, delta)
+    t_far, _ = propagator.evaluate(TABLE_FAR, y, delta)
+    s_matrix, spread = (1.0 + 1j * t) / (1.0 - 1j * t), np.abs(t_far - t)
     want_s, want_loss, want_spread, size = reference_evaluate(TABLE_PARTS, y, delta)
     assert s_matrix.shape == loss.shape == spread.shape == want_s.shape
     assert np.all(np.abs(s_matrix - want_s) <= 1e-12 * np.abs(want_s))

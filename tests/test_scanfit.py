@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage, optimize
 
-from coldchem import units
+from coldchem import propagator, scanfit, units
 from coldchem.errors import FitError, ScanError
 from coldchem.potential import Channel, CollisionSystem, Symmetry, symmetry_blocks
 from coldchem.propagator import RadialGrid, calibrate_phase
@@ -290,6 +290,8 @@ def test_detect_resonances_validation():
     curve = synthetic_curve([], [], [])
     with pytest.raises(ValueError):
         detect_resonances(curve, prominence_factor=0.9)
+    with pytest.raises(ValueError, match="prominence_factor"):
+        detect_resonances(curve, prominence_factor=math.nan)  # kept every local maximum
     for window in (0, -3):
         with pytest.raises(ValueError, match="baseline_window must be a positive integer"):
             detect_resonances(curve, baseline_window=window)
@@ -351,6 +353,14 @@ def test_series_fit_rejects_disorder():
 def test_series_fit_rejects_non_finite(last):
     with pytest.raises(ValueError, match="finite"):
         fit_resonance_series([0.1, 0.2, 0.3, last])
+
+
+@pytest.mark.parametrize("positions", [[1e-300, 1.0, 2.0, 3.0], [1.0, 1e10, 1e20, 1e30]])
+def test_series_fit_beyond_float_range_is_a_fit_error(positions):
+    # the weights 1/position^2 overflow (an SVD that does not converge), or the
+    # damped step meets a singular matrix: a numerical failure, not bad input
+    with pytest.raises(FitError, match="resonance-series fit failed"):
+        fit_resonance_series(positions)
 
 
 def least_squares_series_fit(pos):
@@ -587,6 +597,29 @@ def test_fit_leaves_the_wrong_s_basin_at_small_y(fermi_calibration):
     resid = (np.log(k_true) - np.log(k_obs)) / 0.1
     assert fit.chi2 <= float(resid @ resid)
     assert abs(fit.params.s + 1.0) < 0.1
+
+
+def test_fit_matches_once_per_evaluation(fermi_calibration, monkeypatch):
+    # the search reads the loss alone, so an evaluation matches at r1 and not at r2
+    system, _, grid, _ = fermi_calibration
+    ds = Dataset(d_debye=np.array([0.05, 0.1, 0.15]), rate_cm3s=np.array([1e-12, 2e-12, 4e-12]))
+    calls = {"evaluate": 0, "match": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    evaluate = counted("evaluate", propagator.evaluate)
+    monkeypatch.setattr(propagator, "evaluate", evaluate)  # the calibration's check
+    monkeypatch.setattr(scanfit, "evaluate", evaluate)  # the chi2 search
+    monkeypatch.setattr(
+        propagator, "match_free_solution", counted("match", propagator.match_free_solution))
+    fit_short_range(ds, system, E_250NK, initial=ShortRangeParams(s=0.5, y=0.5),
+                    fit=("s", "y"), grid=grid, l_max=1)
+    assert calls["evaluate"] > 1
+    assert calls["match"] == calls["evaluate"]
 
 
 def test_fit_requires_known_parameters(fermi_calibration):
