@@ -65,12 +65,12 @@ class CollisionSystem:
     g_override: int | None = None
 
     def __post_init__(self):
-        if self.reduced_mass <= 0:
-            raise ValueError("reduced mass must be positive")
-        if self.c6 <= 0:
-            raise ValueError("C6 must be positive")
-        if self.dipole < 0:
-            raise ValueError("dipole must be non-negative")
+        if not 0 < self.reduced_mass < math.inf:
+            raise ValueError("reduced mass must be positive and finite")
+        if not 0 < self.c6 < math.inf:
+            raise ValueError("C6 must be positive and finite")
+        if not 0 <= self.dipole < math.inf:
+            raise ValueError("dipole must be non-negative and finite")
         if not isinstance(self.symmetry, Symmetry):
             raise TypeError("symmetry must be a Symmetry enum member")
         if self.g_override is not None and self.g_override not in (1, 2):

@@ -58,8 +58,8 @@ _SQRT3 = math.sqrt(3.0)
 _MAX_STEPS = 10_000_000
 # Rows per chunk, and steps times rows times (columns + _GRID_COLUMNS) per fold, counted
 # over all columns of a segment.  The chunk bounds the per-row arrays.  A fold holds about
-# six float64 per step, row and column in its buffers, and the grid's own arrays per step
-# and row weigh about as much as _GRID_COLUMNS columns, which matters for few columns.
+# six float64 per step, row and column in its buffers, and the grid's one buffer of radii
+# and steps weighs about as much as _GRID_COLUMNS columns, which matters for few columns.
 _CHUNK_ROWS = 1024
 _FOLD_SIZE = 32768
 _GRID_COLUMNS = 3
@@ -139,8 +139,10 @@ class RadialGrid:
         broadcast to one value per grid row, so ``L`` as (envelopes, 1) against values
         per row gives a grid per envelope and row.  The arrays returned have shape
         (steps,) + that shape, and a grid row that has reached its r_stop is padded with
-        zero-length steps there.  At most ``max_steps`` steps are built, so a long grid
-        can be taken fold by fold; without it a grid beyond the budget raises GridError.
+        zero-length steps there.  With ``max_steps`` one fold is built: exactly that many
+        steps, in one buffer, less the trailing ones on which no row moves, so a long grid
+        is taken fold by fold, each from the last one's end radius.  A whole grid (without
+        it) chains such folds in lockstep, and one beyond the budget raises GridError.
         """
         c3 = system.c3 if c3 is None else c3
         ll = np.multiply(L, np.add(L, 1.0))
@@ -151,7 +153,7 @@ class RadialGrid:
                 f"outer radius {np.min(r_stop):.3g} does not exceed inner radius "
                 f"{np.max(r):.3g}"
             )
-        # q^2 = a + b/r^6 + c/r^3 + ll/r^2 with a, b, c = 2 mu (E, C6, C3)
+        # q^2 = a + b/r^6 + c/r^3 + ll/r^2 with a, b, c = 2 mu (E, C6, C3), by Horner in 1/r
         two_mu = 2.0 * system.reduced_mass
         terms = (two_mu * np.asarray(energy), two_mu * system.c6, two_mu * np.asarray(c3), ll,
                  2.0 * math.pi / self.points_per_wavelength, self.scale_fraction)
@@ -163,28 +165,34 @@ class RadialGrid:
                 *(np.broadcast_to(x, shape).ravel().tolist() for x in (*terms, r, r_stop)))]
             n = max((len(x) for x, _ in rows), default=1)
             radii = np.array([x + x[-1:] * (n - len(x)) for x, _ in rows]).T.reshape((n,) + shape)
+            starts, steps = radii[:-1], np.diff(radii, axis=0)
             unfinished = any(more for _, more in rows)
+        elif max_steps is None:
+            folds = [self.build_steps(system, L, energy, r, r_stop, c3, max_steps=1024)]
+            while len(folds[-1][1]) == 1024 and len(folds) < _MAX_STEPS // 1024:
+                r = folds[-1][0][-1] + folds[-1][1][-1]
+                folds.append(self.build_steps(system, L, energy, r, r_stop, c3, max_steps=1024))
+            starts, steps = map(np.concatenate, zip(*folds))
+            unfinished = len(folds[-1][1]) == 1024
         else:
-            radii = [r]
-            while True:
-                r_next = _next_radius(*terms, r, r_stop)
-                unfinished = bool((r_next > r).any())
-                if not unfinished or len(radii) > limit:
-                    break
-                radii.append(r_next)
-                r = r_next
-            radii = np.stack(radii)
+            radii, steps = np.empty((2, limit + 1) + shape)
+            radii[0] = r
+            for i in range(limit):
+                radii[i + 1] = _next_radius(*terms, radii[i], r_stop)
+            steps = np.subtract(radii[1:], radii[:-1], out=steps[:-1])
+            n = np.count_nonzero(steps.reshape(limit, -1).any(axis=1))
+            starts, steps = radii[:n], steps[:n]
         if max_steps is None and unfinished:
             raise GridError("radial grid exceeds the step budget")
-        return radii[:-1], np.diff(radii, axis=0)
+        return starts, steps
 
 
 def _next_radius(a, b, c, ll, wave, frac, r, r_stop):
     """Every row's next grid radius; a row stays put once it has stopped."""
-    r2 = r * r
-    r3 = r2 * r
-    h = np.minimum(np.minimum(wave / np.sqrt(a + b / (r3 * r3) + c / r3 + ll / r2),
-                              r / frac), r_stop - r)
+    inv = 1.0 / r
+    inv2 = inv * inv
+    q2 = ((b * (inv2 * inv) + c) * inv + ll) * inv2 + a
+    h = np.minimum(np.minimum(wave / np.sqrt(q2), r / frac), r_stop - r)
     # stopping at r_stop, or on step underflow at the very last point
     return np.maximum(r + h, r)
 
@@ -194,10 +202,10 @@ def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
     whether it stopped short of r_stop after ``limit`` steps."""
     radii = [r]
     for _ in range(limit + 1):
-        r2 = r * r
-        r3 = r2 * r
-        r_next = r + min(wave / math.sqrt(a + b / (r3 * r3) + c / r3 + ll / r2),
-                         r / frac, r_stop - r)
+        inv = 1.0 / r
+        inv2 = inv * inv
+        q2 = ((b * (inv2 * inv) + c) * inv + ll) * inv2 + a
+        r_next = r + min(wave / math.sqrt(q2), r / frac, r_stop - r)
         if not r_next > r:
             return radii, False
         radii.append(r_next)
@@ -267,10 +275,11 @@ def chain_product(matrices: np.ndarray, work=(None, None)) -> tuple[np.ndarray, 
     """Ordered product M[n-1] @ ... @ M[0] by pairwise reduction, as (m, e).
 
     The factors are planes (2, 2, n, batch...), and the product is m * 2**e with
-    m (2, 2, batch...) and e an integer per batch index.  Each round multiplies
-    adjacent pairs and divides each product by the power of two nearest its
-    largest entry.  That division is exact, so the scale is pure bookkeeping: the
-    Moebius map ignores it, and as every Magnus step has determinant 1, det(m) = 2**(-2 e).
+    m (2, 2, batch...) and e an integer per batch index.  Each round multiplies adjacent
+    pairs and finds each product's largest entry; the last round, and any where one leaves
+    [2**-256, 2**256], divides each product by the power of two nearest it.  That is exact,
+    so (m, e) is bitwise that of dividing in every round and the scale pure bookkeeping:
+    the Moebius map ignores it, and as every Magnus step has determinant 1, det(m) = 2**(-2 e).
     The rounds alternate between the two flat buffers of ``work``, by default fresh; the
     first takes half the factors' size, the second a quarter and may hold the factors
     themselves, which it then overwrites.  m is a view.
@@ -291,10 +300,11 @@ def chain_product(matrices: np.ndarray, work=(None, None)) -> tuple[np.ndarray, 
         np.abs(pairs[0, 0], out=top)
         for plane in (pairs[0, 1], pairs[1, 0], pairs[1, 1]):
             np.maximum(top, np.abs(plane, out=spare), out=top)
-        exps = spare.reshape(-1).view(np.int32)[:top.size].reshape(top.shape)
-        np.frexp(top, out=(top, exps))
-        e += exps.sum(axis=0)
-        np.ldexp(pairs, np.negative(exps, out=exps), out=pairs)
+        if n == 2 or not (2.0**-256 <= top.min(initial=1.0) and top.max(initial=1.0) <= 2.0**256):
+            exps = spare.reshape(-1).view(np.int32)[:top.size].reshape(top.shape)
+            np.frexp(top, out=(top, exps))
+            e += exps.sum(axis=0)
+            np.ldexp(pairs, np.negative(exps, out=exps), out=pairs)
         m, work = prod, work[::-1]
     return m[:, :, 0], e
 
@@ -458,15 +468,16 @@ def _eigen_table(blocks: tuple[tuple[ChannelBasis, tuple[int, ...]], ...], u_max
     return table
 
 
-def _block_eigenvalues(system, blocks, r, c3, x_max, out=None, work=None) -> np.ndarray:
-    """Eigenvalues of the columns of ``blocks``, shape (columns,) + broadcast(r[0], c3).
+def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None) -> np.ndarray:
+    """W = 2 mu (V - E) of the columns of ``blocks``, shape (columns,) + broadcast(r[0], c3).
 
     The leading axis of ``r`` holds the radii of each column, or of all if its length is
-    1.  With x = 2 mu c3 / r <= ``x_max`` they are eps / (2 mu r^2) - C6/r^6, eps the
-    matrix element L(L+1) - P x of a one-channel column and for the others the cubic
-    Hermite interpolant of ``_eigen_table`` in log1p(x), from each column's own row of
-    the flat table.  ``out`` is a flat buffer for the result, and ``work`` one of twice
-    its size plus broadcast(r, c3) for the gather and x; by default both are fresh.
+    1, and ``energy`` broadcasts against r[0].  With x = 2 mu c3 / r <= ``x_max``, W is
+    eps / r^2 + 2 mu (-C6/r^6 - E), eps the matrix element L(L+1) - P x of a one-channel
+    column and for the others the cubic Hermite interpolant of ``_eigen_table`` in
+    log1p(x), from each column's own row of the flat table.  ``out`` is a flat buffer for
+    the result, and ``work`` one of twice its size plus broadcast(r, c3) for the gather and
+    x; by default both are fresh.
     """
     bases = [basis for basis, ranks in blocks for _ in ranks]
     single = [len(basis) == 1 for basis in bases]
@@ -497,12 +508,12 @@ def _block_eigenvalues(system, blocks, r, c3, x_max, out=None, work=None) -> np.
     if any(single):
         p = np.array([_coupling(b)[0, 0] if one else 0.0 for b, one in zip(bases, single)])
         eps -= np.multiply(p.reshape(column), x, out=term)
-    # eps / (2 mu r^2) - C6/r^6, with the spent terms for scratch
+    # eps / r^2 + 2 mu (-C6/r^6 - E), with the spent terms for scratch
     inv = np.reciprocal(np.multiply(r, r, out=x), out=x)
     tail = np.multiply(inv, inv, out=_buffer(work, points))
     tail *= inv
-    tail *= C6_SIGN * system.c6
-    inv *= 0.5 / system.reduced_mass
+    tail *= 2.0 * system.reduced_mass * C6_SIGN * system.c6
+    tail -= 2.0 * system.reduced_mass * np.asarray(energy)
     eps *= inv
     eps += tail
     return eps
@@ -551,9 +562,8 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
         # (columns or 1, 2, steps, rows), the nodes after W in the arena
         nodes = gauss_nodes(starts, steps, out=arena[2 * n * len(steps) * steps.shape[-1]:])
         nodes = nodes.transpose(2, 0, 1, 3)[pick]
-        w = _block_eigenvalues(system, blocks, nodes, c3[live], x_max, out=arena, work=planes)
-        w -= energy[live]
-        w *= 2.0 * system.reduced_mass
+        w = _block_eigenvalues(system, blocks, nodes, c3[live], energy[live], x_max, out=arena,
+                               work=planes)
         # factor 0 is the running product, then the steps, each (columns, rows)
         m = _buffer(planes, (2, 2, len(steps) + 1, n, w.shape[-1]))
         m[:, :, 0] = run_m[..., live]

@@ -207,6 +207,16 @@ def test_basis_requires_consistency():
         )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field, message", [("reduced_mass", "reduced mass"), ("c6", "C6"), ("dipole", "dipole")])
+def test_system_rejects_non_finite_values(field, message, value):
+    # a nan dipole ran to the end and returned loss_probability = nan
+    values = {"reduced_mass": MU_KRB, "c6": C6_KRB, field: value}
+    with pytest.raises(ValueError, match=message):
+        CollisionSystem(**values)
+
+
 def test_statistical_factor():
     assert krb(symmetry=Symmetry.FERMIONS).statistical_factor == 1
     assert krb(symmetry=Symmetry.BOSONS).statistical_factor == 1

@@ -768,6 +768,41 @@ def test_lockstep_grid_rows_equal_single_rows():
                 assert np.all(few_steps[n:, g, j] == 0.0)
 
 
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_grid_folds_chain_to_the_whole_grid(monkeypatch, k):
+    # folds of k steps, each started at the last one's end radius, give bitwise the one
+    # whole lockstep grid: three envelopes on rows of eight outer radii, which stop in
+    # different folds and are padded with zero steps until every row has stopped
+    grid = RadialGrid()
+    system = krb()
+    energy = E0 * np.geomspace(1e-3, 10.0, 8)
+    c3 = np.linspace(0.0, 0.05, 8)
+    envelopes = np.array([[1], [3], [6]])
+    r_stop = 20.0 * np.geomspace(1.5, 4.0, 8)
+    starts, steps = grid.build_steps(system, envelopes, energy, 20.0, r_stop, c3)
+    assert steps.shape == (len(steps), 3, 8)
+    calls = []
+    next_radius = propagator._next_radius
+    monkeypatch.setattr(propagator, "_next_radius", lambda *a: calls.append(1) or next_radius(*a))
+    folds, r = [], np.full((3, 8), 20.0)
+    while True:
+        calls.clear()
+        fold = grid.build_steps(system, envelopes, energy, r, r_stop, c3, max_steps=k)
+        assert len(calls) == k  # exactly max_steps steps, no probe for the end
+        if len(fold[1]) == 0:
+            break
+        folds.append(fold)
+        r = fold[0][-1] + fold[1][-1]
+        if len(fold[1]) < k:
+            break
+    assert all(len(h) == k for _, h in folds[:-1])
+    assert np.array_equal(np.concatenate([s for s, _ in folds]), starts)
+    assert np.array_equal(np.concatenate([h for _, h in folds]), steps)
+    n = np.count_nonzero(steps, axis=0)
+    assert len(np.unique((n - 1) // k)) > 2  # rows take their last steps in several folds
+    assert np.any(steps == 0.0)
+
+
 def test_calibration_forward_check_raises():
     # the closed form is exact only to rounding; a tighter bound must fail
     with pytest.raises(CalibrationError):

@@ -330,17 +330,23 @@ def test_eigenvalue_table_matches_diagonalization(l_max, picks, r_match, d_max, 
     r[0] = r_match
     c3 = c3_max * rng.uniform(0.0, 1.0, 64)
     c3[0] = c3_max
-    table = propagator._block_eigenvalues(KRB, group, r[None], c3, 2.0 * MU * c3_max / r_match)
-    assert table.shape == (sum(len(ranks) for _, ranks in group), 64)
-    start = 0
-    for basis, ranks in group:
-        columns = table[start:start + len(ranks)].T
-        start += len(ranks)
-        exact = np.linalg.eigvalsh(potential_matrix(KRB, basis, r, c3))[:, ranks]
-        ell = basis.channels[-1].L
-        scale = ell * (ell + 1) / (2.0 * MU * r**2) + C6 / r**6 + c3 / r**3
-        assert np.all(np.abs(columns - exact) <= 1e-11 * scale[:, None])
-        assert np.all(np.diff(columns, axis=-1) > 0)
+    x_max = 2.0 * MU * c3_max / r_match
+    # W = 2 mu (V - E): at E = 0 it is the eigenvalues times 2 mu, and at a random
+    # energy per point the energy enters the scale
+    energy = E0 * 10.0 ** rng.uniform(-3.0, 2.0, 64)
+    for e in (0.0, energy):
+        w = propagator._block_eigenvalues(KRB, group, r[None], c3, e, x_max)
+        assert w.shape == (sum(len(ranks) for _, ranks in group), 64)
+        table = w / (2.0 * MU) + e
+        start = 0
+        for basis, ranks in group:
+            columns = table[start:start + len(ranks)].T
+            start += len(ranks)
+            exact = np.linalg.eigvalsh(potential_matrix(KRB, basis, r, c3))[:, ranks]
+            ell = basis.channels[-1].L
+            scale = ell * (ell + 1) / (2.0 * MU * r**2) + C6 / r**6 + c3 / r**3 + e
+            assert np.all(np.abs(columns - exact) <= 1e-11 * scale[:, None])
+            assert np.all(np.diff(columns, axis=-1) > 0)
 
 
 # --- the Magnus transfers: step matrices and their chain product -------------
@@ -391,6 +397,61 @@ def test_chain_product_determinant_bookkeeping(n, batch, seed):
     s = sequential_products(factors, absolute=True)
     scale = s[..., 0, 0] * s[..., 1, 1] + s[..., 0, 1] * s[..., 1, 0]
     assert np.all(np.abs(det - np.prod(np.linalg.det(factors), axis=0)) <= 1e-12 * scale)
+
+
+def per_round_chain_product(matrices):
+    """The chain product as the package formed it before: every round divides each
+    pair product by the power of two nearest its largest entry."""
+    m, batch = matrices, matrices.shape[3:]
+    e = np.zeros(batch, dtype=np.int64)
+    if m.shape[2] == 0:
+        return np.multiply.outer(np.eye(2), np.ones(batch)), e
+    while (n := m.shape[2]) > 1:
+        pairs = np.einsum("ikn...,kjn...->ijn...", m[:, :, 1::2], m[:, :, 0:n - 1:2])
+        _, exps = np.frexp(np.abs(pairs).max(axis=(0, 1)))
+        e += exps.sum(axis=0)
+        m = np.concatenate([np.ldexp(pairs, -exps), m[:, :, 2 * (n // 2):]], axis=2)
+    return m[:, :, 0], e
+
+
+def unimodular_factors(n, batch, seed):
+    """Random 2x2 factors of determinant 1, as every Magnus step is, in the planes
+    layout (2, 2, n, *batch)."""
+    rng = np.random.default_rng(seed)
+    a, b, c = np.exp(rng.normal(size=(n, *batch))), *rng.normal(size=(2, n, *batch))
+    return np.stack([np.stack([a, b]), np.stack([c, (1.0 + b * c) / a])])
+
+
+@PROPERTY
+@given(n=st.integers(0, 17), batch=batch_shapes, seed=st.integers(0, 2**32 - 1),
+       unimodular=st.booleans())
+def test_chain_product_equals_per_round_normalization(n, batch, seed, unimodular):
+    # normal-range factors, odd and even counts: normalizing in the last round alone
+    # gives bitwise the (m, e) of normalizing in every round
+    if unimodular:
+        planes = unimodular_factors(n, batch, seed)
+    else:
+        planes = np.moveaxis(np.random.default_rng(seed).normal(size=(n, *batch, 2, 2)),
+                             (-2, -1), (0, 1))
+    m, e = chain_product(planes.copy())
+    m_ref, e_ref = per_round_chain_product(planes)
+    assert np.array_equal(m, m_ref) and np.array_equal(e, e_ref)
+
+
+@pytest.mark.parametrize("scale", [70, -70])
+def test_chain_product_normalizes_a_middle_round_out_of_range(scale):
+    # eight factors with entries near 2**(+-70): round 1's products stay within
+    # [2**-256, 2**256] and are left as they are, round 2's near 2**(+-280) leave it and
+    # are normalized there, and round 3 is the last; (m, e) is still bitwise the same
+    planes = np.ldexp(unimodular_factors(8, (3,), 5), scale)
+    with mock.patch.object(np, "frexp", wraps=np.frexp) as frexp:
+        m, e = chain_product(planes.copy())
+    assert frexp.call_count == 2
+    m_ref, e_ref = per_round_chain_product(planes)
+    assert np.array_equal(m, m_ref) and np.array_equal(e, e_ref)
+    with mock.patch.object(np, "frexp", wraps=np.frexp) as frexp:
+        chain_product(unimodular_factors(8, (3,), 5))
+    assert frexp.call_count == 1  # in range throughout: the last round alone
 
 
 @PROPERTY
