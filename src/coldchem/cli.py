@@ -241,15 +241,15 @@ def _config_lines(config: dict) -> list[str]:
     return lines
 
 
-def _write_csv(path: str | None, config: dict, header: list[str], rows, comments=()) -> None:
-    """The config lines, then ``comments`` (each a "# ..." line), then the CSV."""
+def _write_csv(path: str | None, config: dict, header: list[str] | None, rows, lines=()) -> None:
+    """The config lines, then ``lines``, then the CSV of ``header`` and ``rows``, to ``path``
+    or else to stdout.  With ``header`` None there is no CSV part."""
     stream = open(path, "w", newline="") if path else sys.stdout
     try:
-        for line in [*_config_lines(config), *comments]:
+        for line in [*_config_lines(config), *lines]:
             stream.write(line + "\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        if header is not None:
+            csv.writer(stream, lineterminator="\n").writerows([header, *rows])
     finally:
         if path:
             stream.close()
@@ -425,8 +425,7 @@ def _cmd_fit(config: dict, out: str | None) -> int:
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
-    lines = list(_config_lines(config))
-    lines.append(f"best_s = {result.params.s!r}")
+    lines = [f"best_s = {result.params.s!r}"]
     lines.append(f"best_y = {result.params.y!r}")
     lines.append(f"fitted = {','.join(result.fitted)}")
     for i, ni in enumerate(result.fitted):
@@ -440,12 +439,7 @@ def _cmd_fit(config: dict, out: str | None) -> int:
     lines.append(f"n_points = {result.n_points}")
     lines.append(f"n_evaluations = {result.n_evaluations}")
     lines.append(f"on_bound = {result.on_bound}")
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(out, config, None, (), lines)
     return 0
 
 
@@ -545,13 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args.config, args.set)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](config, args.out)
+        return _COMMANDS[args.command](resolve_config(args.config, args.set), args.out)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

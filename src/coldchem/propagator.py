@@ -131,60 +131,43 @@ class RadialGrid:
         r_start: float | np.ndarray,
         r_stop: float | np.ndarray,
         c3: float | np.ndarray | None = None,
-        max_steps: int | None = None,
+        *,
+        max_steps: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Step starts and sizes covering [r_start, r_stop], in lockstep over grid rows.
+        """One fold of step starts and sizes from r_start toward r_stop, in lockstep over rows.
 
         ``L``, ``energy``, ``r_start``, ``r_stop`` and ``c3`` (by default the system's)
         broadcast to one value per grid row, so ``L`` as (envelopes, 1) against values
         per row gives a grid per envelope and row.  The arrays returned have shape
         (steps,) + that shape, and a grid row that has reached its r_stop is padded with
-        zero-length steps there.  With ``max_steps`` one fold is built: exactly that many
-        steps, in one buffer, less the trailing ones on which no row moves, so a long grid
-        is taken fold by fold, each from the last one's end radius.  A whole grid (without
-        it) chains such folds in lockstep, and one beyond the budget raises GridError.
+        zero-length steps there.  The fold takes ``max_steps`` steps, in one buffer, less
+        the trailing ones on which no row moves: fewer than ``max_steps`` means every row
+        has stopped.  A long grid is taken fold by fold, each from the last one's end
+        radius; ``_segment_transfers`` does so and enforces the step budget.
         """
         c3 = system.c3 if c3 is None else c3
         ll = np.multiply(L, np.add(L, 1.0))
         shape = np.broadcast_shapes(*map(np.shape, (ll, energy, r_start, r_stop, c3)))
         r = np.broadcast_to(np.asarray(r_start, dtype=float), shape)
-        if max_steps is None and np.any(r_stop <= r):
-            raise GridError(
-                f"outer radius {np.min(r_stop):.3g} does not exceed inner radius "
-                f"{np.max(r):.3g}"
-            )
         # q^2 = a + b/r^6 + c/r^3 + ll/r^2 with a, b, c = 2 mu (E, C6, C3), by Horner in 1/r
         two_mu = 2.0 * system.reduced_mass
         terms = (two_mu * np.asarray(energy), two_mu * system.c6, two_mu * np.asarray(c3), ll,
                  2.0 * math.pi / self.points_per_wavelength, self.scale_fraction)
-        limit = _MAX_STEPS if max_steps is None else max_steps
         if r.size <= _SCALAR_ROWS:
             # a few grid rows step faster one by one in Python floats; the same
             # correctly rounded operations give the same grid as the lockstep
-            rows = [_row_radii(*args, limit) for args in zip(
+            rows = [_row_radii(*args, max_steps) for args in zip(
                 *(np.broadcast_to(x, shape).ravel().tolist() for x in (*terms, r, r_stop)))]
-            n = max((len(x) for x, _ in rows), default=1)
-            radii = np.array([x + x[-1:] * (n - len(x)) for x, _ in rows]).T.reshape((n,) + shape)
-            starts, steps = radii[:-1], np.diff(radii, axis=0)
-            unfinished = any(more for _, more in rows)
-        elif max_steps is None:
-            folds = [self.build_steps(system, L, energy, r, r_stop, c3, max_steps=1024)]
-            while len(folds[-1][1]) == 1024 and len(folds) < _MAX_STEPS // 1024:
-                r = folds[-1][0][-1] + folds[-1][1][-1]
-                folds.append(self.build_steps(system, L, energy, r, r_stop, c3, max_steps=1024))
-            starts, steps = map(np.concatenate, zip(*folds))
-            unfinished = len(folds[-1][1]) == 1024
-        else:
-            radii, steps = np.empty((2, limit + 1) + shape)
-            radii[0] = r
-            for i in range(limit):
-                radii[i + 1] = _next_radius(*terms, radii[i], r_stop)
-            steps = np.subtract(radii[1:], radii[:-1], out=steps[:-1])
-            n = np.count_nonzero(steps.reshape(limit, -1).any(axis=1))
-            starts, steps = radii[:n], steps[:n]
-        if max_steps is None and unfinished:
-            raise GridError("radial grid exceeds the step budget")
-        return starts, steps
+            n = max(map(len, rows), default=1)
+            radii = np.array([x + x[-1:] * (n - len(x)) for x in rows]).T.reshape((n,) + shape)
+            return radii[:-1], np.diff(radii, axis=0)
+        radii, steps = np.empty((2, max_steps + 1) + shape)
+        radii[0] = r
+        for i in range(max_steps):
+            radii[i + 1] = _next_radius(*terms, radii[i], r_stop)
+        steps = np.subtract(radii[1:], radii[:-1], out=steps[:-1])
+        n = np.count_nonzero(steps.reshape(max_steps, -1).any(axis=1))
+        return radii[:n], steps[:n]
 
 
 def _next_radius(a, b, c, ll, wave, frac, r, r_stop):
@@ -198,19 +181,19 @@ def _next_radius(a, b, c, ll, wave, frac, r, r_stop):
 
 
 def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
-    """``_next_radius`` for one row in Python floats: its radii, and
-    whether it stopped short of r_stop after ``limit`` steps."""
+    """``_next_radius`` for one row in Python floats: its radii, r first, up to
+    ``limit`` steps or until the row stops."""
     radii = [r]
-    for _ in range(limit + 1):
+    for _ in range(limit):
         inv = 1.0 / r
         inv2 = inv * inv
         q2 = ((b * (inv2 * inv) + c) * inv + ll) * inv2 + a
         r_next = r + min(wave / math.sqrt(q2), r / frac, r_stop - r)
         if not r_next > r:
-            return radii, False
+            break
         radii.append(r_next)
         r = r_next
-    return radii[:-1], True
+    return radii
 
 
 def gauss_nodes(starts: np.ndarray, steps: np.ndarray, out=None) -> np.ndarray:
@@ -526,11 +509,12 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     ranks in block order; m is (rows, columns, 2, 2) and the transfer is m * 2**e.  A
     column steps on the grid of its envelope, the largest L of its block, which slightly
     over-resolves the lower ranks.  One lockstep grid (steps, envelopes, rows) is built
-    and used in folds of _FOLD_SIZE // (rows * (columns + _GRID_COLUMNS)) steps, each
-    one pass over every column; rows whose grids have all ended drop out.  Each fold
-    takes views of buffers made once: the step planes (the running product as factor 0),
-    which first hold the gather of W, and an arena for W and the nodes, then om2 or the
-    chain's first round.  ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts.
+    in folds of _FOLD_SIZE // (rows * (columns + _GRID_COLUMNS)) steps, each one pass over
+    every column; rows whose grids have all ended drop out, and one past _MAX_STEPS steps
+    raises GridError, the grid's one budget check.  Each fold takes views of buffers made
+    once: the step planes (the running product as factor 0), which first hold the gather
+    of W, and an arena for W and the nodes, then om2 or the chain's first round.
+    ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts.
     """
     rows = len(energy)
     ell = [max(basis.channels[i].L for i in ranks) for basis, ranks in blocks for _ in ranks]
@@ -647,10 +631,10 @@ def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table
     """
     energy = np.atleast_1d(np.asarray(energy, dtype=float))
     c3 = np.broadcast_to(np.asarray(c3, dtype=float), energy.shape)
-    if np.any(energy <= 0):
-        raise ValueError("collision energy must be positive")
-    if np.any(c3 < 0):
-        raise ValueError("c3 must be non-negative")
+    if not np.all((0 < energy) & (energy < np.inf)):
+        raise ValueError("collision energy must be finite and positive")
+    if not np.all((0 <= c3) & (c3 < np.inf)):
+        raise ValueError("c3 must be finite and non-negative")
     abar = mean_scattering_length(system.reduced_mass, system.c6)
     if not r_match < abar:
         raise ValueError(
@@ -695,9 +679,9 @@ def _rate_prefactor(system: CollisionSystem, k):
 
 def _point_results(system, blocks, delta, params, energy, grid) -> list[ScatteringResult]:
     """Every column's result at one point, a table of one row: S and |t(r2) - t(r1)| from t."""
+    table = build_table(system, blocks, params.r_match, energy, system.c3, grid)
     k = math.sqrt(2.0 * system.reduced_mass * energy)
     pref = _rate_prefactor(system, k)
-    table = build_table(system, blocks, params.r_match, energy, system.c3, grid)
     t, loss = (x[0] for x in evaluate(table, params.y, delta))
     t_far, _ = evaluate(table._replace(h1=table.h2, e1=table.e2), params.y, delta)
     s_matrix, spread = (1.0 + 1j * t) / (1.0 - 1j * t), np.abs(t_far[0] - t)

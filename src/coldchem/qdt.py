@@ -46,8 +46,8 @@ class ShortRangeParams:
             raise ValueError("s must be finite")
         if not 0.0 <= self.y <= 1.0:
             raise ValueError(f"y must lie in [0, 1], got {self.y}")
-        if self.r_match <= 0:
-            raise ValueError("r_match must be positive")
+        if not 0 < self.r_match < math.inf:
+            raise ValueError("r_match must be finite and positive")
 
 
 def mean_scattering_length(reduced_mass: float, c6: float) -> float:

@@ -136,10 +136,14 @@ def _run_scan(
     axis, x, system, params, l_max, delta_sr, phase_overrides, energies, c3, grid, where,
     channels=None, energy=None, dipole=None,
 ) -> RateCurve:
-    """Every point of a scan as one batch; a failure keeps the points before it."""
+    """Every point of a scan as one batch; a failure keeps the points before it.  The grid
+    and delta_sr (by ``calibrate_phase``) are defaulted here, after the channel check."""
     blocks, columns = _blocks(system, l_max)
     if missing := sorted(set(channels or ()) - set(columns)):
         raise ValueError(f"channels {missing} are in no block of this system at l_max = {l_max}")
+    grid = grid or RadialGrid()
+    if delta_sr is None:
+        delta_sr = calibrate_phase(system, params, grid)
     delta = _phases(columns, delta_sr, phase_overrides)
 
     def curve(stop: int) -> RateCurve:
@@ -191,13 +195,10 @@ def scan_dipole(
     d_values = np.asarray(d_values, dtype=float)
     if d_values.ndim != 1 or len(d_values) == 0:
         raise ValueError("d_values must be a non-empty 1-D array")
-    if np.any(d_values < 0) or np.any(np.diff(d_values) <= 0):
-        raise ValueError("d_values must be non-negative and strictly increasing")
+    if not np.all((0 <= d_values) & (d_values < np.inf)) or np.any(np.diff(d_values) <= 0):
+        raise ValueError("d_values must be finite, non-negative and strictly increasing")
     if not energy > 0:
         raise ValueError("collision energy must be positive")
-    grid = grid or RadialGrid()
-    if delta_sr is None:
-        delta_sr = calibrate_phase(system, params, grid)
     return _run_scan(
         "dipole", d_values, system, params, l_max, delta_sr, phase_overrides,
         np.full(len(d_values), float(energy)), 2.0 * d_values**2, grid,
@@ -219,11 +220,8 @@ def scan_energy(
     e_values = np.asarray(e_values, dtype=float)
     if e_values.ndim != 1 or len(e_values) == 0:
         raise ValueError("e_values must be a non-empty 1-D array")
-    if np.any(e_values <= 0) or np.any(np.diff(e_values) <= 0):
-        raise ValueError("e_values must be positive and strictly increasing")
-    grid = grid or RadialGrid()
-    if delta_sr is None:
-        delta_sr = calibrate_phase(system, params, grid)
+    if not np.all((0 < e_values) & (e_values < np.inf)) or np.any(np.diff(e_values) <= 0):
+        raise ValueError("e_values must be finite, positive and strictly increasing")
     return _run_scan(
         "energy", e_values, system, params, l_max, delta_sr, phase_overrides,
         e_values, np.full(len(e_values), system.c3), grid,

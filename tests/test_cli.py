@@ -451,6 +451,22 @@ def test_fit_end_to_end(tmp_path):
     assert values["on_bound"] == "False"
 
 
+def test_fit_to_stdout_equals_its_out_file(tmp_path, capsys, monkeypatch):
+    # both go through the one writer, and give the same bytes
+    data = tmp_path / "data.csv"
+    data.write_text("d_debye,K_cm3_s\n0.05,1e-12\n0.1,2e-12\n")
+    writes, write_csv = [], cli_module._write_csv
+    monkeypatch.setattr(cli_module, "_write_csv", lambda *a: writes.append(a[0]) or write_csv(*a))
+    argv = ["fit"] + BASE + ["--set", "l_max=1", "--set", f"dataset_csv={data}"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "fit.txt")]) == 0
+    assert printed.encode() == (tmp_path / "fit.txt").read_bytes()
+    assert "best_y = " in printed and not printed.endswith("\n\n")
+    assert writes == [None, str(tmp_path / "fit.txt")]
+
+
 def test_fit_honours_calibration_tolerance(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("d_debye,K_cm3_s\n0.05,1e-12\n0.1,2e-12\n")

@@ -101,7 +101,8 @@ def test_propagation_matches_solve_ivp():
     grid = RadialGrid()
     y0 = boundary(params, curve, energy, delta)
     r1 = grid.outer_radius(system, energy, params.r_match)
-    starts, steps = grid.build_steps(system, 0, energy, params.r_match, r1)
+    starts, steps = grid.build_steps(system, 0, energy, params.r_match, r1,
+                                     max_steps=propagator._MAX_STEPS)
     g1, g2 = gauss_nodes(starts, steps)
     w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
     w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
@@ -118,7 +119,8 @@ def test_propagation_matches_solve_ivp_high_resolution():
     grid = RadialGrid(points_per_wavelength=120.0)
     y0 = boundary(params, curve, energy, 1.234)
     r1 = grid.outer_radius(system, energy, params.r_match)
-    starts, steps = grid.build_steps(system, 0, energy, params.r_match, r1)
+    starts, steps = grid.build_steps(system, 0, energy, params.r_match, r1,
+                                     max_steps=propagator._MAX_STEPS)
     g1, g2 = gauss_nodes(starts, steps)
     w1 = 2.0 * MU * (np.asarray(curve(g1)) - energy)
     w2 = 2.0 * MU * (np.asarray(curve(g2)) - energy)
@@ -657,6 +659,17 @@ def test_build_table_rejects_negative_c3():
         propagator.build_table(system, blocks, 20.0, [E0, E0], [0.01, -0.01], RadialGrid())
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_build_table_rejects_non_finite_rows(value):
+    # a nan energy gave loss_probability = nan with no grid steps, a nan c3 a table of nan
+    system = krb()
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 1)]
+    with pytest.raises(ValueError, match="energy must be finite"):
+        rate_point(system, ShortRangeParams(s=0.0, y=1.0), 0.0, value, l_max=1)
+    with pytest.raises(ValueError, match="c3 must be finite"):
+        propagator.build_table(system, blocks, 20.0, [E0, E0], [0.01, value], RadialGrid())
+
+
 def test_evaluate_labels_the_row_under_a_trial_axis():
     # a leading trial axis must not be read as the row: y = -0.5 breaks
     # unitarity at the table's only row
@@ -690,7 +703,7 @@ def test_validation_errors():
     system = krb()
     params = ShortRangeParams(s=0.0, y=1.0)
     curve = single_channel_curve(system, Channel(0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="energy must be finite and positive"):
         propagate(system, curve, params, -1e-10, 0.0)
     with pytest.raises(ValueError):
         propagate(
@@ -726,10 +739,28 @@ def test_grid_rejects_non_finite_values(field, value):
         RadialGrid(**{field: value})
 
 
+def whole_grid(grid, system, L, energy, r_start, r_stop, c3, fold=1024):
+    """A whole grid chained from folds of ``fold`` steps, each from the last one's end
+    radius, as ``_segment_transfers`` takes them."""
+    folds, r = [], r_start
+    while True:
+        starts, steps = grid.build_steps(system, L, energy, r, r_stop, c3, max_steps=fold)
+        folds.append((starts, steps))
+        if len(steps) < fold:
+            return tuple(map(np.concatenate, zip(*folds)))
+        r = starts[-1] + steps[-1]
+
+
+def test_build_steps_without_max_steps_is_a_type_error():
+    # a grid is built fold by fold only; the step budget is _segment_transfers' to enforce
+    with pytest.raises(TypeError, match="max_steps"):
+        RadialGrid().build_steps(krb(), 0, E0, 20.0, 2000.0)
+
+
 def test_build_steps_cover_interval():
     grid = RadialGrid()
     system = krb()
-    starts, steps = grid.build_steps(system, 0, E0, 20.0, 2000.0)
+    starts, steps = grid.build_steps(system, 0, E0, 20.0, 2000.0, max_steps=propagator._MAX_STEPS)
     assert starts[0] == 20.0
     assert starts[-1] + steps[-1] == pytest.approx(2000.0, rel=1e-12)
     assert np.all(steps > 0)
@@ -746,15 +777,16 @@ def test_lockstep_grid_rows_equal_single_rows():
     c3 = np.linspace(0.0, 0.05, 20)
     r_out = grid.outer_radius(system, energy, 20.0, c3)
     envelopes = np.array([[1], [3], [6]])
-    starts, steps = grid.build_steps(system, envelopes, energy, 20.0, r_out, c3)
+    starts, steps = whole_grid(grid, system, envelopes, energy, 20.0, r_out, c3)
     assert starts.shape == steps.shape == (len(steps), 3, 20)
     few = [0, 19]  # 3 envelopes x 2 rows take the row-by-row path
     few_starts, few_steps = grid.build_steps(system, envelopes, energy[few], 20.0, r_out[few],
-                                             c3[few])
+                                             c3[few], max_steps=propagator._MAX_STEPS)
     assert few_steps.shape[1:] == (3, 2)
     for g, L in enumerate(envelopes[:, 0]):
         for i in (0, 7, 19):
-            row_starts, row_steps = grid.build_steps(system, L, energy[i], 20.0, r_out[i], c3[i])
+            row_starts, row_steps = grid.build_steps(system, L, energy[i], 20.0, r_out[i], c3[i],
+                                                     max_steps=propagator._MAX_STEPS)
             n = len(row_steps)
             assert np.array_equal(starts[:n, g, i], row_starts)
             assert np.array_equal(steps[:n, g, i], row_steps)
@@ -771,36 +803,40 @@ def test_lockstep_grid_rows_equal_single_rows():
 @pytest.mark.parametrize("k", [1, 4, 7])
 def test_grid_folds_chain_to_the_whole_grid(monkeypatch, k):
     # folds of k steps, each started at the last one's end radius, give bitwise the one
-    # whole lockstep grid: three envelopes on rows of eight outer radii, which stop in
-    # different folds and are padded with zero steps until every row has stopped
+    # whole grid: rows of eight outer radii, which stop in different folds and are padded
+    # with zero steps until every row has stopped.  Three envelopes (24 grid rows) step in
+    # numpy lockstep, two (16) in Python floats, whose whole grid is one fold
     grid = RadialGrid()
     system = krb()
     energy = E0 * np.geomspace(1e-3, 10.0, 8)
     c3 = np.linspace(0.0, 0.05, 8)
-    envelopes = np.array([[1], [3], [6]])
     r_stop = 20.0 * np.geomspace(1.5, 4.0, 8)
-    starts, steps = grid.build_steps(system, envelopes, energy, 20.0, r_stop, c3)
-    assert steps.shape == (len(steps), 3, 8)
     calls = []
     next_radius = propagator._next_radius
     monkeypatch.setattr(propagator, "_next_radius", lambda *a: calls.append(1) or next_radius(*a))
-    folds, r = [], np.full((3, 8), 20.0)
-    while True:
-        calls.clear()
-        fold = grid.build_steps(system, envelopes, energy, r, r_stop, c3, max_steps=k)
-        assert len(calls) == k  # exactly max_steps steps, no probe for the end
-        if len(fold[1]) == 0:
-            break
-        folds.append(fold)
-        r = fold[0][-1] + fold[1][-1]
-        if len(fold[1]) < k:
-            break
-    assert all(len(h) == k for _, h in folds[:-1])
-    assert np.array_equal(np.concatenate([s for s, _ in folds]), starts)
-    assert np.array_equal(np.concatenate([h for _, h in folds]), steps)
-    n = np.count_nonzero(steps, axis=0)
-    assert len(np.unique((n - 1) // k)) > 2  # rows take their last steps in several folds
-    assert np.any(steps == 0.0)
+    for envelopes, lockstep in ((np.array([[1], [3], [6]]), True), (np.array([[1], [6]]), False)):
+        assert (envelopes.size * 8 > propagator._SCALAR_ROWS) == lockstep
+        starts, steps = whole_grid(grid, system, envelopes, energy, 20.0, r_stop, c3,
+                                   fold=1024 if lockstep else propagator._MAX_STEPS)
+        assert steps.shape == (len(steps), len(envelopes), 8)
+        folds, r = [], np.full((len(envelopes), 8), 20.0)
+        while True:
+            calls.clear()
+            fold = grid.build_steps(system, envelopes, energy, r, r_stop, c3, max_steps=k)
+            # exactly max_steps numpy steps, no probe for the end; none in Python floats
+            assert len(calls) == (k if lockstep else 0)
+            if len(fold[1]) == 0:
+                break
+            folds.append(fold)
+            r = fold[0][-1] + fold[1][-1]
+            if len(fold[1]) < k:
+                break
+        assert all(len(h) == k for _, h in folds[:-1])
+        assert np.array_equal(np.concatenate([s for s, _ in folds]), starts)
+        assert np.array_equal(np.concatenate([h for _, h in folds]), steps)
+        n = np.count_nonzero(steps, axis=0)
+        assert len(np.unique((n - 1) // k)) > 2  # rows take their last steps in several folds
+        assert np.any(steps == 0.0)
 
 
 def test_calibration_forward_check_raises():

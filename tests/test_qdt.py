@@ -321,6 +321,12 @@ def test_short_range_params_validation():
         ShortRangeParams(s=0.0, y=0.5, r_match=-3.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_short_range_params_reject_non_finite_r_match(value):
+    with pytest.raises(ValueError, match="r_match must be finite"):
+        ShortRangeParams(s=0.0, y=0.5, r_match=value)
+
+
 def test_complex_length_validation():
     with pytest.raises(ValueError):
         ComplexScatteringLength(alpha=0.0, beta=-1.0)

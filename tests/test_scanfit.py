@@ -173,6 +173,29 @@ def test_scan_energy_rejects_channels_the_system_lacks(fermi_calibration):
         )
 
 
+def test_scan_channel_check_comes_before_the_calibration(monkeypatch):
+    # a channel in no block fails at once, not after delta_sr has been calibrated
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before the channel check")
+
+    monkeypatch.setattr(scanfit, "calibrate_phase", no_calibration)
+    with pytest.raises(ValueError, match=r"Channel\(L=2, M=0\)"):
+        scan_energy(krb(), ShortRangeParams(s=0.0, y=1.0), np.array([E0 / 100.0, E0 / 10.0]),
+                    l_max=3, channels=[Channel(2, 0)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scans_reject_non_finite_axis_values(fermi_calibration, value):
+    # nan ended in "per-channel rates do not sum to the total", an infinite dipole in a
+    # ScanError calling the boundary classically forbidden
+    system, params, grid, delta = fermi_calibration
+    with pytest.raises(ValueError, match="d_values must be finite"):
+        scan_dipole(system, params, E_250NK, np.array([0.0, value]), grid=grid, l_max=1,
+                    delta_sr=delta)
+    with pytest.raises(ValueError, match="e_values must be finite"):
+        scan_energy(system, params, np.array([E0, value]), grid=grid, l_max=1, delta_sr=delta)
+
+
 def test_scan_parallel_matches_serial(fermi_calibration):
     system, params, grid, delta = fermi_calibration
     d = units.dipole_from_debye(np.linspace(0.0, 0.1, 4))

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from coldchem import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "coldchem"
 MAX_LINE = 99
@@ -36,6 +38,22 @@ def test_benchmark_layers_resolve(monkeypatch):
     spec.loader.exec_module(tracer)
     absent = {t.name for t in tracer.TARGETS if tracer._resolve(t) is None}
     assert absent == ABSENT_LAYERS
+
+
+def test_benchmark_argv_resolves(monkeypatch, tmp_path):
+    # every key the benchmark's commands set must stay a config key, threads included
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(ROOT)  # the argv names the shipped config by a relative path
+    for workload in workloads.WORKLOADS.values():
+        inputs = workload.source(workloads.DEFAULT_SEED, True).next_inputs(str(tmp_path / "in"))
+        args = cli.build_parser().parse_args(workload.argv(inputs, str(tmp_path / "out"), 2))
+        assert args.command == workload.command
+        cli.resolve_config(args.config, args.set)
 
 
 def test_package_imports_no_scipy():
