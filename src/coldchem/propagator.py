@@ -142,8 +142,10 @@ class RadialGrid:
         (steps,) + that shape, and a grid row that has reached its r_stop is padded with
         zero-length steps there.  The fold takes ``max_steps`` steps, in one buffer, less
         the trailing ones on which no row moves: fewer than ``max_steps`` means every row
-        has stopped.  A long grid is taken fold by fold, each from the last one's end
-        radius; ``_segment_transfers`` does so and enforces the step budget.
+        has stopped.  Wide folds step in place, through one scratch of three arrays, and
+        leave out the C3 term where every c3 is 0.  A long grid is taken fold by fold, each
+        from the last one's end radius; ``_segment_transfers`` does so, for the rows still
+        short of r_stop, and enforces the step budget.
         """
         c3 = system.c3 if c3 is None else c3
         ll = np.multiply(L, np.add(L, 1.0))
@@ -161,23 +163,41 @@ class RadialGrid:
             n = max(map(len, rows), default=1)
             radii = np.array([x + x[-1:] * (n - len(x)) for x in rows]).T.reshape((n,) + shape)
             return radii[:-1], np.diff(radii, axis=0)
+        if not np.any(c3):
+            terms = terms[:2] + (None,) + terms[3:]  # r^-3 C3 term of +0.0, an exact no-op
         radii, steps = np.empty((2, max_steps + 1) + shape)
         radii[0] = r
+        work = np.empty((3,) + shape)
         for i in range(max_steps):
-            radii[i + 1] = _next_radius(*terms, radii[i], r_stop)
+            _next_radius(*terms, radii[i], r_stop, radii[i + 1], work)
         steps = np.subtract(radii[1:], radii[:-1], out=steps[:-1])
         n = np.count_nonzero(steps.reshape(max_steps, -1).any(axis=1))
         return radii[:n], steps[:n]
 
 
-def _next_radius(a, b, c, ll, wave, frac, r, r_stop):
-    """Every row's next grid radius; a row stays put once it has stopped."""
-    inv = 1.0 / r
-    inv2 = inv * inv
-    q2 = ((b * (inv2 * inv) + c) * inv + ll) * inv2 + a
-    h = np.minimum(np.minimum(wave / np.sqrt(q2), r / frac), r_stop - r)
+def _next_radius(a, b, c, ll, wave, frac, r, r_stop, out, work):
+    """Every row's next grid radius into ``out``; a row stays put once it has stopped.
+
+    ``work`` holds three arrays of r's shape; ``c`` of None leaves out the C3 term.
+    """
+    inv, inv2, q2 = work
+    np.divide(1.0, r, out=inv)
+    np.multiply(inv, inv, out=inv2)
+    # q2 = ((b (inv2 inv) + c) inv + ll) inv2 + a, the rounding of _row_radii
+    np.multiply(inv2, inv, out=q2)
+    q2 *= b
+    if c is not None:
+        q2 += c
+    q2 *= inv
+    q2 += ll
+    q2 *= inv2
+    q2 += a
+    # h = min(min(wave / sqrt(q2), r / frac), r_stop - r)
+    np.divide(wave, np.sqrt(q2, out=q2), out=q2)
+    np.minimum(q2, np.divide(r, frac, out=inv), out=q2)
+    np.minimum(q2, np.subtract(r_stop, r, out=inv), out=q2)
     # stopping at r_stop, or on step underflow at the very last point
-    return np.maximum(r + h, r)
+    np.maximum(np.add(r, q2, out=out), r, out=out)
 
 
 def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
@@ -458,9 +478,11 @@ def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None
     1, and ``energy`` broadcasts against r[0].  With x = 2 mu c3 / r <= ``x_max``, W is
     eps / r^2 + 2 mu (-C6/r^6 - E), eps the matrix element L(L+1) - P x of a one-channel
     column and for the others the cubic Hermite interpolant of ``_eigen_table`` in
-    log1p(x), from each column's own row of the flat table.  ``out`` is a flat buffer for
-    the result, and ``work`` one of twice its size plus broadcast(r, c3) for the gather and
-    x; by default both are fresh.
+    log1p(x), from each column's own row of the flat table.  At zero field (every c3 0)
+    x is not formed, except as zeros for a gather, P x is no term, and one-channel
+    columns are L(L+1) / r^2 in one pass; the bits are those of the general path.
+    ``out`` is a flat buffer for the result, and ``work`` one of twice its size plus
+    broadcast(r, c3) for the gather and x; by default both are fresh.
     """
     bases = [basis for basis, ranks in blocks for _ in ranks]
     single = [len(basis) == 1 for basis in bases]
@@ -469,9 +491,16 @@ def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None
     eps = _buffer(out, np.broadcast_shapes(points, (len(bases),) + column[1:]))
     work = np.empty(2 * eps.size + math.prod(points)) if work is None else work
     term, knot = _buffer(work, eps.shape), _buffer(work[eps.size:], eps.shape).view(np.intp)
-    x = np.divide(2.0 * system.reduced_mass * c3, r, out=_buffer(work[2 * eps.size:], points))
+    x = _buffer(work[2 * eps.size:], points)
+    field = np.any(c3)  # at zero field x = 0, and P x is no term
+    if field:
+        np.divide(2.0 * system.reduced_mass * c3, r, out=x)
+    elif not all(single):
+        x.fill(0.0)  # for the gather
     if all(single):
-        eps[...] = np.reshape([b.channels[0].L * (b.channels[0].L + 1.0) for b in bases], column)
+        ll = np.reshape([b.channels[0].L * (b.channels[0].L + 1.0) for b in bases], column)
+        if field:
+            eps[...] = ll
     else:
         table = _eigen_table(tuple((basis, tuple(ranks)) for basis, ranks in blocks),
                              max(1, math.ceil(math.log1p(x_max))))
@@ -488,7 +517,7 @@ def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None
         eps += term
         eps += np.multiply(np.take(slopes, knot, out=term, mode="clip"), t * t1 * t1, out=term)
         eps -= np.multiply(np.take(slopes[1:], knot, out=term, mode="clip"), t * t * t1, out=term)
-    if any(single):
+    if field and any(single):
         p = np.array([_coupling(b)[0, 0] if one else 0.0 for b, one in zip(bases, single)])
         eps -= np.multiply(p.reshape(column), x, out=term)
     # eps / r^2 + 2 mu (-C6/r^6 - E), with the spent terms for scratch
@@ -497,7 +526,10 @@ def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None
     tail *= inv
     tail *= 2.0 * system.reduced_mass * C6_SIGN * system.c6
     tail -= 2.0 * system.reduced_mass * np.asarray(energy)
-    eps *= inv
+    if all(single) and not field:
+        np.multiply(ll, inv, out=eps)
+    else:
+        eps *= inv
     eps += tail
     return eps
 
@@ -510,10 +542,11 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     column steps on the grid of its envelope, the largest L of its block, which slightly
     over-resolves the lower ranks.  One lockstep grid (steps, envelopes, rows) is built
     in folds of _FOLD_SIZE // (rows * (columns + _GRID_COLUMNS)) steps, each one pass over
-    every column; rows whose grids have all ended drop out, and one past _MAX_STEPS steps
-    raises GridError, the grid's one budget check.  Each fold takes views of buffers made
-    once: the step planes (the running product as factor 0), which first hold the gather
-    of W, and an arena for W and the nodes, then om2 or the chain's first round.
+    every column.  A fold builds the grid of the live rows alone, those with an envelope
+    short of r_stop; one past _MAX_STEPS steps raises GridError, the grid's one budget
+    check, naming the row by its index among all rows.  Each fold takes views of buffers
+    made once: the step planes (the running product as factor 0), which first hold the
+    gather of W, and an arena for W and the nodes, then om2 or the chain's first round.
     ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts.
     """
     rows = len(energy)
@@ -528,25 +561,27 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     arena = np.empty(2 * max(n * (fold + 2), fold * (n + len(envelopes))) * rows)
     run_m = np.multiply.outer(np.eye(2), np.ones((n, rows)))
     run_e = np.zeros((n, rows), dtype=np.int64)
-    r, n_steps = r_start, np.zeros((len(envelopes), rows), dtype=np.int64)
+    r = np.broadcast_to(r_start, (len(envelopes), rows)).copy()
+    n_steps = np.zeros(r.shape, dtype=np.int64)
     while True:
-        starts, steps = grid.build_steps(system, envelopes[:, None], energy, r, r_stop, c3,
-                                         max_steps=fold)
-        if len(steps) == 0:
+        live = (r < r_stop).any(axis=0)  # rows whose grid goes on
+        if not live.any():
             break
-        r = starts[-1] + steps[-1]
-        n_steps += np.count_nonzero(steps, axis=0)
+        live = slice(None) if live.all() else np.flatnonzero(live)
+        e_live, c3_live = energy[live], c3[live]
+        starts, steps = grid.build_steps(system, envelopes[:, None], e_live, r[:, live],
+                                         r_stop[live], c3_live, max_steps=fold)
+        if len(steps) == 0:  # steps below the rounding of r, at an absurd energy
+            break
+        r[:, live] = starts[-1] + steps[-1]
+        n_steps[:, live] += np.count_nonzero(steps, axis=0)
         if n_steps.max() > _MAX_STEPS:
             raise _row_failure(GridError, "radial grid exceeds the step budget",
                                (n_steps > _MAX_STEPS).any(axis=0), where)
-        live = np.flatnonzero(steps[0].any(axis=0))  # rows whose grid goes on
-        if len(live) == rows:
-            live = slice(None)
-        starts, steps = starts[..., live], steps[..., live]
         # (columns or 1, 2, steps, rows), the nodes after W in the arena
         nodes = gauss_nodes(starts, steps, out=arena[2 * n * len(steps) * steps.shape[-1]:])
         nodes = nodes.transpose(2, 0, 1, 3)[pick]
-        w = _block_eigenvalues(system, blocks, nodes, c3[live], energy[live], x_max, out=arena,
+        w = _block_eigenvalues(system, blocks, nodes, c3_live, e_live, x_max, out=arena,
                                work=planes)
         # factor 0 is the running product, then the steps, each (columns, rows)
         m = _buffer(planes, (2, 2, len(steps) + 1, n, w.shape[-1]))

@@ -549,6 +549,72 @@ def test_envelopes_far_apart_step_together(monkeypatch):
     assert info.value.row == 1
 
 
+def test_grids_are_built_for_live_rows_only(monkeypatch):
+    # rows at 0.002 and 2,400 uK in folds of 6 steps: once every grid of the cold row has
+    # ended, each fold builds the four lanes of the warm row alone, and each row's
+    # transfers and step counts are bitwise those of the row alone in folds of 6 steps
+    monkeypatch.setattr(propagator, "_FOLD_SIZE", 97)  # 97 // (2 rows x (5 + 3)) = 6
+    system = krb()
+    blocks = [(build_basis(0, 0, 0), [0]), (build_basis(0, 1, 3), [0, 1]),
+              (build_basis(0, 0, 2), [1]), (build_basis(1, 1, 1), [0])]
+    energy = units.energy_from_microkelvin(np.array([0.002, 2400.0]))
+    c3 = 2.0 * units.dipole_from_debye(np.array([0.1, 0.2])) ** 2
+    grid = RadialGrid()
+    r_start, r_stop = np.full(2, 20.0), grid.outer_radius(system, energy, 20.0, c3)
+    x_max = 2.0 * MU * c3.max() / 20.0
+    lanes = []
+    build_steps = RadialGrid.build_steps
+
+    def counted_build_steps(self, *args, **kwargs):
+        starts, steps = build_steps(self, *args, **kwargs)
+        lanes.append(math.prod(steps.shape[1:]))
+        return starts, steps
+
+    monkeypatch.setattr(RadialGrid, "build_steps", counted_build_steps)
+    m, e, n = propagator._segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop,
+                                            x_max)
+    both, warm = -(-n[0].max() // 6), -(-n[1].max() // 6)  # folds each row takes
+    assert warm - both > 10
+    assert lanes == [4 * 2] * both + [4] * (warm - both)
+    monkeypatch.setattr(propagator, "_FOLD_SIZE", 48)  # 48 // (1 row x (5 + 3)) = 6
+    for i in range(2):
+        row = [i]
+        alone = propagator._segment_transfers(system, blocks, energy[row], c3[row], grid,
+                                              r_start[row], r_stop[row], x_max)
+        for got, want in zip((m, e, n), alone):
+            assert np.array_equal(got[row], want)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_zero_field_eigenvalues_equal_the_general_path(mixed):
+    # at zero field W takes neither x = 2 mu c3 / r nor the P x term, and its one-channel
+    # columns are L(L+1)/r^2 at once; rows at c3 = 0 beside a row at a dipole take the
+    # general path, and must agree bitwise.  A mixed group still gathers at x = 0, so a
+    # work buffer of ones would show an x left unwritten
+    system = krb()
+    blocks = [(single_channel_curve(system, Channel(L, 0)).basis, [0]) for L in range(4)]
+    if mixed:
+        blocks[1:1] = [(build_basis(0, 1, 3), [0, 1]), (build_basis(1, 0, 4), [1])]
+    rng = np.random.default_rng(5)
+    r = 20.0 * 10.0 ** rng.uniform(0.0, 3.0, (1, 2, 3, 64))  # (1, nodes, steps, rows)
+    energy = E0 * 10.0 ** rng.uniform(-3.0, 2.0, 64)
+    c3 = np.zeros(64)
+    field = c3.copy()
+    field[-1] = 2.0 * units.dipole_from_debye(0.3) ** 2
+    x_max = 2.0 * MU * field.max() / 20.0
+    columns = sum(len(ranks) for _, ranks in blocks)
+    work = (columns * 2 + 1) * r.size
+
+    def w(c3):
+        return propagator._block_eigenvalues(system, blocks, r, c3, energy, x_max,
+                                             work=np.ones(work))
+
+    zero, general = w(c3), w(field)
+    assert zero.shape == (columns, 2, 3, 64)
+    assert np.array_equal(zero[..., :-1], general[..., :-1])
+    assert not np.array_equal(zero[..., -1], general[..., -1])
+
+
 def _traced_peak(build) -> int:
     build()  # fills the eigenvalue table's cache
     tracemalloc.start()
@@ -565,8 +631,9 @@ def test_fold_buffers_bound_the_build_memory():
     # envelope group had its own buffers (2.43 and 1.06 MB with one lockstep); the
     # bounds leave 11 % over the former.  With fresh arrays in every fold the same folds
     # read 5.45 and 2.14 MB.  The ploss_wide shape, 1,000 energies of L = 0-3 with one
-    # channel each on four envelopes, reads 2.68 MB, bounded with 12 % over it; with W
-    # and its gather fresh in every fold it reads 3.73 MB.
+    # channel each on four envelopes, read 2.68 MB when its bound was set with 12 % over
+    # it, and 2.88 MB before each fold's grid was built in place for its live rows alone;
+    # it now reads 2.80 MB.  With W and its gather fresh in every fold it read 3.73 MB.
     system = krb()
     scan = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 7)]
     d = units.dipole_from_debye(np.linspace(0.0, 0.5, 201))
