@@ -286,14 +286,11 @@ def adiabatic_curves(
 def single_channel_curve(
     system: CollisionSystem, channel: Channel, r_grid: np.ndarray | None = None
 ) -> AdiabaticCurve:
-    """A one-channel adiabatic curve (exact, no diagonalization involved)."""
+    """A one-channel adiabatic curve (exact, no diagonalization); by default on a grid
+    wide enough for barrier bracketing."""
     basis = ChannelBasis((channel,), channel.M, channel.L % 2, channel.L)
-    if r_grid is None:
-        # wide default so barrier bracketing works out of the box
-        r_grid = np.geomspace(10.0, 10000.0, 800)
-    r_grid = np.asarray(r_grid, dtype=float)
-    curve = AdiabaticCurve(system, basis, 0, r_grid, np.zeros_like(r_grid))
-    curve.values = np.asarray(curve(r_grid))
+    grid = np.geomspace(10.0, 10000.0, 800) if r_grid is None else r_grid
+    (curve,) = adiabatic_curves(system, basis, grid)
     return curve
 
 

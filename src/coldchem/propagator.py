@@ -31,7 +31,6 @@ import dataclasses
 import functools
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -312,57 +311,45 @@ def chain_product(matrices: np.ndarray, work=(None, None)) -> tuple[np.ndarray, 
     return m[:, :, 0], e
 
 
-def _point_labels(energy: np.ndarray, c3: np.ndarray) -> list[str]:
-    """One label per row, naming its energy and dipole."""
-    return [
-        f"E = {e:.6g} hartree, d = {math.sqrt(c / 2.0):.6g} a.u."
-        for e, c in zip(np.ravel(energy), np.ravel(c3))
-    ]
-
-
-def _row_failure(
-    cls: type[ColdchemError], message: str, bad: np.ndarray, where: Sequence[str] | None
-) -> ColdchemError:
-    """``cls(message)`` for the first row where ``bad`` holds.
+def _row_failure(cls: type[Exception], message: str, bad, energy, c3) -> Exception:
+    """``cls(message)`` naming the first row where ``bad`` holds by its own (d, E).
 
     The row is axis 0 of a 1-D mask and axis -2 of any other, as in evaluate's (trials,
-    rows, cols); with labels the message names it, and ``row`` is its index or None.
+    rows, cols); ``energy`` and ``c3`` hold one value per row, and ``row`` is its index.
     """
-    row = int(np.argwhere(bad)[0][-min(np.ndim(bad), 2)]) if np.ndim(bad) else None
-    exc = cls(message if row is None or where is None else f"{message} (at {where[row]})")
+    row = int(np.argwhere(bad)[0][-min(np.ndim(bad), 2)])
+    energy, c3 = energy[row], c3[row]
+    exc = cls(f"{message} (at d = {math.sqrt(c3 / 2.0):.6g} a.u., E = {energy:.6g} hartree)")
     exc.row = row
     return exc
 
 
-def _wkb_wavenumber(
-    energy: np.ndarray,
-    v: np.ndarray,
-    v_slope: np.ndarray,
-    r_match: float,
-    reduced_mass: float,
-    where: Sequence[str] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local wavenumber kappa at R_m and its radial derivative kappa'."""
-    energy, v = np.broadcast_arrays(np.asarray(energy, dtype=float), v)
-    forbidden = energy <= v
+def _wkb_wavenumber(energy, c3, v, v_slope, r_match: float, reduced_mass: float):
+    """Local wavenumber kappa at R_m and its radial derivative kappa'.
+
+    ``energy`` and ``c3`` hold one value per row, ``v`` and ``v_slope`` one per row and
+    column; a forbidden boundary or a marginal WKB condition names its row.
+    """
+    e, v = np.broadcast_arrays(np.asarray(energy, dtype=float)[:, None], v)
+    forbidden = e <= v
     if np.any(forbidden):
         i = tuple(np.argwhere(forbidden)[0])
         raise _row_failure(
             MatchingError,
             f"short-range boundary at R = {r_match:.3g} is classically forbidden "
-            f"(E = {energy[i]:.3e}, V = {v[i]:.3e})",
-            forbidden, where,
+            f"(V = {v[i]:.3e} hartree)",
+            forbidden, energy, c3,
         )
-    kappa = np.sqrt(2.0 * reduced_mass * (energy - v))
+    kappa = np.sqrt(2.0 * reduced_mass * (e - v))
     marginal = kappa * r_match < 10.0
     if np.any(marginal):
         i = tuple(np.argwhere(marginal)[0])
-        at = f" at {where[i[0]]}" if where is not None and i else ""
-        warnings.warn(
-            f"kappa * R_m = {kappa[i] * r_match:.2f} is small{at}; the WKB boundary "
+        warnings.warn(_row_failure(
+            UserWarning,
+            f"kappa * R_m = {kappa[i] * r_match:.2f} is small; the WKB boundary "
             "condition is marginal",
-            stacklevel=3,
-        )
+            marginal, energy, c3,
+        ), stacklevel=3)
     return kappa, -reduced_mass * v_slope / kappa
 
 
@@ -430,24 +417,25 @@ def _regular_series(n, x):
         k += 1
 
 
-def match_free_solution(h, e, det, p, q, flux, where: Sequence[str] | None = None):
-    """Tangent t of the (complex) phase shift at a matching radius.
+def match_free_solution(table, p, q, flux):
+    """Tangent t of the (complex) phase shift at r1 of ``table``.
 
-    ``h`` (..., 2, 2) times 2**e maps the boundary state (p, q) to the numerator
-    and denominator of t, psi matched there to s_L(kr) + t c_L(kr), and ``det``
-    times 2**(-2 e) is its determinant.  Im t is the flux of (p, q) carried by that
-    determinant, free of the cancellation in the quotient.  Arguments broadcast;
-    ``where`` labels the rows (axis -2) in errors.
+    The map h1 * 2**e1 takes the boundary state (p, q) to the numerator and
+    denominator of t, psi matched there to s_L(kr) + t c_L(kr), and ``det`` times
+    2**(-2 e1) is its determinant.  Im t is the flux of (p, q) carried by that
+    determinant, free of the cancellation in the quotient.  (p, q, flux) broadcast
+    against the table's (rows, cols).
     """
+    h = table.h1
     den = h[..., 1, 0] * p + h[..., 1, 1] * q
     degenerate = np.abs(den) < 1e-300
     if np.any(degenerate):
         raise _row_failure(
             MatchingError, "degenerate asymptotic match (irregular solution absent)",
-            degenerate, where,
+            degenerate, table.energy, table.c3,
         )
     num = h[..., 0, 0] * p + h[..., 0, 1] * q
-    return (num / den).real + 1j * np.ldexp(det * flux / np.abs(den) ** 2, -2 * e)
+    return (num / den).real + 1j * np.ldexp(table.det * flux / np.abs(den) ** 2, -2 * table.e1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -534,7 +522,7 @@ def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None
     return eps
 
 
-def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max, where=None):
+def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max):
     """(psi, psi') transfer (m, e) of every column over [r_start, r_stop], one per row.
 
     ``blocks`` pairs each basis with the ranks to propagate, and the columns are those
@@ -542,9 +530,10 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     column steps on the grid of its envelope, the largest L of its block, which slightly
     over-resolves the lower ranks.  One lockstep grid (steps, envelopes, rows) is built
     in folds of _FOLD_SIZE // (rows * (columns + _GRID_COLUMNS)) steps, each one pass over
-    every column.  A fold builds the grid of the live rows alone, those with an envelope
-    short of r_stop; one past _MAX_STEPS steps raises GridError, the grid's one budget
-    check, naming the row by its index among all rows.  Each fold takes views of buffers
+    every column.  Folds run while any row is short of r_stop, each building the grid of
+    these live rows alone.  GridError names the row, by its index among all rows, that
+    takes a step past _MAX_STEPS, the grid's one budget check, or that no longer moves
+    in a fold where no live row can step.  Each fold takes views of buffers
     made once: the step planes (the running product as factor 0), which first hold the
     gather of W, and an arena for W and the nodes, then om2 or the chain's first round.
     ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts.
@@ -563,21 +552,19 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     run_e = np.zeros((n, rows), dtype=np.int64)
     r = np.broadcast_to(r_start, (len(envelopes), rows)).copy()
     n_steps = np.zeros(r.shape, dtype=np.int64)
-    while True:
-        live = (r < r_stop).any(axis=0)  # rows whose grid goes on
-        if not live.any():
-            break
-        live = slice(None) if live.all() else np.flatnonzero(live)
+    while (going := (r < r_stop).any(axis=0)).any():  # rows whose grid goes on
+        live = slice(None) if going.all() else np.flatnonzero(going)
         e_live, c3_live = energy[live], c3[live]
         starts, steps = grid.build_steps(system, envelopes[:, None], e_live, r[:, live],
                                          r_stop[live], c3_live, max_steps=fold)
-        if len(steps) == 0:  # steps below the rounding of r, at an absurd energy
-            break
+        if len(steps) == 0:
+            raise _row_failure(GridError, "radial grid steps fall below the rounding of R",
+                               going, energy, c3)
         r[:, live] = starts[-1] + steps[-1]
         n_steps[:, live] += np.count_nonzero(steps, axis=0)
         if n_steps.max() > _MAX_STEPS:
             raise _row_failure(GridError, "radial grid exceeds the step budget",
-                               (n_steps > _MAX_STEPS).any(axis=0), where)
+                               (n_steps > _MAX_STEPS).any(axis=0), energy, c3)
         # (columns or 1, 2, steps, rows), the nodes after W in the arena
         nodes = gauss_nodes(starts, steps, out=arena[2 * n * len(steps) * steps.shape[-1]:])
         nodes = nodes.transpose(2, 0, 1, 3)[pick]
@@ -590,8 +577,6 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
         step_matrices(steps[:, pick], w1, w2, out=m[:, :, 1:], work=arena)
         run_m[..., live], e = chain_product(m, work=(arena, planes))
         run_e[:, live] += e
-        if len(steps) < fold:
-            break  # every row has reached r_stop
     return run_m.transpose(3, 2, 0, 1), run_e.T, n_steps[env].T
 
 
@@ -609,7 +594,8 @@ class _Table(NamedTuple):
     e2: np.ndarray  # (rows, cols)
     det: np.ndarray  # (rows, cols): k kappa; a map's determinant is det * 2**(-2 e)
     n_points: np.ndarray  # (rows, cols): grid steps of both segments
-    where: np.ndarray  # (rows,): row labels for errors
+    energy: np.ndarray  # (rows,): the row's collision energy, which with c3 names it
+    c3: np.ndarray  # (rows,)
 
 
 def _match_matrix(ell, k, r) -> np.ndarray:
@@ -618,7 +604,7 @@ def _match_matrix(ell, k, r) -> np.ndarray:
     return np.stack([k * s_p, -s, -k * c_p, c], axis=-1).reshape(s.shape + (2, 2))
 
 
-def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
+def _build_chunk(system, blocks, r_match, energy, c3, grid) -> _Table:
     mu = system.reduced_mass
     # every boundary first: a forbidden one fails before any propagation;
     # V' at R_m is a central difference of exact eigenvalues
@@ -627,9 +613,7 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
     walls = [np.empty((2, len(energy), 0))]  # (kappa, kappa') of no column
     for basis, ranks in blocks:
         v = _exact_eigenvalues(system, basis, edge, c3)[..., ranks]
-        walls.append(_wkb_wavenumber(
-            energy[:, None], v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu, where
-        ))
+        walls.append(_wkb_wavenumber(energy, c3, v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu))
     kappa, dkappa = np.concatenate(walls, axis=-1)
     ell = np.array([basis.channels[i].L for basis, ranks in blocks for i in ranks], dtype=int)
     k = np.sqrt(2.0 * mu * energy)[:, None]
@@ -637,18 +621,18 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid, where) -> _Table:
     r2 = grid.match_factor * r1
     x_max = 2.0 * mu * float(c3.max()) / r_match  # every Gauss node lies beyond R_m
     m1, e1, n1 = _segment_transfers(
-        system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max, where
+        system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max
     )
-    m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max, where)
+    m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max)
     # (psi, psi') at R_m of the boundary state (p, q), formed past the propagation's peak
     wall = np.stack([np.zeros_like(kappa), np.ones_like(kappa), -kappa, -dkappa / (2.0 * kappa)],
                     axis=-1).reshape(kappa.shape + (2, 2))
     h1 = _match_matrix(ell, k, r1) @ m1 @ wall
     h2 = _match_matrix(ell, k, r2) @ (m2 @ m1) @ wall
-    return _Table(k, h1, e1, h2, e1 + e2, k * kappa, n1 + n2, where)
+    return _Table(k, h1, e1, h2, e1 + e2, k * kappa, n1 + n2, energy, c3)
 
 
-def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table:
+def build_table(system, blocks, r_match, energy, c3, grid) -> _Table:
     """Long-range table of every block's ranks at every row (energy[i], c3[i]).
 
     ``blocks`` pairs each basis with its ranks; rank i is the adiabat of
@@ -660,9 +644,8 @@ def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table
     the composed map from the boundary state to t at r1 and r2 (``_Table``):
     ``evaluate`` then gives the scattering at any (y, delta_sr) in closed form.
     Failures and warnings of the long range (forbidden boundary, marginal
-    WKB, step budget) are raised here.  A failure names its row by
-    ``where[i]`` (by default its energy and dipole) and carries its index
-    as ``row``; ``evaluate`` uses the same labels.
+    WKB, step budget, vanishing steps) are raised here.  Each names its row
+    by its own (d, E) and carries its index as ``row``, as in ``evaluate``.
     """
     energy = np.atleast_1d(np.asarray(energy, dtype=float))
     c3 = np.broadcast_to(np.asarray(c3, dtype=float), energy.shape)
@@ -676,17 +659,13 @@ def build_table(system, blocks, r_match, energy, c3, grid, where=None) -> _Table
             f"r_match = {r_match:.3g} must lie below the mean scattering length "
             f"abar = {abar:.3g}"
         )
-    where = _point_labels(energy, c3) if where is None else where
     parts = []
     for start in range(0, len(energy), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         try:
-            parts.append(_build_chunk(
-                system, blocks, r_match, energy[rows], c3[rows], grid, where[rows]
-            ))
-        except ColdchemError as exc:
-            if exc.row is not None:
-                exc.row += start
+            parts.append(_build_chunk(system, blocks, r_match, energy[rows], c3[rows], grid))
+        except ColdchemError as exc:  # each names its row within the chunk
+            exc.row += start
             raise
     return _Table(*map(np.concatenate, zip(*parts)))
 
@@ -699,11 +678,12 @@ def evaluate(table: _Table, y: float, delta) -> tuple[np.ndarray, np.ndarray]:
     comes from the conserved flux.  This is arithmetic on the table alone; the
     table's r2 view, ``table._replace(h1=table.h2, e1=table.e2)``, gives t at r2.
     """
-    t = match_free_solution(table.h1, table.e1, table.det, *boundary_state(y, delta), table.where)
+    t = match_free_solution(table, *boundary_state(y, delta))
     # algebraically identical to 1 - |S|^2, S = (1 + i t)/(1 - i t), but immune to cancellation
     loss = 4.0 * t.imag / np.abs(1.0 - 1j * t) ** 2
     if np.any(loss < -1e-9):
-        raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, table.where)
+        raise _row_failure(UnitarityError, "|S|^2 exceeds unity", loss < -1e-9, table.energy,
+                           table.c3)
     return t, loss
 
 
@@ -768,13 +748,16 @@ def _phase_calibration(
     r_match: float,
     grid: RadialGrid | None = None,
     energy_fraction: float = 1e-4,
+    tolerance: float = 1e-3,
 ):
-    """``phase(s, tolerance)``, the delta_sr of ``calibrate_phase``, and its inverse.
+    """``phase(s)``, the delta_sr of ``calibrate_phase``, and its inverse.
 
     The inverse ``s_of(delta)`` is the Moebius map ``phase`` inverts; it broadcasts.
     """
     if not 0 < energy_fraction <= 1e-2:
         raise ValueError("energy_fraction must lie in (0, 1e-2]")
+    if not tolerance > 0:
+        raise ValueError("calibration tolerance must be positive")
     bare = dataclasses.replace(system, dipole=0.0)
     mu = bare.reduced_mass
     abar = mean_scattering_length(mu, bare.c6)
@@ -790,7 +773,7 @@ def _phase_calibration(
     # so t = -k a = (g00 tau + g01) / (g10 tau + g11)
     g = table.h1[0, 0]
 
-    def phase(s: float, tolerance: float = 1e-3) -> float:
+    def phase(s: float) -> float:
         target = s * abar
         t = -k * target
         delta = math.atan2(t * g[1, 1] - g[0, 1], g[0, 0] - t * g[1, 0]) % math.pi
@@ -828,8 +811,8 @@ def calibrate_phase(
     (2010)) whose coefficients are that map, and it is inverted in closed
     form.  ``evaluate`` at y = 0 checks the result, and
     CalibrationError is raised if it misses s * abar by more than
-    ``tolerance`` relative.  Only ``params.s`` and ``params.r_match``
+    ``tolerance`` (> 0) relative.  Only ``params.s`` and ``params.r_match``
     matter here.
     """
-    phase, _ = _phase_calibration(system, params.r_match, grid, energy_fraction)
-    return phase(params.s, tolerance)
+    phase, _ = _phase_calibration(system, params.r_match, grid, energy_fraction, tolerance)
+    return phase(params.s)

@@ -133,7 +133,7 @@ def _rate_curve(axis, x, system, columns, loss, energies, channels, energy, dipo
 
 
 def _run_scan(
-    axis, x, system, params, l_max, delta_sr, phase_overrides, energies, c3, grid, where,
+    axis, x, system, params, l_max, delta_sr, phase_overrides, energies, c3, grid,
     channels=None, energy=None, dipole=None,
 ) -> RateCurve:
     """Every point of a scan as one batch; a failure keeps the points before it.  The grid
@@ -147,9 +147,7 @@ def _run_scan(
     delta = _phases(columns, delta_sr, phase_overrides)
 
     def curve(stop: int) -> RateCurve:
-        table = build_table(
-            system, blocks, params.r_match, energies[:stop], c3[:stop], grid, where[:stop]
-        )
+        table = build_table(system, blocks, params.r_match, energies[:stop], c3[:stop], grid)
         _, loss = evaluate(table, params.y, delta)
         return _rate_curve(
             axis, x[:stop], system, columns, loss, energies[:stop], channels, energy, dipole
@@ -197,12 +195,9 @@ def scan_dipole(
         raise ValueError("d_values must be a non-empty 1-D array")
     if not np.all((0 <= d_values) & (d_values < np.inf)) or np.any(np.diff(d_values) <= 0):
         raise ValueError("d_values must be finite, non-negative and strictly increasing")
-    if not energy > 0:
-        raise ValueError("collision energy must be positive")
     return _run_scan(
         "dipole", d_values, system, params, l_max, delta_sr, phase_overrides,
-        np.full(len(d_values), float(energy)), 2.0 * d_values**2, grid,
-        [f"d = {d:.6g} a.u." for d in d_values], energy=energy,
+        np.full(len(d_values), float(energy)), 2.0 * d_values**2, grid, energy=energy,
     )
 
 
@@ -225,7 +220,6 @@ def scan_energy(
     return _run_scan(
         "energy", e_values, system, params, l_max, delta_sr, phase_overrides,
         e_values, np.full(len(e_values), system.c3), grid,
-        [f"E = {e:.6g} hartree" for e in e_values],
         channels=None if channels is None else set(channels), dipole=system.dipole,
     )
 
@@ -466,10 +460,11 @@ def fit_short_range(
     if len(set(fit)) != len(fit):
         raise ValueError("fit names must be unique")
     chi2, phase, s_of = _fit_objective(
-        dataset, system, energy, initial.r_match, grid or RadialGrid(), l_max, energy_fraction
+        dataset, system, energy, initial.r_match, grid or RadialGrid(), l_max, energy_fraction,
+        tolerance,
     )
     delta, y, evaluations = _grid_search(
-        chi2, None if "s" in fit else phase(initial.s, tolerance),
+        chi2, None if "s" in fit else phase(initial.s),
         None if "y" in fit else initial.y,
     )
     best = {"s": float(s_of(delta)) if "s" in fit else initial.s, "y": y}
@@ -482,7 +477,7 @@ def fit_short_range(
     patch = {**best, **dict(zip(fit, (x + u * h).T))}
     s_patch, back = np.unique(np.broadcast_to(patch["s"], len(u)), return_inverse=True)
     values = chi2(np.broadcast_to(patch["y"], len(u)),
-                  np.array([phase(s, tolerance) for s in s_patch])[back])
+                  np.array([phase(s) for s in s_patch])[back])
     chi2_min = float(values[~u.any(axis=1)][0])
     powers = np.array(list(itertools.product(range(3), repeat=len(fit))))
     coef = np.linalg.solve(np.prod(u[:, None] ** powers, axis=-1), values)
@@ -507,7 +502,7 @@ def fit_short_range(
     )
 
 
-def _fit_objective(dataset, system, energy, r_match, grid, l_max, energy_fraction):
+def _fit_objective(dataset, system, energy, r_match, grid, l_max, energy_fraction, tolerance):
     """``chi2(y, delta)`` of 1-D arrays of trials, and ``_phase_calibration``'s maps.
 
     The long range is propagated once, at the dataset's dipoles and for the
@@ -522,10 +517,9 @@ def _fit_objective(dataset, system, energy, r_match, grid, l_max, energy_fractio
         weights = np.ones(len(dataset))
     blocks, columns = _blocks(system, l_max)
     energies = np.full(len(d_unique), float(energy))
-    where = [f"d = {d:.6g} a.u." for d in d_unique]
     try:
-        table = build_table(system, blocks, r_match, energies, 2.0 * d_unique**2, grid, where)
-        phase, s_of = _phase_calibration(system, r_match, grid, energy_fraction)
+        phase, s_of = _phase_calibration(system, r_match, grid, energy_fraction, tolerance)
+        table = build_table(system, blocks, r_match, energies, 2.0 * d_unique**2, grid)
     except ColdchemError as exc:
         raise FitError(f"long-range propagation failed: {exc}") from exc
     chunk = max(1, _TRIAL_CELLS // (len(d_unique) * len(columns)))

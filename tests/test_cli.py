@@ -480,6 +480,44 @@ def test_fit_honours_calibration_tolerance(tmp_path, capsys):
         assert "within 1.0e-300 relative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rates", "fit"])
+@pytest.mark.parametrize("tolerance", ["-1", "0"])
+def test_non_positive_calibration_tolerance_is_a_config_error(tmp_path, capsys, command,
+                                                              tolerance):
+    # exit 2 as for calibration_energy_fraction=-1; -1 was a failed calibration, exit 3
+    data = tmp_path / "data.csv"
+    data.write_text("d_debye,K_cm3_s\n0.05,1e-12\n0.1,2e-12\n")
+    code = main([command] + BASE + [
+        "--set", "l_max=1", "--set", f"calibration_tolerance={tolerance}",
+        "--set", "fit_parameters=s,y", "--set", f"dataset_csv={data}",
+        "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: calibration tolerance must be positive\n"
+
+
+def test_two_parameter_fit_writes_its_covariance_and_sigmas(tmp_path):
+    # the lines perfbench's fit check reads: every covariance entry once, and
+    # sigma_i = sqrt(|cov_ii|)
+    data = tmp_path / "data.csv"
+    data.write_text("d_debye,K_cm3_s,sigma\n0.05,1e-12,1e-13\n0.1,2e-12,2e-13\n"
+                    "0.15,4e-12,4e-13\n")
+    out = tmp_path / "fit.txt"
+    assert main(["fit"] + BASE + [
+        "--set", "l_max=1", "--set", "fit_parameters=s,y", "--set", f"dataset_csv={data}",
+        "--out", str(out),
+    ]) == 0
+    values = dict(line.split(" = ") for line in out.read_text().splitlines()
+                  if not line.startswith("#"))
+    assert values["fitted"] == "s,y"
+    cov = {key: float(value) for key, value in values.items() if key.startswith("cov_")}
+    assert sorted(cov) == ["cov_s_s", "cov_s_y", "cov_y_y"]
+    assert all(math.isfinite(value) for value in cov.values())
+    assert sorted(key for key in values if key.startswith("sigma_")) == ["sigma_s", "sigma_y"]
+    for name in ("s", "y"):
+        assert float(values[f"sigma_{name}"]) == math.sqrt(abs(cov[f"cov_{name}_{name}"]))
+
+
 @pytest.mark.parametrize("body", [
     "d_debye,K_cm3_s\n0.05,1e-12\nnan,inf\n", "d_debye,K_cm3_s\n0.1,nan\n",
     "d_debye,K_cm3_s\ninf,1e-12\n", "d_debye,K_cm3_s,sigma\n0.1,1e-12,nan\n",

@@ -376,6 +376,21 @@ def test_barrier_grid_too_short():
         find_barrier(curve)
 
 
+def test_single_channel_curve_checks_its_grid_like_every_curve():
+    # a decreasing grid put the KRb p-wave barrier at 273.37 bohr, not 273.57, and a
+    # one-point grid ended in an IndexError; a valid grid keeps bitwise the exact values
+    system = krb(dipole=units.dipole_from_debye(0.2))
+    r = np.geomspace(20.0, 3000.0, 600)
+    for bad in (r[::-1], r[:1], r.reshape(2, -1)):
+        with pytest.raises(ValueError, match="r_grid"):
+            single_channel_curve(system, Channel(1, 0), bad)
+    curve = single_channel_curve(system, Channel(1, 0), r)
+    basis = curve.basis
+    assert (basis.channels, curve.index) == ((Channel(1, 0),), 0)
+    assert np.array_equal(curve.values, potential_matrix(system, basis, r)[:, 0, 0])
+    assert np.array_equal(curve.values, curve(r))
+
+
 def test_barrier_height_decreases_with_dipole():
     heights = []
     r = np.geomspace(25.0, 30000.0, 400)

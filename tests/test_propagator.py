@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from coldchem import propagator, units
 from coldchem.errors import CalibrationError, GridError, MatchingError, UnitarityError
 from coldchem.potential import (
     Channel,
+    ChannelBasis,
     CollisionSystem,
     build_basis,
     single_channel_curve,
@@ -33,7 +35,7 @@ from coldchem.qdt import (
     characteristic_energies,
     mean_scattering_length,
 )
-from coldchem.scanfit import rate_point
+from coldchem.scanfit import Dataset, fit_short_range, rate_point
 
 MU = units.mass_from_amu(63.4968)
 C6 = 16130.0
@@ -63,9 +65,9 @@ def boundary(params, curve, energy, delta):
     """Boundary log-derivative at R_m from the curve's V and V' there."""
     v, v_slope = edge_values(curve, params.r_match)
     kappa, dkappa = _wkb_wavenumber(
-        energy, v, v_slope, params.r_match, curve.system.reduced_mass
+        [energy], [curve.system.c3], [[v]], v_slope, params.r_match, curve.system.reduced_mass
     )
-    return log_derivative(params.y, delta, kappa, dkappa)
+    return log_derivative(params.y, delta, kappa[0, 0], dkappa[0, 0])
 
 
 def carry(steps, w1, w2, y0):
@@ -544,8 +546,9 @@ def test_envelopes_far_apart_step_together(monkeypatch):
         assert np.array_equal(n[:, cols], n_alone)
     # a budget between the two rows' step counts stops the warm row, and names it
     monkeypatch.setattr(propagator, "_MAX_STEPS", (n[0].max() + n[1].min()) // 2)
-    with pytest.raises(GridError, match="at warm") as info:
-        propagator._segment_transfers(system, blocks, *args, where=["cold", "warm"])
+    warm = r"at d = 0\.0786861 a\.u\., E = 7\.60035e-09 hartree"
+    with pytest.raises(GridError, match=warm) as info:
+        propagator._segment_transfers(system, blocks, *args)
     assert info.value.row == 1
 
 
@@ -742,10 +745,62 @@ def test_evaluate_labels_the_row_under_a_trial_axis():
     # unitarity at the table's only row
     system = krb()
     blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 1)]
-    table = propagator.build_table(system, blocks, 20.0, E0, 0.0, RadialGrid(), where=["p0"])
-    with pytest.raises(UnitarityError, match="at p0") as info:
+    table = propagator.build_table(system, blocks, 20.0, E0, 0.0, RadialGrid())
+    label = re.escape(f"at d = 0 a.u., E = {E0:.6g} hartree")
+    with pytest.raises(UnitarityError, match=label) as info:
         propagator.evaluate(table, np.array([0.5, -0.5])[:, None, None], 1.0)
     assert info.value.row == 0
+
+
+ROW_FAILURES = {
+    "forbidden boundary": MatchingError,
+    "step budget": GridError,
+    "vanishing steps": GridError,
+    "degenerate match": MatchingError,
+    "unitarity": UnitarityError,
+    "marginal WKB": UserWarning,
+}
+
+
+@pytest.mark.parametrize("case", ROW_FAILURES)
+def test_row_failures_name_their_row_by_its_d_and_e(case, monkeypatch):
+    # every failure of a table, and the marginal-WKB warning, names the failing row (here
+    # row 1) by its own (d, E) in one format, and sets ``row`` to its index
+    system, r_match, blocks = krb(), 20.0, [(build_basis(0, 0, 0), [0])]
+    energy, c3 = np.array([E0, 2.0 * E0]), np.zeros(2)
+    if case in ("forbidden boundary", "marginal WKB"):
+        # a light model system at R_m = 0.5, where V = 48 for L = 7 and -64 for L = 0:
+        # row 0 at E = 200 passes, row 1 at 1e-6 is forbidden or kappa R_m < 10
+        system, r_match, energy = CollisionSystem(reduced_mass=1.0, c6=1.0), 0.5, [200.0, 1e-6]
+        L = 7 if case == "forbidden boundary" else 0
+        blocks = [(ChannelBasis((Channel(L, 0),), 0, L % 2, L), [0])]
+    if case == "step budget":  # at 250 nK and L = 1: 952 steps at 0.5 D, 539 at 0 D
+        monkeypatch.setattr(propagator, "_MAX_STEPS", 800)
+        energy = np.full(2, units.energy_from_microkelvin(0.25))
+        c3 = 2.0 * units.dipole_from_debye(np.array([0.0, 0.5])) ** 2
+        blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 1)]
+    if case == "vanishing steps":  # every step of row 1 is below the rounding of R
+        energy = np.array([1e-9, 1e200])
+    label = f"(at d = {math.sqrt(c3[1] / 2.0):.6g} a.u., E = {energy[1]:.6g} hartree)"
+
+    def call():
+        table = propagator.build_table(system, blocks, r_match, energy, c3, RadialGrid())
+        if case == "degenerate match":  # t's denominator vanishes at row 1
+            table = table._replace(h1=table.h1 * np.array([1.0, 0.0])[:, None, None, None])
+        if case == "unitarity":  # Im t < 0 at row 1
+            table = table._replace(det=table.det * np.array([[1.0], [-1.0]]))
+        propagator.evaluate(table, 1.0, 0.0)
+
+    if case == "marginal WKB":
+        with pytest.warns(UserWarning, match="marginal") as info:
+            call()
+        (found,) = [w.message for w in info if "marginal" in str(w.message)]
+    else:
+        with pytest.raises(ROW_FAILURES[case]) as info:
+            call()
+        found = info.value
+    assert str(found).endswith(f" {label}")
+    assert found.row == 1
 
 
 def test_loss_probability_carries_no_rounding_of_the_phase():
@@ -778,6 +833,18 @@ def test_validation_errors():
         )
     with pytest.raises(ValueError):
         calibrate_phase(system, params, energy_fraction=0.5)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan])
+def test_calibration_rejects_a_non_positive_tolerance(tolerance):
+    # a tolerance of -1 ended in a CalibrationError "within -1.0e+00 relative"
+    system, params = krb(), ShortRangeParams(s=0.0, y=0.5)
+    with pytest.raises(ValueError, match="calibration tolerance must be positive"):
+        calibrate_phase(system, params, tolerance=tolerance)
+    data = Dataset(d_debye=np.array([0.05, 0.1]), rate_cm3s=np.array([1e-12, 2e-12]))
+    for fit in (("y",), ("s", "y")):
+        with pytest.raises(ValueError, match="calibration tolerance must be positive"):
+            fit_short_range(data, system, E0, params, fit=fit, l_max=1, tolerance=tolerance)
 
 
 def test_grid_policies():

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage, optimize
 
 from coldchem import propagator, scanfit, units
-from coldchem.errors import FitError, ScanError
+from coldchem.errors import FitError, GridError, MatchingError, ScanError
 from coldchem.potential import Channel, CollisionSystem, Symmetry, symmetry_blocks
 from coldchem.propagator import RadialGrid, calibrate_phase
 from coldchem.qdt import ShortRangeParams, characteristic_energies, resonance_position
@@ -245,6 +245,34 @@ def test_scan_step_budget_error_names_its_point(fermi_calibration, monkeypatch):
         scan_dipole(system, params, E_250NK, d, grid=grid, l_max=1, delta_sr=delta)
     assert len(excinfo.value.partial.x) == 1
     assert excinfo.value.__cause__.row == 1
+
+
+def test_scan_retry_keeps_the_points_before_the_earliest_failure(fermi_calibration,
+                                                                 monkeypatch):
+    # every boundary is checked before any propagation, so the forbidden boundary of
+    # 500 a.u. (row 2) is raised first; the retry on rows 0-1 then stops at row 1's step
+    # budget, and the second retry, on row 0 alone, completes
+    system, params, grid, delta = fermi_calibration
+    monkeypatch.setattr(propagator, "_MAX_STEPS", 800)
+    failures, build_table = [], scanfit.build_table
+
+    def recorded(*args):
+        try:
+            return build_table(*args)
+        except Exception as exc:
+            failures.append((type(exc), exc.row))
+            raise
+
+    monkeypatch.setattr(scanfit, "build_table", recorded)
+    d = np.array([0.0, units.dipole_from_debye(0.5), 500.0])
+    with pytest.raises(ScanError, match=r"after 1 of 3 points: radial grid exceeds the step "
+                       r"budget \(at d = 0\.196715 a\.u\., E = ") as excinfo:
+        scan_dipole(system, params, E_250NK, d, grid=grid, l_max=1, delta_sr=delta)
+    assert failures == [(MatchingError, 2), (GridError, 1)]
+    assert isinstance(excinfo.value.__cause__, GridError)
+    assert excinfo.value.__cause__.row == 1
+    partial = excinfo.value.partial
+    assert len(partial.x) == 1 and partial.x[0] == 0.0 and partial.total[0] > 0
 
 
 def test_scan_warning_names_its_point():
