@@ -69,6 +69,9 @@ _SCALAR_ROWS = 16
 # Knots per unit of log1p(x) in a block's eigenvalue table.  The spacing is fixed,
 # so a row's eigenvalues do not depend on the other rows of its chunk.
 _KNOTS_PER_UNIT = 288
+# Nodes per WKB-frame step, and the kappa R that a lower bound keeps at every node of them
+_WKB_NODES = 5
+_WKB_KAPPA_R = 17.0
 # om2^k coefficients of sinh(om)/om; at |om2| <= _SERIES_OM2 the rest is < 1e-18
 _SERIES_OM2 = 0.25
 _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(7))
@@ -132,6 +135,7 @@ class RadialGrid:
         c3: float | np.ndarray | None = None,
         *,
         max_steps: int,
+        seam: float | np.ndarray = 0.0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One fold of step starts and sizes from r_start toward r_stop, in lockstep over rows.
 
@@ -144,16 +148,20 @@ class RadialGrid:
         has stopped.  Wide folds step in place, through one scratch of three arrays, and
         leave out the C3 term where every c3 is 0.  A long grid is taken fold by fold, each
         from the last one's end radius; ``_segment_transfers`` does so, for the rows still
-        short of r_stop, and enforces the step budget.
+        short of r_stop, and enforces the step budget.  A grid that goes on from a WKB
+        segment's end ``seam`` (broadcast like r_start) scales its wavelength ceiling by
+        1 - (seam / R)^2 / 2: a Magnus grid that starts at full length where the wavelength
+        is long against R reflects a spurious wave, so the steps start at half length and
+        grow smoothly to it.
         """
         c3 = system.c3 if c3 is None else c3
         ll = np.multiply(L, np.add(L, 1.0))
-        shape = np.broadcast_shapes(*map(np.shape, (ll, energy, r_start, r_stop, c3)))
+        shape = np.broadcast_shapes(*map(np.shape, (ll, energy, r_start, r_stop, c3, seam)))
         r = np.broadcast_to(np.asarray(r_start, dtype=float), shape)
         # q^2 = a + b/r^6 + c/r^3 + ll/r^2 with a, b, c = 2 mu (E, C6, C3), by Horner in 1/r
         two_mu = 2.0 * system.reduced_mass
         terms = (two_mu * np.asarray(energy), two_mu * system.c6, two_mu * np.asarray(c3), ll,
-                 2.0 * math.pi / self.points_per_wavelength, self.scale_fraction)
+                 2.0 * math.pi / self.points_per_wavelength, self.scale_fraction, seam)
         if r.size <= _SCALAR_ROWS:
             # a few grid rows step faster one by one in Python floats; the same
             # correctly rounded operations give the same grid as the lockstep
@@ -164,6 +172,8 @@ class RadialGrid:
             return radii[:-1], np.diff(radii, axis=0)
         if not np.any(c3):
             terms = terms[:2] + (None,) + terms[3:]  # r^-3 C3 term of +0.0, an exact no-op
+        if not np.any(seam):
+            terms = terms[:-1] + (None,)  # a ceiling scaled by exactly 1
         radii, steps = np.empty((2, max_steps + 1) + shape)
         radii[0] = r
         work = np.empty((3,) + shape)
@@ -174,10 +184,11 @@ class RadialGrid:
         return radii[:n], steps[:n]
 
 
-def _next_radius(a, b, c, ll, wave, frac, r, r_stop, out, work):
+def _next_radius(a, b, c, ll, wave, frac, seam, r, r_stop, out, work):
     """Every row's next grid radius into ``out``; a row stays put once it has stopped.
 
-    ``work`` holds three arrays of r's shape; ``c`` of None leaves out the C3 term.
+    ``work`` holds three arrays of r's shape; ``c`` of None leaves out the C3 term, and
+    ``seam`` of None the scaling of the wavelength ceiling.
     """
     inv, inv2, q2 = work
     np.divide(1.0, r, out=inv)
@@ -191,15 +202,21 @@ def _next_radius(a, b, c, ll, wave, frac, r, r_stop, out, work):
     q2 += ll
     q2 *= inv2
     q2 += a
-    # h = min(min(wave / sqrt(q2), r / frac), r_stop - r)
+    # h = min(min(wave / sqrt(q2) (1 - (seam / r)^2 / 2), r / frac), r_stop - r)
     np.divide(wave, np.sqrt(q2, out=q2), out=q2)
+    if seam is not None:
+        np.multiply(seam, inv, out=inv2)
+        inv2 *= inv2
+        inv2 *= -0.5
+        inv2 += 1.0
+        q2 *= inv2
     np.minimum(q2, np.divide(r, frac, out=inv), out=q2)
     np.minimum(q2, np.subtract(r_stop, r, out=inv), out=q2)
     # stopping at r_stop, or on step underflow at the very last point
     np.maximum(np.add(r, q2, out=out), r, out=out)
 
 
-def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
+def _row_radii(a, b, c, ll, wave, frac, seam, r, r_stop, limit):
     """``_next_radius`` for one row in Python floats: its radii, r first, up to
     ``limit`` steps or until the row stops."""
     radii = [r]
@@ -207,7 +224,8 @@ def _row_radii(a, b, c, ll, wave, frac, r, r_stop, limit):
         inv = 1.0 / r
         inv2 = inv * inv
         q2 = ((b * (inv2 * inv) + c) * inv + ll) * inv2 + a
-        r_next = r + min(wave / math.sqrt(q2), r / frac, r_stop - r)
+        s = seam * inv
+        r_next = r + min(wave / math.sqrt(q2) * (s * s * -0.5 + 1.0), r / frac, r_stop - r)
         if not r_next > r:
             break
         radii.append(r_next)
@@ -232,23 +250,33 @@ def step_matrices(steps, w1, w2, out=None, work=None) -> np.ndarray:
 
     For psi'' = W(R) psi the generator over one step h is the traceless matrix
     G = [[a, h], [h (W1+W2)/2, -a]] with a = sqrt(3) h^2 (W1 - W2) / 12, where W1, W2 are
-    samples at the Gauss nodes.  G^2 is a scalar om2, so exp(G) = cosh(om) I + sinhc G,
-    sinhc = sinh(om)/om: where |om2| <= _SERIES_OM2 (nearly every step) sinhc by Horner
-    in om2 and cosh(om) = sqrt(1 + om2 sinhc^2) > 0, elsewhere both in closed form.  The
-    planes m[i, j] lead, each of the arguments' broadcast shape; h = 0 gives exactly I.
-    They are written to ``out``, and om2 to the flat buffer ``work``, which may share
-    memory with w1 and w2; by default both are fresh.
+    samples at the Gauss nodes (``_expm_traceless``).  The planes m[i, j] lead, each of
+    the arguments' broadcast shape; h = 0 gives exactly I.  They are written to ``out``,
+    and om2 to the flat buffer ``work``, which may share memory with w1 and w2; by default
+    both are fresh.
     """
     h = np.asarray(steps, dtype=float)
     shape = np.broadcast_shapes(h.shape, np.shape(w1), np.shape(w2))
     m = np.empty((2, 2) + shape) if out is None else out
+    np.subtract(w1, w2, out=m[0, 0])
+    m[0, 0] *= _SQRT3 / 12.0 * h * h
+    np.add(w1, w2, out=m[1, 0])
+    m[1, 0] *= 0.5 * h
+    return _expm_traceless(m, h, work)
+
+
+def _expm_traceless(m, b, work=None) -> np.ndarray:
+    """exp(G) in place for G = [[a, b], [c, -a]], a in m[0, 0] and c in m[1, 0] on entry.
+
+    ``b`` broadcasts against them, and om2 = a^2 + b c goes to the flat buffer ``work``
+    (by default fresh).  G^2 = om2 I, so exp(G) = cosh(om) I + sinhc G, sinhc =
+    sinh(om)/om: where |om2| <= _SERIES_OM2 (nearly every step) sinhc by Horner in om2
+    and cosh(om) = sqrt(1 + om2 sinhc^2) > 0, elsewhere both in closed form.  G = 0
+    gives exactly I.
+    """
     a, sc, c, ch = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    np.subtract(w1, w2, out=a)
-    a *= _SQRT3 / 12.0 * h * h
-    np.add(w1, w2, out=c)
-    c *= 0.5 * h
-    om2 = _buffer(work, shape)
-    np.multiply(h, c, out=om2)
+    om2 = _buffer(work, a.shape)
+    np.multiply(b, c, out=om2)
     om2 += np.multiply(a, a, out=ch)
     far = None
     if max(om2.max(initial=0.0), -om2.min(initial=0.0)) > _SERIES_OM2:  # rare; no mask otherwise
@@ -269,7 +297,7 @@ def step_matrices(steps, w1, w2, out=None, work=None) -> np.ndarray:
     sa = np.multiply(sc, a, out=om2)
     np.add(ch, sa, out=a)
     ch -= sa
-    sc *= h
+    sc *= b
     return m
 
 
@@ -522,7 +550,155 @@ def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None
     return eps
 
 
-def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max):
+@functools.lru_cache(maxsize=4)
+def _wkb_rules(n: int):
+    """Linear rules on values at the n Chebyshev-Lobatto nodes t of [-1, 1], as matrices.
+
+    From the Legendre coefficients of the interpolant (``inv``): the second derivative at
+    every node, the first at t = -1 and 1, the integral from -1 less its chord at the inner
+    nodes (zero at the ends), the quadrature weights, and the Filon rows: the integral of
+    P_k(t) exp(i om t) is 2 i^k j_k(om), so weights sum these rows times j_k(om), the even
+    k for the real part and the odd k for the imaginary part.
+    """
+    t = -np.cos(np.pi * np.arange(n) / (n - 1))
+    p, dp, d2p = [np.ones(n), t], [np.zeros(n), np.ones(n)], [np.zeros(n), np.zeros(n)]
+    for k in range(1, n):
+        p.append(((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1))
+        dp.append(dp[k - 1] + (2 * k + 1) * p[k])
+        d2p.append(d2p[k - 1] + (2 * k + 1) * dp[k])
+    inv = np.linalg.inv(np.array(p[:n]).T)
+    integral = np.array([t + 1.0] + [(p[k + 1] - p[k - 1]) / (2 * k + 1) for k in range(1, n)])
+    weights = 2.0 * inv[0]
+    phase = integral.T @ inv - np.outer((1.0 + t) / 2.0, weights)
+    filon = 2.0 * inv * np.array([1.0, 1.0, -1.0, -1.0] * n)[:n, None]  # Re or Im of i^k
+    d2 = np.array(d2p[:n]).T @ inv
+    ends = (np.array(dp[:n]).T @ inv)[[0, -1]]
+    return t, d2, np.vstack([d2, ends]), np.vstack([weights, phase[1:-1]]), weights[None], filon
+
+
+def _nodal(rule, x) -> np.ndarray:
+    """``rule`` @ x over the leading (node) axis of x, term by term, so that every row
+    rounds alike whatever the rows beside it (BLAS and einsum do not)."""
+    out = np.multiply.outer(rule[:, 0], x[0])
+    for k in range(1, len(x)):
+        out += np.multiply.outer(rule[:, k], x[k])
+    return out
+
+
+def _spherical_bessel(x, n) -> np.ndarray:
+    """j_k(x) for k < n on a new leading axis, x > 0: upward from j_0 and j_1 where x >= 1,
+    from the power series of s_k = x j_k (``_regular_series``) below."""
+    j = np.empty((n,) + x.shape)
+    j[0] = np.sin(x) / x
+    if n > 1:
+        j[1] = (j[0] - np.cos(x)) / x
+    for k in range(1, n - 1):
+        np.subtract((2 * k + 1) / x * j[k], j[k - 1], out=j[k + 1])
+    low = x < 0.1
+    if low.any():
+        x = x[low]
+        for k in range(1, n):  # where the upward recurrence loses digits
+            j[k, low] = _regular_series(np.full(x.shape, k), x) / x
+    return j
+
+
+def _wkb_radius(system, ell, c3, r_start, r_stop) -> np.ndarray:
+    """End of the WKB frame, (envelopes, rows) for envelopes ``ell`` (envelopes, 1).
+
+    An adiabat of rank L or lower has eps <= ell (ell + 1) + x / 2 (P2 >= -1/2), so
+    kappa^2 R^2 >= 2 mu C6 / R^4 - ell (ell + 1) - mu c3 / R, which falls with R until
+    it is negative.  The end is where that bound falls to _WKB_KAPPA_R^2, clipped into
+    [r_start, r_stop]: every node before it lies where kappa R > _WKB_KAPPA_R.
+    """
+    mu = system.reduced_mass
+    a, b, c = _WKB_KAPPA_R**2 + ell * (ell + 1.0), 2.0 * mu * system.c6, mu * np.asarray(c3)
+    r = np.broadcast_to((b / a) ** 0.25, np.broadcast_shapes(a.shape, c.shape))
+    for _ in range(30):  # from the C6 root down to the root, at a rate below 1/4
+        r = (b / (a + c / r)) ** 0.25
+    return np.clip(r, r_start, r_stop)
+
+
+def _wkb_grid(frac, r, r_stop, max_steps):
+    """One fold of steps r / frac from r toward r_stop, as ``RadialGrid.build_steps`` returns."""
+    radii = [r]
+    while len(radii) <= max_steps and (r < r_stop).any():
+        radii.append(r := r + np.minimum(r / frac, r_stop - r))
+    radii = np.array(radii)
+    steps = np.diff(radii, axis=0)
+    n = np.count_nonzero(steps.reshape(len(steps), -1).any(axis=1))
+    return radii[:n], steps[:n]
+
+
+def _wkb_steps(system, blocks, starts, steps, c3, energy, x_max, pick, out) -> np.ndarray:
+    """(psi, psi') transfers of the steps in a WKB frame, into ``out`` (2, 2, steps, cols, rows).
+
+    The frame is the second-order WKB pair v (cos theta, sin theta): v = q^(-1/2), theta =
+    int q from the step's start, q^2 = kappa^2 + eps and eps = u''/u for u = kappa^(-1/2).
+    psi = v (z1 cos theta + z2 sin theta) gives z' = g B z, g = v''/v - eps of fourth order
+    in the slopes, B = [[sin 2 theta, 1 - cos 2 theta], [-1 - cos 2 theta, -sin 2 theta]] /
+    (2 q).  A step is A(h) Rot(theta) exp(Omega) A(0)^-1, A = [[v, 0], [v', 1/v]] and Omega
+    the integral of g B, from kappa at _WKB_NODES Chebyshev-Lobatto nodes: u'', v' and v''
+    by nodal derivatives, theta by the nodal integral, and the entries in cos and sin 2 theta
+    by a Filon rule in the step's own chord of theta.  Zero-length steps are exactly I.
+    """
+    n = _WKB_NODES
+    t, d2, on_v, on_q, weights, filon = _wkb_rules(n)
+    nodes = starts + np.multiply.outer((1.0 + t) / 2.0, steps)  # (nodes, steps, env, rows)
+    w = _block_eigenvalues(system, blocks, nodes.transpose(2, 0, 1, 3)[pick], c3, energy, x_max)
+    k2 = np.negative(w, out=w).transpose(1, 2, 0, 3)  # kappa^2, (nodes, steps, cols, rows)
+    h = steps[:, pick]
+    moves = h > 0
+    inv_h = np.divide(1.0, h, out=np.zeros(h.shape), where=moves)
+    u = np.reciprocal(np.sqrt(np.sqrt(k2)))
+    eps = _nodal(d2, u)
+    eps /= u  # h^2 eps / 4, in t
+    q = np.multiply(eps, 4.0 * inv_h * inv_h, out=u)
+    q += k2
+    np.sqrt(q, out=q)
+    v = np.reciprocal(np.sqrt(q, out=k2), out=k2)
+    f, dv = np.split(_nodal(on_v, v), [n])  # v'' and, at the ends, v', in t
+    f *= v
+    eps *= v
+    eps *= v
+    f -= eps
+    f *= inv_h  # h g / (4 q), the integrand in t
+    theta, phi = np.split(_nodal(on_q, q), [1])
+    theta = 0.5 * h * theta[0]
+    phi *= h  # 2 theta less its chord, at the inner nodes
+    del q, u
+    i0 = _nodal(weights, f)[0]
+    fs = eps  # f sin 2 phi, then f cos 2 phi in f
+    fs[0] = fs[-1] = 0.0
+    np.multiply(f[1:-1], np.sin(phi), out=fs[1:-1])
+    f[1:-1] *= np.cos(phi, out=phi)
+    del phi
+    # the Filon sums: Legendre coefficients of f and fs against 2 i^k j_k(theta), the real
+    # parts from the even k and the imaginary parts from the odd k
+    jk = _spherical_bessel(np.where(moves, theta, 1.0), n)
+    cf, cs = _nodal(filon, f), _nodal(filon, fs)
+    cf *= jk
+    cs *= jk
+    j_re = cf[0::2].sum(axis=0) - cs[1::2].sum(axis=0)
+    j_im = cs[0::2].sum(axis=0) + cf[1::2].sum(axis=0)
+    del jk, cf, cs, f, fs, eps
+    cos, sin = np.cos(theta), np.sin(theta)
+    i_cos, i_sin = cos * j_re - sin * j_im, sin * j_re + cos * j_im
+    m = out
+    m[0, 0], m[1, 0] = i_sin, -i0 - i_cos
+    _expm_traceless(m, i0 - i_cos)
+    # Rot(theta) exp(Omega), then A(0)^-1 on the right and A(h) on the left
+    m[0], m[1] = cos * m[0] + sin * m[1], cos * m[1] - sin * m[0]
+    v0, v1 = v[0], v[-1]
+    dv0, dv1 = 2.0 * inv_h * dv
+    m[:, 0] = m[:, 0] / v0 - m[:, 1] * dv0
+    m[:, 1] *= v0
+    m[1] = dv1 * m[0] + m[1] / v1
+    m[0] *= v1
+    np.copyto(m, np.eye(2).reshape(2, 2, 1, 1, 1), where=~moves)
+    return m
+
+
+def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max, wkb=False):
     """(psi, psi') transfer (m, e) of every column over [r_start, r_stop], one per row.
 
     ``blocks`` pairs each basis with the ranks to propagate, and the columns are those
@@ -530,10 +706,13 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max)
     column steps on the grid of its envelope, the largest L of its block, which slightly
     over-resolves the lower ranks.  One lockstep grid (steps, envelopes, rows) is built
     in folds of _FOLD_SIZE // (rows * (columns + _GRID_COLUMNS)) steps, each one pass over
-    every column.  Folds run while any row is short of r_stop, each building the grid of
-    these live rows alone.  GridError names the row, by its index among all rows, that
-    takes a step past _MAX_STEPS, the grid's one budget check, or that no longer moves
-    in a fold where no live row can step.  Each fold takes views of buffers
+    every column.  With ``wkb``, each envelope first takes the WKB-frame steps of
+    ``_wkb_steps``, r / scale_fraction long, from r_start to its ``_wkb_radius``, in folds
+    _WKB_NODES times shorter; the Magnus steps go on from there, in one product and one
+    step count.  Folds run while any row is short of the segment's end, each building the
+    grid of these live rows alone.  GridError names the row, by its index among all rows,
+    that takes a step past _MAX_STEPS, the grid's one budget check, or that no longer moves
+    in a fold where no live row can step.  Each Magnus fold takes views of buffers
     made once: the step planes (the running product as factor 0), which first hold the
     gather of W, and an arena for W and the nodes, then om2 or the chain's first round.
     ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts.
@@ -546,37 +725,54 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max)
     pick = slice(None) if len(envelopes) == 1 or np.array_equal(env, np.arange(n)) else env
     fold = max(1, _FOLD_SIZE // (rows * (n + _GRID_COLUMNS)))
     node_columns = 1 if len(envelopes) == 1 else n  # of the nodes, x and the C6/r^6 term
-    planes = np.empty(max(4 * n * (fold + 1), 2 * fold * (2 * n + node_columns)) * rows)
-    arena = np.empty(2 * max(n * (fold + 2), fold * (n + len(envelopes))) * rows)
     run_m = np.multiply.outer(np.eye(2), np.ones((n, rows)))
     run_e = np.zeros((n, rows), dtype=np.int64)
     r = np.broadcast_to(r_start, (len(envelopes), rows)).copy()
     n_steps = np.zeros(r.shape, dtype=np.int64)
-    while (going := (r < r_stop).any(axis=0)).any():  # rows whose grid goes on
-        live = slice(None) if going.all() else np.flatnonzero(going)
-        e_live, c3_live = energy[live], c3[live]
-        starts, steps = grid.build_steps(system, envelopes[:, None], e_live, r[:, live],
-                                         r_stop[live], c3_live, max_steps=fold)
-        if len(steps) == 0:
-            raise _row_failure(GridError, "radial grid steps fall below the rounding of R",
-                               going, energy, c3)
-        r[:, live] = starts[-1] + steps[-1]
-        n_steps[:, live] += np.count_nonzero(steps, axis=0)
-        if n_steps.max() > _MAX_STEPS:
-            raise _row_failure(GridError, "radial grid exceeds the step budget",
-                               (n_steps > _MAX_STEPS).any(axis=0), energy, c3)
-        # (columns or 1, 2, steps, rows), the nodes after W in the arena
-        nodes = gauss_nodes(starts, steps, out=arena[2 * n * len(steps) * steps.shape[-1]:])
-        nodes = nodes.transpose(2, 0, 1, 3)[pick]
-        w = _block_eigenvalues(system, blocks, nodes, c3_live, e_live, x_max, out=arena,
-                               work=planes)
-        # factor 0 is the running product, then the steps, each (columns, rows)
-        m = _buffer(planes, (2, 2, len(steps) + 1, n, w.shape[-1]))
-        m[:, :, 0] = run_m[..., live]
-        w1, w2 = (w[:, k].swapaxes(0, 1) for k in (0, 1))
-        step_matrices(steps[:, pick], w1, w2, out=m[:, :, 1:], work=arena)
-        run_m[..., live], e = chain_product(m, work=(arena, planes))
-        run_e[:, live] += e
+    seam = _wkb_radius(system, envelopes[:, None], c3, r, r_stop) if wkb else np.zeros(r.shape)
+    for stop, wkb in ((np.maximum(seam, r), True), (np.broadcast_to(r_stop, r.shape), False)):
+        # the buffers of the Magnus folds; a WKB fold takes fresh arrays, of about their size
+        planes = None if wkb else np.empty(
+            max(4 * n * (fold + 1), 2 * fold * (2 * n + node_columns)) * rows)
+        arena = None if wkb else np.empty(
+            2 * max(n * (fold + 2), fold * (n + len(envelopes))) * rows)
+        while (going := (r < stop).any(axis=0)).any():  # rows whose grid goes on
+            live = slice(None) if going.all() else np.flatnonzero(going)
+            e_live, c3_live = energy[live], c3[live]
+            if wkb:
+                starts, steps = _wkb_grid(grid.scale_fraction, r[:, live], stop[:, live],
+                                          max(1, fold // _WKB_NODES))
+            else:
+                starts, steps = grid.build_steps(system, envelopes[:, None], e_live,
+                                                 r[:, live], stop[:, live], c3_live,
+                                                 max_steps=fold, seam=seam[:, live])
+            if len(steps) == 0:
+                raise _row_failure(GridError, "radial grid steps fall below the rounding of R",
+                                   going, energy, c3)
+            r[:, live] = starts[-1] + steps[-1]
+            n_steps[:, live] += np.count_nonzero(steps, axis=0)
+            if n_steps.max() > _MAX_STEPS:
+                raise _row_failure(GridError, "radial grid exceeds the step budget",
+                                   (n_steps > _MAX_STEPS).any(axis=0), energy, c3)
+            # factor 0 is the running product, then the steps, each (columns, rows)
+            shape = (2, 2, len(steps) + 1, n, steps.shape[-1])
+            if wkb:
+                m = np.empty(shape)
+                _wkb_steps(system, blocks, starts, steps, c3_live, e_live, x_max, pick,
+                           m[:, :, 1:])
+            else:
+                # (columns or 1, 2, steps, rows), the nodes after W in the arena
+                nodes = gauss_nodes(starts, steps,
+                                    out=arena[2 * n * len(steps) * steps.shape[-1]:])
+                nodes = nodes.transpose(2, 0, 1, 3)[pick]
+                w = _block_eigenvalues(system, blocks, nodes, c3_live, e_live, x_max,
+                                       out=arena, work=planes)
+                m = _buffer(planes, shape)
+                w1, w2 = (w[:, k].swapaxes(0, 1) for k in (0, 1))
+                step_matrices(steps[:, pick], w1, w2, out=m[:, :, 1:], work=arena)
+            m[:, :, 0] = run_m[..., live]
+            run_m[..., live], e = chain_product(m, work=(arena, planes))
+            run_e[:, live] += e
     return run_m.transpose(3, 2, 0, 1), run_e.T, n_steps[env].T
 
 
@@ -621,7 +817,7 @@ def _build_chunk(system, blocks, r_match, energy, c3, grid) -> _Table:
     r2 = grid.match_factor * r1
     x_max = 2.0 * mu * float(c3.max()) / r_match  # every Gauss node lies beyond R_m
     m1, e1, n1 = _segment_transfers(
-        system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max
+        system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max, wkb=True
     )
     m2, e2, n2 = _segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max)
     # (psi, psi') at R_m of the boundary state (p, q), formed past the propagation's peak

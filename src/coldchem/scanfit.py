@@ -188,8 +188,11 @@ def scan_dipole(
     ``d_values`` are in atomic units, non-negative and increasing; the
     system's own dipole field is ignored and replaced point by point.
     ``threads`` is accepted for compatibility and ignored: the points run
-    as the rows of one in-process batch.
+    as the rows of one in-process batch.  The energy is checked before
+    delta_sr is calibrated.
     """
+    if not 0 < energy < math.inf:
+        raise ValueError("collision energy must be finite and positive")
     d_values = np.asarray(d_values, dtype=float)
     if d_values.ndim != 1 or len(d_values) == 0:
         raise ValueError("d_values must be a non-empty 1-D array")
@@ -517,9 +520,9 @@ def _fit_objective(dataset, system, energy, r_match, grid, l_max, energy_fractio
         weights = np.ones(len(dataset))
     blocks, columns = _blocks(system, l_max)
     energies = np.full(len(d_unique), float(energy))
-    try:
-        phase, s_of = _phase_calibration(system, r_match, grid, energy_fraction, tolerance)
+    try:  # the table first, so that it checks the energy before any calibration
         table = build_table(system, blocks, r_match, energies, 2.0 * d_unique**2, grid)
+        phase, s_of = _phase_calibration(system, r_match, grid, energy_fraction, tolerance)
     except ColdchemError as exc:
         raise FitError(f"long-range propagation failed: {exc}") from exc
     chunk = max(1, _TRIAL_CELLS // (len(d_unique) * len(columns)))

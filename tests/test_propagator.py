@@ -15,6 +15,7 @@ from coldchem.potential import (
     Channel,
     ChannelBasis,
     CollisionSystem,
+    Symmetry,
     build_basis,
     single_channel_curve,
     symmetry_blocks,
@@ -463,7 +464,7 @@ def test_build_table_diagonalizes_only_the_edge(monkeypatch):
     table = propagator.build_table(
         system, [(basis, range(4))], 20.0, np.full(2, E0 / 10.0), 2.0 * d**2, RadialGrid()
     )
-    assert table.n_points.min() > 500  # hundreds of steps, many folds
+    assert table.n_points.min() > 400  # hundreds of WKB and Magnus steps, many folds
     assert len(calls) == 1
 
 
@@ -496,11 +497,12 @@ def test_group_transfers_match_each_block_alone():
     assert start == m.shape[1]
 
 
+@pytest.mark.parametrize("wkb", [False, True])
 @pytest.mark.parametrize("fold_size", [61, 97])
-def test_transfers_do_not_depend_on_the_fold_length(monkeypatch, fold_size):
+def test_transfers_do_not_depend_on_the_fold_length(monkeypatch, fold_size, wkb):
     # rows at three energies and dipoles leave the lockstep grid at different steps; the
     # small folds (4-8 steps) give odd chain rounds, short last folds and rows that drop
-    # out of a group's buffers in mid-segment
+    # out of a group's buffers in mid-segment, with or without the WKB segment first
     system = krb()
     blocks = [(build_basis(0, 1, 3), range(2)), (build_basis(1, 1, 1), [0]),
               (build_basis(0, 0, 2), [0])]
@@ -508,7 +510,7 @@ def test_transfers_do_not_depend_on_the_fold_length(monkeypatch, fold_size):
     c3 = 2.0 * units.dipole_from_debye(np.array([0.0, 0.2, 0.5])) ** 2
     grid = RadialGrid()
     r_stop = grid.outer_radius(system, energy, 20.0, c3)
-    args = (energy, c3, grid, np.full(3, 20.0), r_stop, 2.0 * MU * c3.max() / 20.0)
+    args = (energy, c3, grid, np.full(3, 20.0), r_stop, 2.0 * MU * c3.max() / 20.0, wkb)
     m, e, n = propagator._segment_transfers(system, blocks, *args)
     assert len(set(n[:, 0])) == 3
     monkeypatch.setattr(propagator, "_FOLD_SIZE", fold_size)
@@ -586,6 +588,77 @@ def test_grids_are_built_for_live_rows_only(monkeypatch):
                                               r_start[row], r_stop[row], x_max)
         for got, want in zip((m, e, n), alone):
             assert np.array_equal(got[row], want)
+    # the same with the WKB segment first, for a zero-field row beside a 0.5 D row, each
+    # alone with its own x_max as build_table would take it
+    energy = np.full(2, units.energy_from_microkelvin(0.25))
+    c3 = 2.0 * units.dipole_from_debye(np.array([0.0, 0.5])) ** 2
+    r_stop = grid.outer_radius(system, energy, 20.0, c3)
+    monkeypatch.setattr(propagator, "_FOLD_SIZE", 97)
+    together = propagator._segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop,
+                                             2.0 * MU * c3.max() / 20.0, wkb=True)
+    monkeypatch.setattr(propagator, "_FOLD_SIZE", 48)
+    for i in range(2):
+        row = [i]
+        alone = propagator._segment_transfers(system, blocks, energy[row], c3[row], grid,
+                                              r_start[row], r_stop[row],
+                                              2.0 * MU * c3[i] / 20.0, wkb=True)
+        for got, want in zip(together, alone):
+            assert np.array_equal(got[row], want)
+
+
+def test_wkb_nodes_are_classically_allowed(monkeypatch):
+    # every block of l_max = 7, both parities, up to 0.5 D, where the upper adiabats of a
+    # block turn forbidden at 70-90 bohr: at every node of a WKB step kappa^2 > 0 and
+    # kappa R > _WKB_KAPPA_R, by the lower bound that sets where the WKB segment ends
+    system = krb(symmetry=Symmetry.DISTINGUISHABLE)
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 7)]
+    seen, eigenvalues = [], propagator._block_eigenvalues
+
+    def recorded(system, blocks, r, *args, **kwargs):
+        w = eigenvalues(system, blocks, r, *args, **kwargs)
+        if np.shape(r)[1] == propagator._WKB_NODES:  # (columns or 1, nodes, steps, rows)
+            seen.append((np.broadcast_to(r, w.shape).copy(), w.copy()))
+        return w
+
+    monkeypatch.setattr(propagator, "_block_eigenvalues", recorded)
+    d = units.dipole_from_debye(np.array([0.0, 0.3, 0.4, 0.5]))
+    propagator.build_table(system, blocks, 20.0, np.full(4, units.energy_from_microkelvin(0.25)),
+                           2.0 * d**2, RadialGrid())
+    assert sum(w.shape[2] for _, w in seen) > 10
+    for r, w in seen:
+        assert np.all(w < 0)
+        assert np.all(np.sqrt(-w) * r > propagator._WKB_KAPPA_R)
+
+
+def test_step_counts_and_the_budget_take_both_kinds_of_step(monkeypatch):
+    # n_points counts the WKB steps and the Magnus steps of a segment together, and the one
+    # step budget counts both: a budget the Magnus steps alone would meet stops the row
+    system = krb()
+    blocks = [(build_basis(0, 1, 3), range(2))]
+    energy = np.full(1, units.energy_from_microkelvin(0.25))
+    c3 = 2.0 * units.dipole_from_debye(np.array([0.2])) ** 2
+    grid = RadialGrid()
+    args = (energy, c3, grid, np.full(1, 20.0), grid.outer_radius(system, energy, 20.0, c3),
+            2.0 * MU * c3.max() / 20.0)
+    counts = {"wkb": 0, "magnus": 0}
+    wkb_grid, build_steps = propagator._wkb_grid, RadialGrid.build_steps
+
+    def counted(kind, build):
+        def call(*a, **kw):
+            starts, steps = build(*a, **kw)
+            counts[kind] += np.count_nonzero(steps)  # one envelope, one row
+            return starts, steps
+        return call
+
+    monkeypatch.setattr(propagator, "_wkb_grid", counted("wkb", wkb_grid))
+    monkeypatch.setattr(RadialGrid, "build_steps", counted("magnus", build_steps))
+    _, _, n = propagator._segment_transfers(system, blocks, *args, wkb=True)
+    assert counts["wkb"] > 10 and n.tolist() == [[counts["wkb"] + counts["magnus"]] * 2]
+    monkeypatch.setattr(propagator, "_MAX_STEPS", n[0, 0])
+    propagator._segment_transfers(system, blocks, *args, wkb=True)
+    monkeypatch.setattr(propagator, "_MAX_STEPS", n[0, 0] - 1)
+    with pytest.raises(GridError, match="step budget"):
+        propagator._segment_transfers(system, blocks, *args, wkb=True)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -774,8 +847,8 @@ def test_row_failures_name_their_row_by_its_d_and_e(case, monkeypatch):
         system, r_match, energy = CollisionSystem(reduced_mass=1.0, c6=1.0), 0.5, [200.0, 1e-6]
         L = 7 if case == "forbidden boundary" else 0
         blocks = [(ChannelBasis((Channel(L, 0),), 0, L % 2, L), [0])]
-    if case == "step budget":  # at 250 nK and L = 1: 952 steps at 0.5 D, 539 at 0 D
-        monkeypatch.setattr(propagator, "_MAX_STEPS", 800)
+    if case == "step budget":  # at 250 nK and L = 1: 568 steps at 0.5 D, 150 at 0 D
+        monkeypatch.setattr(propagator, "_MAX_STEPS", 400)
         energy = np.full(2, units.energy_from_microkelvin(0.25))
         c3 = 2.0 * units.dipole_from_debye(np.array([0.0, 0.5])) ** 2
         blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 1)]

@@ -182,7 +182,8 @@ def reference_parts(system, blocks, r_match, energy, c3, grid):
     r2 = grid.match_factor * r1
     x_max = 2.0 * mu * float(c3.max()) / r_match
     start = np.full(len(energy), r_match)
-    m1, e1, _ = propagator._segment_transfers(system, blocks, energy, c3, grid, start, r1, x_max)
+    m1, e1, _ = propagator._segment_transfers(system, blocks, energy, c3, grid, start, r1, x_max,
+                                              wkb=True)
     m2, e2, _ = propagator._segment_transfers(system, blocks, energy, c3, grid, r1, r2, x_max)
     f1, f2 = (np.stack(_riccati_bessel(ell, k * r[:, None]), axis=-1) for r in (r1, r2))
     return kappa, dkappa, k, (m1, e1, f1), (m2, e2, f2)

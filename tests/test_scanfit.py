@@ -184,6 +184,29 @@ def test_scan_channel_check_comes_before_the_calibration(monkeypatch):
                     l_max=3, channels=[Channel(2, 0)])
 
 
+@pytest.mark.parametrize("energy", [-1.0, 0.0, math.nan])
+def test_scan_and_fit_check_the_energy_before_the_calibration(monkeypatch, energy):
+    # a non-positive or nan energy fails with build_table's message, and no phase
+    # calibration (about 3 ms) runs first
+    calls = []
+    calibration = propagator._phase_calibration
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return calibration(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "_phase_calibration", counted)
+    monkeypatch.setattr(scanfit, "_phase_calibration", counted)
+    params = ShortRangeParams(s=0.0, y=1.0)
+    message = "collision energy must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        scan_dipole(krb(), params, energy, np.array([0.0, 0.1]), l_max=1)
+    data = Dataset(d_debye=np.array([0.1, 0.2]), rate_cm3s=np.full(2, 1e-12))
+    with pytest.raises(ValueError, match=message):
+        fit_short_range(data, krb(), energy, params, l_max=1)
+    assert calls == []
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_scans_reject_non_finite_axis_values(fermi_calibration, value):
     # nan ended in "per-channel rates do not sum to the total", an infinite dipole in a
@@ -235,11 +258,11 @@ def test_scan_error_carries_partial_curve(fermi_calibration):
 
 
 def test_scan_step_budget_error_names_its_point(fermi_calibration, monkeypatch):
-    # at 250 nK and L = 1 the first segment takes 952 steps at 0.5 D, 539 at 0
+    # at 250 nK and L = 1 the first segment takes 568 steps at 0.5 D, 150 at 0
     from coldchem import propagator
 
     system, params, grid, delta = fermi_calibration
-    monkeypatch.setattr(propagator, "_MAX_STEPS", 800)
+    monkeypatch.setattr(propagator, "_MAX_STEPS", 400)
     d = units.dipole_from_debye(np.array([0.0, 0.5]))
     with pytest.raises(ScanError, match=r"step budget .*at d = 0\.19") as excinfo:
         scan_dipole(system, params, E_250NK, d, grid=grid, l_max=1, delta_sr=delta)
@@ -253,7 +276,7 @@ def test_scan_retry_keeps_the_points_before_the_earliest_failure(fermi_calibrati
     # 500 a.u. (row 2) is raised first; the retry on rows 0-1 then stops at row 1's step
     # budget, and the second retry, on row 0 alone, completes
     system, params, grid, delta = fermi_calibration
-    monkeypatch.setattr(propagator, "_MAX_STEPS", 800)
+    monkeypatch.setattr(propagator, "_MAX_STEPS", 400)
     failures, build_table = [], scanfit.build_table
 
     def recorded(*args):
