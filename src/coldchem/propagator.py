@@ -1,10 +1,14 @@
 """Radial propagation with an absorbing short-range boundary.
 
 The wave function on one adiabatic curve is carried from the short-range
-matching radius R_m to the asymptotic region by a fourth-order Magnus
-log-derivative scheme: each step maps the pair (psi, psi') through the
-exponential of a 2x2 traceless matrix built from the potential at the two
-Gauss-Legendre nodes of the step.  The boundary condition at R_m is a WKB
+matching radius R_m to the asymptotic region in two kinds of step, each a map
+of the pair (psi, psi') through the exponential of a 2x2 traceless matrix.  In
+the deep van der Waals well, up to a radius r_w where a lower bound on kappa R
+falls to 17, the steps are r / scale_fraction long and work in the frame of the
+second-order WKB pair, whose phase is known, so their length does not depend on
+the wavelength.  From r_w on, a fourth-order Magnus scheme takes steps of a
+fixed fraction of the local wavelength, with the potential at the two
+Gauss-Legendre nodes of each step.  The boundary condition at R_m is a WKB
 wave with unit incoming flux and reflected amplitude (1 - y)/(1 + y) *
 exp(2 i delta_sr); y = 1 is a perfect absorber, y = 0 a lossless wall.  The
 phase delta_sr is not a free input: it is calibrated so that the y = 0
@@ -81,12 +85,14 @@ _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(7))
 class RadialGrid:
     """Adaptive radial-step policy between R_m and the matching radius.
 
-    The local step obeys two ceilings: a fixed number of points per local
-    de Broglie wavelength (computed from an envelope wavenumber that
-    over-counts every attractive term, so it is pessimistic in both the
-    allowed and forbidden regions) and a fixed fraction of the radius
-    itself (the scale on which the power-law potentials vary).  The outer
-    radius is chosen so every residual potential term is below
+    From R_m to the end r_w of the WKB frame (``_wkb_radius``) a step is a
+    fixed fraction of the radius itself (the scale on which the power-law
+    potentials vary), whatever the wavelength.  Beyond r_w the Magnus step
+    obeys two ceilings: that fraction of the radius, and a fixed number of
+    points per local de Broglie wavelength (computed from an envelope
+    wavenumber that over-counts every attractive term, so it is pessimistic in
+    both the allowed and forbidden regions), ramped from half length at r_w.
+    The outer radius is chosen so every residual potential term is below
     ``tail_tolerance`` times the collision energy.
     """
 
@@ -586,12 +592,11 @@ def _nodal(rule, x) -> np.ndarray:
 
 
 def _spherical_bessel(x, n) -> np.ndarray:
-    """j_k(x) for k < n on a new leading axis, x > 0: upward from j_0 and j_1 where x >= 1,
+    """j_k(x) for k < n on a new leading axis, x > 0: upward from j_0 and j_1 where x >= 0.1,
     from the power series of s_k = x j_k (``_regular_series``) below."""
     j = np.empty((n,) + x.shape)
     j[0] = np.sin(x) / x
-    if n > 1:
-        j[1] = (j[0] - np.cos(x)) / x
+    j[1] = (j[0] - np.cos(x)) / x
     for k in range(1, n - 1):
         np.subtract((2 * k + 1) / x * j[k], j[k - 1], out=j[k + 1])
     low = x < 0.1
