@@ -711,7 +711,8 @@ def test_fold_buffers_bound_the_build_memory():
     # read 5.45 and 2.14 MB.  The ploss_wide shape, 1,000 energies of L = 0-3 with one
     # channel each on four envelopes, read 2.68 MB when its bound was set with 12 % over
     # it, and 2.88 MB before each fold's grid was built in place for its live rows alone;
-    # it now reads 2.80 MB.  With W and its gather fresh in every fold it read 3.73 MB.
+    # it read 2.80 MB.  With W and its gather fresh in every fold it read 3.73 MB.  The
+    # WKB folds take fresh arrays before the Magnus buffers exist: 2.41, 1.04 and 2.76 MB.
     system = krb()
     scan = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 7)]
     d = units.dipole_from_debye(np.linspace(0.0, 0.5, 201))
