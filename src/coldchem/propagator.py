@@ -66,9 +66,9 @@ _MAX_STEPS = 10_000_000
 _CHUNK_ROWS = 1024
 _FOLD_SIZE = 32768
 _GRID_COLUMNS = 3
-# Up to this many rows a grid is faster built row by row in Python floats.
-# Every command calibrates on a 1-row grid (about 2,000 steps: 4-7 ms this
-# way, 29-38 ms in lockstep) and the fit tables 8 rows; scans take the lockstep.
+# Up to this many rows a grid is faster built row by row in Python floats.  The 1-row
+# calibration (391 steps) takes 2 ms this way and 9 ms in a lockstep that stops once
+# every row has; the fit tables 8 rows, and scans take the lockstep.
 _SCALAR_ROWS = 16
 # Knots per unit of log1p(x) in a block's eigenvalue table.  The spacing is fixed,
 # so a row's eigenvalues do not depend on the other rows of its chunk.
@@ -478,13 +478,12 @@ def _eigen_table(blocks: tuple[tuple[ChannelBasis, tuple[int, ...]], ...], u_max
 
     Shape (2, columns, knots), a column per rank in ``blocks``: the values, and the
     slopes d eps / du = -(v^T P v) (1 + x) (Hellmann-Feynman) times the knot spacing.
-    A one-channel column holds L(L+1) alone: its caller subtracts P x in closed form.
+    A one-channel column is a row like any other: L(L+1) - P x and slope -P (1 + x).
     """
     x = np.expm1(np.arange(u_max * _KNOTS_PER_UNIT + 2) / _KNOTS_PER_UNIT)
     parts = []
     for basis, ranks in blocks:
         ell, p = np.array([c.L for c in basis.channels], dtype=float), _coupling(basis)
-        p = p * (len(basis) > 1)
         eps, vec = np.linalg.eigh(np.diag(ell * (ell + 1.0)) - x[:, None, None] * p)
         slope = -((p @ vec) * vec).sum(axis=-2) * (1.0 + x[:, None]) / _KNOTS_PER_UNIT
         parts.append(np.stack([eps, slope])[..., list(ranks)])
@@ -498,32 +497,23 @@ def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None
 
     The leading axis of ``r`` holds the radii of each column, or of all if its length is
     1, and ``energy`` broadcasts against r[0].  With x = 2 mu c3 / r <= ``x_max``, W is
-    eps / r^2 + 2 mu (-C6/r^6 - E), eps the matrix element L(L+1) - P x of a one-channel
-    column and for the others the cubic Hermite interpolant of ``_eigen_table`` in
-    log1p(x), from each column's own row of the flat table.  At zero field (every c3 0)
-    x is not formed, except as zeros for a gather, P x is no term, and one-channel
-    columns are L(L+1) / r^2 in one pass; the bits are those of the general path.
-    ``out`` is a flat buffer for the result, and ``work`` one of twice its size plus
-    broadcast(r, c3) for the gather and x; by default both are fresh.
+    eps / r^2 + 2 mu (-C6/r^6 - E), eps the cubic Hermite interpolant of ``_eigen_table``
+    in log1p(x), from each column's own row of the flat table.  At zero field (every c3
+    0) a group of one-channel columns reads no table: eps is L(L+1), in one pass, and the
+    bits are those of the gather at x = 0.  ``out`` is a flat buffer for the result, and
+    ``work`` one of twice its size plus broadcast(r, c3) for the gather and x; by default
+    both are fresh.
     """
     bases = [basis for basis, ranks in blocks for _ in ranks]
-    single = [len(basis) == 1 for basis in bases]
     column = (-1,) + (1,) * (np.ndim(r) - 1)
     points = np.broadcast_shapes(np.shape(r), np.shape(c3))
     eps = _buffer(out, np.broadcast_shapes(points, (len(bases),) + column[1:]))
     work = np.empty(2 * eps.size + math.prod(points)) if work is None else work
     term, knot = _buffer(work, eps.shape), _buffer(work[eps.size:], eps.shape).view(np.intp)
     x = _buffer(work[2 * eps.size:], points)
-    field = np.any(c3)  # at zero field x = 0, and P x is no term
-    if field:
+    bare = not np.any(c3) and all(len(basis) == 1 for basis in bases)
+    if not bare:
         np.divide(2.0 * system.reduced_mass * c3, r, out=x)
-    elif not all(single):
-        x.fill(0.0)  # for the gather
-    if all(single):
-        ll = np.reshape([b.channels[0].L * (b.channels[0].L + 1.0) for b in bases], column)
-        if field:
-            eps[...] = ll
-    else:
         table = _eigen_table(tuple((basis, tuple(ranks)) for basis, ranks in blocks),
                              max(1, math.ceil(math.log1p(x_max))))
         t = np.log1p(x) * _KNOTS_PER_UNIT
@@ -539,17 +529,15 @@ def _block_eigenvalues(system, blocks, r, c3, energy, x_max, out=None, work=None
         eps += term
         eps += np.multiply(np.take(slopes, knot, out=term, mode="clip"), t * t1 * t1, out=term)
         eps -= np.multiply(np.take(slopes[1:], knot, out=term, mode="clip"), t * t * t1, out=term)
-    if field and any(single):
-        p = np.array([_coupling(b)[0, 0] if one else 0.0 for b, one in zip(bases, single)])
-        eps -= np.multiply(p.reshape(column), x, out=term)
     # eps / r^2 + 2 mu (-C6/r^6 - E), with the spent terms for scratch
     inv = np.reciprocal(np.multiply(r, r, out=x), out=x)
     tail = np.multiply(inv, inv, out=_buffer(work, points))
     tail *= inv
     tail *= 2.0 * system.reduced_mass * C6_SIGN * system.c6
     tail -= 2.0 * system.reduced_mass * np.asarray(energy)
-    if all(single) and not field:
-        np.multiply(ll, inv, out=eps)
+    if bare:
+        ll = [b.channels[0].L * (b.channels[0].L + 1.0) for b in bases]
+        np.multiply(np.reshape(ll, column), inv, out=eps)
     else:
         eps *= inv
     eps += tail

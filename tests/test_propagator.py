@@ -768,21 +768,43 @@ def test_each_fold_steps_a_whole_group_at_once(monkeypatch):
 
 
 def test_one_channel_group_reads_no_table(monkeypatch):
-    # l_max = 1 fermions: the blocks |1, 0> and |1, 1> have one channel each, so
-    # their group reads the exact matrix elements
+    # l_max = 1 fermions at zero field: the blocks |1, 0> and |1, 1> have one channel
+    # each, so their group takes L(L+1) / r^2 and reads no table
     system = krb()
     blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 1)]
     assert [len(basis) for basis, _ in blocks] == [1, 1]
 
     def no_call(*args, **kwargs):
-        raise AssertionError("a one-channel group must not read the eigenvalue table")
+        raise AssertionError("a one-channel group at zero field must not read the table")
 
     monkeypatch.setattr(propagator, "_eigen_table", no_call)
-    d = units.dipole_from_debye(np.array([0.1, 0.3]))
     table = propagator.build_table(
-        system, blocks, 20.0, np.full(2, E0 / 10.0), 2.0 * d**2, RadialGrid()
+        system, blocks, 20.0, np.array([E0 / 10.0, E0]), np.zeros(2), RadialGrid()
     )
     assert table.h1.shape == (2, 2, 2, 2)
+
+
+def test_one_channel_columns_in_a_field_gather_their_matrix_element():
+    # in a field a one-channel column reads its table row, L(L+1) - P x, like any other:
+    # the gather must give that matrix element at the knots, midway between them and at
+    # random x up to the x of 0.5 D at R_m = 20.  At r = 1 and E = -C6 the tail
+    # 2 mu (-C6/r^6 - E) of W is exactly 0, so W is eps itself
+    system = krb()
+    channels = [Channel(L, M) for L in range(8) for M in range(L + 1)]
+    blocks = [(single_channel_curve(system, c).basis, [0]) for c in channels]
+    x_max = 2.0 * MU * 2.0 * units.dipole_from_debye(0.5) ** 2 / 20.0
+    knots = np.arange(math.log1p(x_max) * propagator._KNOTS_PER_UNIT)
+    x = np.concatenate([np.expm1(knots / propagator._KNOTS_PER_UNIT),
+                        np.expm1((knots + 0.5) / propagator._KNOTS_PER_UNIT),
+                        x_max * np.random.default_rng(3).uniform(size=1000)])
+    x = x[x <= x_max]
+    c3 = x / (2.0 * MU)
+    x = 2.0 * MU * c3  # the x that W forms
+    eps = propagator._block_eigenvalues(system, blocks, np.ones((1, len(x))), c3, -C6, x_max)
+    for c, got in zip(channels, eps):
+        p = propagator._coupling(single_channel_curve(system, c).basis)[0, 0]
+        ll = c.L * (c.L + 1.0)
+        assert np.all(np.abs(got - (ll - p * x)) <= 1e-12 * (ll + abs(p) * x)), c
 
 
 def test_table_row_does_not_depend_on_its_chunk():
