@@ -33,7 +33,8 @@ from .potential import (
     p2_matrix_element,
     symmetry_blocks,
 )
-from .propagator import RadialGrid, build_table, calibrate_phase, evaluate, propagate
+from .propagator import (CALIBRATION_ENERGY_FRACTION, CALIBRATION_TOLERANCE, RadialGrid,
+                         build_table, calibrate_phase, evaluate, propagate)
 from .qdt import (
     ShortRangeParams,
     barrier_top_transmission,
@@ -74,8 +75,8 @@ _CONFIG_KEYS: dict[str, tuple] = {
     "tail_tolerance": (float, "1e-4"),
     "match_factor": (float, "1.2"),
     "threads": (int, "0"),
-    "calibration_energy_fraction": (float, "1e-4"),
-    "calibration_tolerance": (float, "1e-3"),
+    "calibration_energy_fraction": (float, repr(CALIBRATION_ENERGY_FRACTION)),
+    "calibration_tolerance": (float, repr(CALIBRATION_TOLERANCE)),
     # shared task inputs
     "dipole_debye": (float, "0.0"),
     "energy_nk": (float, "250.0"),

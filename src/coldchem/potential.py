@@ -194,7 +194,7 @@ def potential_matrix(
     for a 1-D r.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
+    if not np.all(r_arr > 0):
         raise ValueError("radius must be positive")
     c3_arr = np.asarray(system.c3 if c3 is None else c3, dtype=float)
     n = len(basis)
@@ -271,7 +271,7 @@ def adiabatic_curves(
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) < 2:
         raise ValueError("r_grid must be a 1-D array with at least two points")
-    if np.any(np.diff(r_grid) <= 0):
+    if not np.all(np.diff(r_grid) > 0):
         raise ValueError("r_grid must be strictly increasing")
     try:
         vals = _block_eigenvalues(system, basis, r_grid)

@@ -49,7 +49,6 @@ from .potential import (
     _coupling,
     build_basis,
 )
-from .potential import _block_eigenvalues as _exact_eigenvalues
 from .qdt import (
     ScatteringResult,
     ShortRangeParams,
@@ -70,6 +69,8 @@ _GRID_COLUMNS = 3
 # calibration (391 steps) takes 2 ms this way and 9 ms in a lockstep that stops once
 # every row has; the fit tables 8 rows, and scans take the lockstep.
 _SCALAR_ROWS = 16
+CALIBRATION_ENERGY_FRACTION = 1e-4  # default energy of the phase calibration, over E0
+CALIBRATION_TOLERANCE = 1e-3  # default relative tolerance of its a = s abar check
 # Knots per unit of log1p(x) in a block's eigenvalue table.  The spacing is fixed,
 # so a row's eigenvalues do not depend on the other rows of its chunk.
 _KNOTS_PER_UNIT = 288
@@ -124,7 +125,7 @@ class RadialGrid:
         per row.
         """
         energy = np.asarray(energy, dtype=float)
-        if np.any(energy <= 0):
+        if not np.all(energy > 0):
             raise ValueError("energy must be positive")
         cut = self.tail_tolerance * energy
         r6 = (system.c6 / cut) ** (1.0 / 6.0)
@@ -151,14 +152,13 @@ class RadialGrid:
         (steps,) + that shape, and a grid row that has reached its r_stop is padded with
         zero-length steps there.  The fold takes ``max_steps`` steps, in one buffer, less
         the trailing ones on which no row moves: fewer than ``max_steps`` means every row
-        has stopped.  Wide folds step in place, through one scratch of three arrays, and
-        leave out the C3 term where every c3 is 0.  A long grid is taken fold by fold, each
-        from the last one's end radius; ``_segment_transfers`` does so, for the rows still
-        short of r_stop, and enforces the step budget.  A grid that goes on from a WKB
-        segment's end ``seam`` (broadcast like r_start) scales its wavelength ceiling by
-        1 - (seam / R)^2 / 2: a Magnus grid that starts at full length where the wavelength
-        is long against R reflects a spurious wave, so the steps start at half length and
-        grow smoothly to it.
+        has stopped.  Wide folds step in place, through one scratch of three arrays.  A long
+        grid is taken fold by fold, each from the last one's end radius; ``_segment_transfers``
+        does so, for the rows still short of r_stop, and enforces the step budget.  A grid that
+        goes on from a WKB segment's end ``seam`` (broadcast like r_start) scales its wavelength
+        ceiling by 1 - (seam / R)^2 / 2: a Magnus grid that starts at full length where the
+        wavelength is long against R reflects a spurious wave, so the steps start at half length
+        and grow smoothly to it.
         """
         c3 = system.c3 if c3 is None else c3
         ll = np.multiply(L, np.add(L, 1.0))
@@ -176,10 +176,6 @@ class RadialGrid:
             n = max(map(len, rows), default=1)
             radii = np.array([x + x[-1:] * (n - len(x)) for x in rows]).T.reshape((n,) + shape)
             return radii[:-1], np.diff(radii, axis=0)
-        if not np.any(c3):
-            terms = terms[:2] + (None,) + terms[3:]  # r^-3 C3 term of +0.0, an exact no-op
-        if not np.any(seam):
-            terms = terms[:-1] + (None,)  # a ceiling scaled by exactly 1
         radii, steps = np.empty((2, max_steps + 1) + shape)
         radii[0] = r
         work = np.empty((3,) + shape)
@@ -193,8 +189,7 @@ class RadialGrid:
 def _next_radius(a, b, c, ll, wave, frac, seam, r, r_stop, out, work):
     """Every row's next grid radius into ``out``; a row stays put once it has stopped.
 
-    ``work`` holds three arrays of r's shape; ``c`` of None leaves out the C3 term, and
-    ``seam`` of None the scaling of the wavelength ceiling.
+    ``work`` holds three arrays of r's shape.
     """
     inv, inv2, q2 = work
     np.divide(1.0, r, out=inv)
@@ -202,20 +197,18 @@ def _next_radius(a, b, c, ll, wave, frac, seam, r, r_stop, out, work):
     # q2 = ((b (inv2 inv) + c) inv + ll) inv2 + a, the rounding of _row_radii
     np.multiply(inv2, inv, out=q2)
     q2 *= b
-    if c is not None:
-        q2 += c
+    q2 += c
     q2 *= inv
     q2 += ll
     q2 *= inv2
     q2 += a
     # h = min(min(wave / sqrt(q2) (1 - (seam / r)^2 / 2), r / frac), r_stop - r)
     np.divide(wave, np.sqrt(q2, out=q2), out=q2)
-    if seam is not None:
-        np.multiply(seam, inv, out=inv2)
-        inv2 *= inv2
-        inv2 *= -0.5
-        inv2 += 1.0
-        q2 *= inv2
+    np.multiply(seam, inv, out=inv2)
+    inv2 *= inv2
+    inv2 *= -0.5
+    inv2 += 1.0
+    q2 *= inv2
     np.minimum(q2, np.divide(r, frac, out=inv), out=q2)
     np.minimum(q2, np.subtract(r_stop, r, out=inv), out=q2)
     # stopping at r_stop, or on step underflow at the very last point
@@ -358,23 +351,23 @@ def _row_failure(cls: type[Exception], message: str, bad, energy, c3) -> Excepti
     return exc
 
 
-def _wkb_wavenumber(energy, c3, v, v_slope, r_match: float, reduced_mass: float):
-    """Local wavenumber kappa at R_m and its radial derivative kappa'.
+def _wkb_wavenumber(energy, c3, w, w_slope, r_match: float, reduced_mass: float):
+    """Local wavenumber kappa = sqrt(-W) at R_m and its radial derivative -W'/(2 kappa).
 
-    ``energy`` and ``c3`` hold one value per row, ``v`` and ``v_slope`` one per row and
-    column; a forbidden boundary or a marginal WKB condition names its row.
+    ``energy`` and ``c3`` hold one value per row, W = 2 mu (V - E) and its slope W' one
+    per row and column; a forbidden boundary (W >= 0) or a marginal WKB condition names
+    its row, and the former its V = E + W / (2 mu).
     """
-    e, v = np.broadcast_arrays(np.asarray(energy, dtype=float)[:, None], v)
-    forbidden = e <= v
+    forbidden = w >= 0
     if np.any(forbidden):
         i = tuple(np.argwhere(forbidden)[0])
         raise _row_failure(
             MatchingError,
             f"short-range boundary at R = {r_match:.3g} is classically forbidden "
-            f"(V = {v[i]:.3e} hartree)",
+            f"(V = {energy[i[0]] + w[i] / (2.0 * reduced_mass):.3e} hartree)",
             forbidden, energy, c3,
         )
-    kappa = np.sqrt(2.0 * reduced_mass * (e - v))
+    kappa = np.sqrt(-w)
     marginal = kappa * r_match < 10.0
     if np.any(marginal):
         i = tuple(np.argwhere(marginal)[0])
@@ -384,7 +377,7 @@ def _wkb_wavenumber(energy, c3, v, v_slope, r_match: float, reduced_mass: float)
             "condition is marginal",
             marginal, energy, c3,
         ), stacklevel=3)
-    return kappa, -reduced_mass * v_slope / kappa
+    return kappa, -0.5 * w_slope / kappa
 
 
 def boundary_state(y, delta_sr):
@@ -476,12 +469,12 @@ def match_free_solution(table, p, q, flux):
 def _eigen_table(blocks: tuple[tuple[ChannelBasis, tuple[int, ...]], ...], u_max: int):
     """Eigenvalues eps of diag(L(L+1)) - x P at the knots of u = log1p(x) up to u_max.
 
-    Shape (2, columns, knots), a column per rank in ``blocks``: the values, and the
-    slopes d eps / du = -(v^T P v) (1 + x) (Hellmann-Feynman) times the knot spacing.
-    A one-channel column is a row like any other: L(L+1) - P x and slope -P (1 + x).
+    Shape (2, columns, knots), a column per rank in ``blocks`` and none without blocks: the
+    values, and the slopes d eps / du = -(v^T P v) (1 + x) (Hellmann-Feynman) times the knot
+    spacing.  A one-channel column is a row like any other: L(L+1) - P x and slope -P (1 + x).
     """
     x = np.expm1(np.arange(u_max * _KNOTS_PER_UNIT + 2) / _KNOTS_PER_UNIT)
-    parts = []
+    parts = [np.empty((2, len(x), 0))]
     for basis, ranks in blocks:
         ell, p = np.array([c.L for c in basis.channels], dtype=float), _coupling(basis)
         eps, vec = np.linalg.eigh(np.diag(ell * (ell + 1.0)) - x[:, None, None] * p)
@@ -795,20 +788,16 @@ def _match_matrix(ell, k, r) -> np.ndarray:
 
 def _build_chunk(system, blocks, r_match, energy, c3, grid) -> _Table:
     mu = system.reduced_mass
-    # every boundary first: a forbidden one fails before any propagation;
-    # V' at R_m is a central difference of exact eigenvalues
+    # every boundary first, from the steps' table: a forbidden one fails before any propagation
     dr = 1e-4 * r_match
-    edge = np.array([r_match - dr, r_match, r_match + dr])[:, None]
-    walls = [np.empty((2, len(energy), 0))]  # (kappa, kappa') of no column
-    for basis, ranks in blocks:
-        v = _exact_eigenvalues(system, basis, edge, c3)[..., ranks]
-        walls.append(_wkb_wavenumber(energy, c3, v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu))
-    kappa, dkappa = np.concatenate(walls, axis=-1)
+    x_max = 2.0 * mu * float(c3.max()) / (r_match - dr)  # every radius lies beyond R_m - dr
+    edge = np.array([r_match - dr, r_match, r_match + dr])[None, :, None]
+    w = _block_eigenvalues(system, blocks, edge, c3, energy, x_max).transpose(1, 2, 0)
+    kappa, dkappa = _wkb_wavenumber(energy, c3, w[1], (w[2] - w[0]) / (2.0 * dr), r_match, mu)
     ell = np.array([basis.channels[i].L for basis, ranks in blocks for i in ranks], dtype=int)
     k = np.sqrt(2.0 * mu * energy)[:, None]
     r1 = grid.outer_radius(system, energy, r_match, c3)
     r2 = grid.match_factor * r1
-    x_max = 2.0 * mu * float(c3.max()) / r_match  # every Gauss node lies beyond R_m
     m1, e1, n1 = _segment_transfers(
         system, blocks, energy, c3, grid, np.full(len(energy), r_match), r1, x_max, wkb=True
     )
@@ -936,8 +925,8 @@ def _phase_calibration(
     system: CollisionSystem,
     r_match: float,
     grid: RadialGrid | None = None,
-    energy_fraction: float = 1e-4,
-    tolerance: float = 1e-3,
+    energy_fraction: float = CALIBRATION_ENERGY_FRACTION,
+    tolerance: float = CALIBRATION_TOLERANCE,
 ):
     """``phase(s)``, the delta_sr of ``calibrate_phase``, and its inverse.
 
@@ -987,8 +976,8 @@ def calibrate_phase(
     system: CollisionSystem,
     params: ShortRangeParams,
     grid: RadialGrid | None = None,
-    energy_fraction: float = 1e-4,
-    tolerance: float = 1e-3,
+    energy_fraction: float = CALIBRATION_ENERGY_FRACTION,
+    tolerance: float = CALIBRATION_TOLERANCE,
 ) -> float:
     """Short-range phase delta_sr in [0, pi) reproducing a = s * abar at zero field.
 

@@ -22,6 +22,8 @@ from . import units
 from .errors import ColdchemError, FitError, ScanError
 from .potential import Channel, CollisionSystem, symmetry_blocks
 from .propagator import (
+    CALIBRATION_ENERGY_FRACTION,
+    CALIBRATION_TOLERANCE,
     RadialGrid,
     _phase_calibration,
     _point_results,
@@ -438,8 +440,8 @@ def fit_short_range(
     fit: tuple[str, ...] = ("y",),
     grid: RadialGrid | None = None,
     l_max: int = DEFAULT_L_MAX,
-    energy_fraction: float = 1e-4,
-    tolerance: float = 1e-3,
+    energy_fraction: float = CALIBRATION_ENERGY_FRACTION,
+    tolerance: float = CALIBRATION_TOLERANCE,
 ) -> ShortRangeFit:
     """Weighted least squares of (a subset of) s and y on log rates.
 

@@ -105,6 +105,16 @@ def test_config_file_and_overrides(tmp_path):
     assert config["y"] == 0.9  # --set wins over the file
 
 
+def test_calibration_defaults_are_the_engine_constants():
+    # one home for the defaults; the config lines print them as they always have
+    config = resolve_config(None, [f"c6_au={C6}", f"reduced_mass_amu={MU_AMU}",
+                                   "symmetry=fermions"])
+    assert config["calibration_energy_fraction"] == propagator.CALIBRATION_ENERGY_FRACTION
+    assert config["calibration_tolerance"] == propagator.CALIBRATION_TOLERANCE
+    assert [line for line in cli_module._config_lines(config) if "calibration" in line] == [
+        "# calibration_energy_fraction = 0.0001", "# calibration_tolerance = 0.001"]
+
+
 def test_missing_required_key_exit_code(capsys):
     code = main(
         ["selfcheck", "--set", f"reduced_mass_amu={MU_AMU}", "--set",
@@ -139,6 +149,39 @@ def test_runtime_value_error_is_config_error(capsys):
     code = main(["selfcheck"] + BASE + ["--set", "r_match_bohr=500"])
     assert code == 2
     assert "abar" in capsys.readouterr().err
+
+
+NO_MASS = ["--set", f"c6_au={C6}", "--set", "symmetry=fermions"]
+CONFIG_ERRORS = {
+    "missing file": (["rates", "--config", "{tmp}/absent.conf"], "cannot read config file"),
+    "line without =": (["rates", "--config", "{tmp}/bad.conf"], "expected key=value"),
+    "bare --set": (["rates", *BASE, "--set", "l_max"], "is not of the form key=value"),
+    "negative mass": (["rates", *NO_MASS, "--set", "mass_amu_1=-1", "--set", "mass_amu_2=127"],
+                      "molecule masses must be positive"),
+    "negative C6": (["rates", *BASE, "--set", "c6_au=-1"], "C6 must be positive and finite"),
+    "negative l_max": (["rates", *BASE, "--set", "l_max=-1"], "l_max must be non-negative"),
+    "negative threads": (["rates", *BASE, "--set", "threads=-1"], "threads must be >= 0"),
+    "ploss L not an integer": (["ploss", *BASE, "--set", "ploss_l_values=a"],
+                               "ploss_l_values must be a comma-separated integer list"),
+    "negative ploss L": (["ploss", *BASE, "--set", "ploss_l_values=-1"],
+                         "ploss_l_values must be non-negative"),
+    "one energy": (["ploss", *BASE, "--set", "n_energy=1"],
+                   "ploss energy grid needs 0 < e_min_uk < e_max_uk, n_energy >= 2"),
+    "one dipole": (["rates", *BASE, "--set", "n_dipole=1"],
+                   "dipole grid needs 0 <= d_min_debye < d_max_debye, n_dipole >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_errors_exit_2_with_their_message(case, tmp_path, capsys):
+    (tmp_path / "bad.conf").write_text(f"c6_au = {C6}\nsymmetry fermions\n")
+    args, message = CONFIG_ERRORS[case]
+    code = main([arg.replace("{tmp}", str(tmp_path)) for arg in args]
+                + ["--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # --- selfcheck ---------------------------------------------------------------------

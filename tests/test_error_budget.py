@@ -17,7 +17,7 @@ four and bounds each at about twice its value on the engine that set it.
 import numpy as np
 import pytest
 
-from coldchem import propagator, units
+from coldchem import potential, propagator, units
 from coldchem.potential import CollisionSystem
 from coldchem.propagator import RadialGrid, _phase_calibration, build_table, evaluate
 from coldchem.scanfit import _blocks, _rate_curve
@@ -43,9 +43,9 @@ def magnus_table(r_match, grid):
     edge = np.array([r_match - dr, r_match, r_match + dr])[:, None]
     walls = []
     for basis, ranks in BLOCKS:
-        v = propagator._exact_eigenvalues(KRB, basis, edge, c3)[..., list(ranks)]
-        walls.append(propagator._wkb_wavenumber(energy, c3, v[1], (v[2] - v[0]) / (2.0 * dr),
-                                                r_match, mu))
+        v = potential._block_eigenvalues(KRB, basis, edge, c3)[..., list(ranks)]
+        w, w_slope = 2.0 * mu * (v[1] - energy[:, None]), 2.0 * mu * (v[2] - v[0]) / (2.0 * dr)
+        walls.append(propagator._wkb_wavenumber(energy, c3, w, w_slope, r_match, mu))
     kappa, dkappa = np.concatenate(walls, axis=-1)
     ell = np.array([c.L for c in COLUMNS])
     k = np.sqrt(2.0 * mu * energy)[:, None]

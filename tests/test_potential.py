@@ -21,6 +21,7 @@ from coldchem.potential import (
     single_channel_curve,
     symmetry_blocks,
 )
+from coldchem.propagator import RadialGrid
 
 MU_KRB = units.mass_from_amu(63.4968)
 C6_KRB = 16130.0
@@ -215,6 +216,28 @@ def test_system_rejects_non_finite_values(field, message, value):
     values = {"reduced_mass": MU_KRB, "c6": C6_KRB, field: value}
     with pytest.raises(ValueError, match=message):
         CollisionSystem(**values)
+
+
+NAN_GRID = [20.0, math.nan, 30.0]
+NAN_INPUTS = {
+    "single-channel curve": (lambda: single_channel_curve(krb(), Channel(1, 0), NAN_GRID),
+                             "r_grid must be strictly increasing"),
+    "coupled curves": (lambda: adiabatic_curves(krb(0.1), build_basis(0, 1, 5), NAN_GRID),
+                       "r_grid must be strictly increasing"),
+    "potential matrix": (lambda: potential_matrix(krb(), build_basis(0, 1, 3), NAN_GRID),
+                         "radius must be positive"),
+    "outer radius": (lambda: RadialGrid().outer_radius(krb(), math.nan, 20.0),
+                     "energy must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_INPUTS)
+def test_nan_inputs_raise_value_error(case):
+    # each check read np.any(x <= 0), which nan passes: a curve with a nan value, an
+    # eigensolver NumericalError on a coupled block, a nan matrix and a nan radius
+    call, message = NAN_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_statistical_factor():

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import spherical_jn, spherical_yn
 
-from coldchem import propagator, units
+from coldchem import potential, propagator, units
 from coldchem.errors import CalibrationError, GridError, MatchingError, UnitarityError
 from coldchem.potential import (
     Channel,
@@ -63,10 +63,13 @@ def log_derivative(y, delta, kappa, dkappa):
 
 
 def boundary(params, curve, energy, delta):
-    """Boundary log-derivative at R_m from the curve's V and V' there."""
+    """Boundary log-derivative at R_m from the curve's exact V and V' there, as
+    W = 2 mu (V - E) and W' = 2 mu V'."""
     v, v_slope = edge_values(curve, params.r_match)
+    two_mu = 2.0 * curve.system.reduced_mass
     kappa, dkappa = _wkb_wavenumber(
-        [energy], [curve.system.c3], [[v]], v_slope, params.r_match, curve.system.reduced_mass
+        np.array([energy]), [curve.system.c3], np.array([[two_mu * (v - energy)]]),
+        two_mu * v_slope, params.r_match, curve.system.reduced_mass
     )
     return log_derivative(params.y, delta, kappa[0, 0], dkappa[0, 0])
 
@@ -452,20 +455,22 @@ def test_evaluate_is_arithmetic_only(monkeypatch):
             assert loss[i, j] == pytest.approx(res.loss_probability, rel=1e-12, abs=0.0)
 
 
-def test_build_table_diagonalizes_only_the_edge(monkeypatch):
-    # the 4-channel block |1,3,5,7; M=0>: the steps read its eigenvalue
-    # table, so the one exact diagonalization left is the R_m edge
+def test_build_table_diagonalizes_nothing_exactly(monkeypatch):
+    # the 4-channel block |1,3,5,7; M=0>: the steps and the R_m edge both read its
+    # eigenvalue table, so no exact diagonalization or potential matrix is left
     system = krb()
     basis = build_basis(0, 1, 7)
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh, matrix = np.linalg.eigvalsh, potential.potential_matrix
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda w: calls.append(1) or eigvalsh(w))
+    monkeypatch.setattr(potential, "potential_matrix",
+                        lambda *args: calls.append(2) or matrix(*args))
     d = units.dipole_from_debye(np.array([0.1, 0.3]))
     table = propagator.build_table(
         system, [(basis, range(4))], 20.0, np.full(2, E0 / 10.0), 2.0 * d**2, RadialGrid()
     )
     assert table.n_points.min() > 400  # hundreds of WKB and Magnus steps, many folds
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_group_transfers_match_each_block_alone():
@@ -591,7 +596,7 @@ def test_grids_are_built_for_live_rows_only(monkeypatch):
         for got, want in zip((m, e, n), alone):
             assert np.array_equal(got[row], want)
     # the same with the WKB segment first, for a zero-field row beside a 0.5 D row, each
-    # alone with its own x_max as build_table would take it
+    # alone with its own x_max
     energy = np.full(2, units.energy_from_microkelvin(0.25))
     c3 = 2.0 * units.dipole_from_debye(np.array([0.0, 0.5])) ** 2
     r_stop = grid.outer_radius(system, energy, 20.0, c3)
@@ -606,6 +611,27 @@ def test_grids_are_built_for_live_rows_only(monkeypatch):
                                               2.0 * MU * c3[i] / 20.0, wkb=True)
         for got, want in zip(together, alone):
             assert np.array_equal(got[row], want)
+
+
+def test_a_rows_wall_is_free_of_its_chunk_and_of_the_cache():
+    # the R_m edge reads the eigenvalue table, whose knots sit at a fixed spacing: a row's
+    # det = k kappa is bitwise the same alone (a table up to its own x), beside a stronger
+    # field (a longer table), and with every table cached or none
+    system = krb()
+    blocks = [(basis, range(len(basis))) for basis in symmetry_blocks(system, 3)]
+    energy = np.full(3, units.energy_from_microkelvin(0.25))
+    c3 = 2.0 * units.dipole_from_debye(np.array([0.0, 0.1, 0.5])) ** 2
+
+    def det(rows):
+        return propagator.build_table(system, blocks, 20.0, energy[rows], c3[rows],
+                                      RadialGrid()).det
+
+    propagator._eigen_table.cache_clear()
+    alone = [det([i]) for i in range(3)]
+    together, again = det([0, 1, 2]), [det([i]) for i in range(3)]
+    for i in range(3):
+        assert np.array_equal(together[i], alone[i][0])
+        assert np.array_equal(again[i], alone[i])
 
 
 def test_wkb_nodes_are_classically_allowed(monkeypatch):
@@ -897,6 +923,8 @@ def test_row_failures_name_their_row_by_its_d_and_e(case, monkeypatch):
         with pytest.raises(ROW_FAILURES[case]) as info:
             call()
         found = info.value
+        if case == "forbidden boundary":  # V = E + W / (2 mu) of the failing entry
+            assert "is classically forbidden (V = 4.800e+01 hartree)" in str(found)
     assert str(found).endswith(f" {label}")
     assert found.row == 1
 

@@ -174,7 +174,8 @@ def reference_parts(system, blocks, r_match, energy, c3, grid):
     walls = []
     for basis, ranks in blocks:
         v = potential._block_eigenvalues(system, basis, edge, c3)[..., list(ranks)]
-        walls.append(_wkb_wavenumber(energy, c3, v[1], (v[2] - v[0]) / (2.0 * dr), r_match, mu))
+        w, w_slope = 2.0 * mu * (v[1] - energy[:, None]), 2.0 * mu * (v[2] - v[0]) / (2.0 * dr)
+        walls.append(_wkb_wavenumber(energy, c3, w, w_slope, r_match, mu))
     kappa, dkappa = np.concatenate(walls, axis=-1)
     ell = np.array([basis.channels[i].L for basis, ranks in blocks for i in ranks])
     k = np.sqrt(2.0 * mu * energy)[:, None]

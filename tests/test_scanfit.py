@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage, optimize
 
 from coldchem import propagator, scanfit, units
-from coldchem.errors import FitError, GridError, MatchingError, ScanError
+from coldchem.errors import FitError, GridError, MatchingError, ScanError, UnitarityError
 from coldchem.potential import Channel, CollisionSystem, Symmetry, symmetry_blocks
 from coldchem.propagator import RadialGrid, calibrate_phase
 from coldchem.qdt import ShortRangeParams, characteristic_energies, resonance_position
@@ -695,6 +695,30 @@ def test_fit_matches_once_per_evaluation(fermi_calibration, monkeypatch):
                     fit=("s", "y"), grid=grid, l_max=1)
     assert calls["evaluate"] > 1
     assert calls["match"] == calls["evaluate"]
+
+
+@pytest.mark.parametrize("failure", ["step budget", "evaluation"])
+def test_fit_wraps_engine_failures_in_fit_error(fermi_calibration, monkeypatch, failure):
+    # a failure of the long range, and one of an objective evaluation, is a FitError
+    # that keeps the engine's message and its row label
+    system, _, grid, _ = fermi_calibration
+    ds = Dataset(d_debye=np.array([0.1, 0.2, 0.3]), rate_cm3s=np.array([1e-12, 2e-12, 4e-12]))
+    if failure == "step budget":
+        monkeypatch.setattr(propagator, "_MAX_STEPS", 50)
+        cause, message = GridError, (
+            "long-range propagation failed: radial grid exceeds the step budget "
+            "(at d = 0.039343 a.u., E = 7.91703e-13 hartree)")
+    else:
+        def failing(table, y, delta):
+            raise UnitarityError("|S|^2 exceeds unity")
+
+        monkeypatch.setattr(scanfit, "evaluate", failing)
+        cause, message = UnitarityError, "objective evaluation failed: |S|^2 exceeds unity"
+    with pytest.raises(FitError) as info:
+        fit_short_range(ds, system, E_250NK, initial=ShortRangeParams(s=0.5, y=0.5),
+                        fit=("s", "y"), grid=grid, l_max=1)
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_fit_requires_known_parameters(fermi_calibration):
