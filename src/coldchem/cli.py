@@ -153,8 +153,10 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         if key not in _CONFIG_KEYS:
             problems.append(f"unknown config key {key!r}")
             continue
-        conv, _ = _CONFIG_KEYS[key]
-        if value == "":
+        conv, default = _CONFIG_KEYS[key]
+        if value == "":  # unset, where the key may be unset
+            if default:
+                problems.append(f"config key {key!r} needs a value")
             config[key] = None
             continue
         try:

@@ -23,7 +23,9 @@ is one point, an (energy, c3) pair; a block is the eigenvalue ranks of one
 (M, parity) basis, and a column of the table is one rank of one block.
 Rows are built in chunks.  Each segment of a chunk is one lockstep grid with
 an axis for the envelopes, the largest L of each block, stepped in folds that
-each take every column at once.  The finished table is flat, so ``evaluate``
+each take every column at once.  The well depends on E only analytically, so rows
+on one WKB grid (one c3) step it at eight Chebyshev energies, and each takes the
+interpolant in E of those transfers.  The finished table is flat, so ``evaluate``
 is arithmetic on (rows, columns) arrays.  A single curve at a single point is
 a table of one row and one column.  Scans, ``ploss``, the fit and the phase
 calibration all use these two steps; the calibration inverts the map at r1 in
@@ -77,6 +79,9 @@ _KNOTS_PER_UNIT = 288
 # Nodes per WKB-frame step, and the kappa R that a lower bound keeps at every node of them
 _WKB_NODES = 5
 _WKB_KAPPA_R = 17.0
+# Energies at which a group of rows on one WKB grid steps it, while 2 mu E_max r_w^2 /
+# _WKB_KAPPA_R^2, the energy's share of kappa^2 at r_w, is at most _ENERGY_EPS
+_ENERGY_NODES, _ENERGY_EPS = 8, 0.1
 # om2^k coefficients of sinh(om)/om; at |om2| <= _SERIES_OM2 the rest is < 1e-18
 _SERIES_OM2 = 0.25
 _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(7))
@@ -684,6 +689,34 @@ def _wkb_steps(system, blocks, starts, steps, c3, energy, x_max, pick, out) -> n
     return m
 
 
+def _wkb_sources(system, energy, c3, r, r_w):
+    """The WKB segment's sources from ``r`` to ``r_w`` (``_segment_transfers``): the row
+    each stands for and its energy, each row's source, and each group's interpolation."""
+    rows, n = len(energy), _ENERGY_NODES
+    owner, e_src, between, alone = [], [], [], np.ones(rows, dtype=bool)
+    source = np.empty(rows, dtype=np.intp)
+    if rows > n and np.any(r_w > r):
+        _, group, count = np.unique(np.vstack([c3, r, r_w]).T, axis=0, return_inverse=True,
+                                    return_counts=True)
+        cap = _ENERGY_EPS * (_WKB_KAPPA_R / r_w.max(axis=0)) ** 2 / (2.0 * system.reduced_mass)
+        j = np.arange(n)
+        weight = np.where(j % 2, -1.0, 1.0) * np.where((j == 0) | (j == n - 1), 0.5, 1.0)
+        for at in (np.flatnonzero(group == g) for g in np.flatnonzero(count > n)):
+            top = at[np.argmax(energy[at])]
+            if energy[top] <= cap[top]:
+                first, alone[at] = n * len(owner), False
+                owner.append(np.full(n, top))
+                e_src.append(energy[top] * (0.5 - 0.5 * np.cos(np.pi * j / (n - 1))))
+                d = energy[at, None] - e_src[-1]
+                on = (d == 0).any(axis=1)
+                source[at] = first + np.where(on, (d == 0).argmax(axis=1), n - 1)
+                w = weight / d[~on]
+                between.append((at[~on], slice(first, first + n), w / w.sum(1, keepdims=True)))
+    source[alone] = n * len(owner) + np.arange(np.count_nonzero(alone))
+    owner.append(np.flatnonzero(alone))
+    return np.concatenate(owner), np.concatenate(e_src + [energy[alone]]), source, between
+
+
 def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max, wkb=False):
     """(psi, psi') transfer (m, e) of every column over [r_start, r_stop], one per row.
 
@@ -695,10 +728,16 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     every column.  With ``wkb``, each envelope first takes the WKB-frame steps of
     ``_wkb_steps``, r / scale_fraction long, from r_start to its ``_wkb_radius``, in folds
     _WKB_NODES times shorter; the Magnus steps go on from there, in one product and one
-    step count.  Folds run while any row is short of the segment's end, each building the
-    grid of these live rows alone.  GridError names the row, by its index among all rows,
-    that takes a step past _MAX_STEPS, the grid's one budget check, or that no longer moves
-    in a fold where no live row can step.  Each Magnus fold takes views of buffers
+    step count.  The WKB folds step source rows (``_wkb_sources``): more than _ENERGY_NODES
+    rows with the same c3, r_start and r_w of every envelope, and 2 mu E_max r_w^2 <=
+    _ENERGY_EPS _WKB_KAPPA_R^2 at their largest E and r_w, step only at the _ENERGY_NODES
+    Chebyshev-Lobatto energies of [0, E_max], the top one E_max.  A row at a node takes its
+    transfer, the rest the barycentric interpolant in E (Berrut & Trefethen, SIAM Rev. 46,
+    501 (2004)).  Any other row is its own source, bitwise as with no group: the fold length
+    is the chunk's.  Folds run while any row is short of the segment's end, each building
+    the grid of these live rows alone.  GridError names the row, by its index among all
+    rows, that takes a step past _MAX_STEPS, the grid's one budget check, or that no longer
+    moves in a fold where no live row can step.  Each Magnus fold takes views of buffers
     made once: the step planes (the running product as factor 0), which first hold the
     gather of W, and an arena for W and the nodes, then om2 or the chain's first round.
     ``x_max`` bounds 2 mu c3 / R.  Also returns the step counts.
@@ -711,12 +750,22 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
     pick = slice(None) if len(envelopes) == 1 or np.array_equal(env, np.arange(n)) else env
     fold = max(1, _FOLD_SIZE // (rows * (n + _GRID_COLUMNS)))
     node_columns = 1 if len(envelopes) == 1 else n  # of the nodes, x and the C6/r^6 term
-    run_m = np.multiply.outer(np.eye(2), np.ones((n, rows)))
-    run_e = np.zeros((n, rows), dtype=np.int64)
     r = np.broadcast_to(r_start, (len(envelopes), rows)).copy()
-    n_steps = np.zeros(r.shape, dtype=np.int64)
     seam = _wkb_radius(system, envelopes[:, None], c3, r, r_stop) if wkb else np.zeros(r.shape)
-    for stop, wkb in ((np.maximum(seam, r), True), (np.broadcast_to(r_stop, r.shape), False)):
+    r_w = np.maximum(seam, r)
+    owner, e_src, source, between = _wkb_sources(system, energy, c3, r, r_w)
+    run_m = np.multiply.outer(np.eye(2), np.ones((n, len(owner))))
+    run_e = np.zeros((n, len(owner)), dtype=np.int64)
+    n_steps = np.zeros((len(envelopes), len(owner)), dtype=np.int64)
+    phases = ((owner, e_src, c3[owner], r[:, owner], r_w[:, owner], True),
+              (np.arange(rows), energy, c3, r_w, np.broadcast_to(r_stop, r.shape), False))
+    for own, e_rows, c3_rows, r, stop, wkb in phases:
+        if not wkb:  # each row's WKB transfer: its source's, or its nodes' interpolant
+            m, e, n_steps = run_m, run_e, n_steps[:, source]
+            run_m, run_e = m[..., source], e[:, source]
+            for at, nodes, w in between:
+                values = np.moveaxis(np.ldexp(m[..., nodes], e[:, nodes]), -1, 0)
+                run_m[..., at], run_e[:, at] = np.moveaxis(_nodal(w, values), 0, -1), 0
         # the buffers of the Magnus folds; a WKB fold takes fresh arrays, of about their size
         planes = None if wkb else np.empty(
             max(4 * n * (fold + 1), 2 * fold * (2 * n + node_columns)) * rows)
@@ -724,7 +773,7 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
             2 * max(n * (fold + 2), fold * (n + len(envelopes))) * rows)
         while (going := (r < stop).any(axis=0)).any():  # rows whose grid goes on
             live = slice(None) if going.all() else np.flatnonzero(going)
-            e_live, c3_live = energy[live], c3[live]
+            e_live, c3_live = e_rows[live], c3_rows[live]
             if wkb:
                 starts, steps = _wkb_grid(grid.scale_fraction, r[:, live], stop[:, live],
                                           max(1, fold // _WKB_NODES))
@@ -734,12 +783,12 @@ def _segment_transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max,
                                                  max_steps=fold, seam=seam[:, live])
             if len(steps) == 0:
                 raise _row_failure(GridError, "radial grid steps fall below the rounding of R",
-                                   going, energy, c3)
+                                   np.isin(np.arange(rows), own[going]), energy, c3)
             r[:, live] = starts[-1] + steps[-1]
             n_steps[:, live] += np.count_nonzero(steps, axis=0)
             if n_steps.max() > _MAX_STEPS:
-                raise _row_failure(GridError, "radial grid exceeds the step budget",
-                                   (n_steps > _MAX_STEPS).any(axis=0), energy, c3)
+                raise _row_failure(GridError, "radial grid exceeds the step budget", np.isin(
+                    np.arange(rows), own[(n_steps > _MAX_STEPS).any(axis=0)]), energy, c3)
             # factor 0 is the running product, then the steps, each (columns, rows)
             shape = (2, 2, len(steps) + 1, n, steps.shape[-1])
             if wkb:

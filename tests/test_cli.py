@@ -169,7 +169,19 @@ CONFIG_ERRORS = {
                    "ploss energy grid needs 0 < e_min_uk < e_max_uk, n_energy >= 2"),
     "one dipole": (["rates", *BASE, "--set", "n_dipole=1"],
                    "dipole grid needs 0 <= d_min_debye < d_max_debye, n_dipole >= 2"),
+    # an empty value unsets only a key that may be unset; any other key needs a value
+    **{f"empty {key}": ([command, *BASE, "--set", f"{key}="],
+                        f"config key {key!r} needs a value")
+       for command, key in [("rates", "threads"), ("rates", "energy_nk"),
+                            ("rates", "d_max_debye"), ("ploss", "ploss_l_values"),
+                            ("rates", "s"), ("rates", "r_match_bohr"),
+                            ("ploss", "dipole_debye")]},
 }
+
+
+def test_empty_value_unsets_an_optional_key():
+    config = resolve_config(None, [*BASE[1::2], "g_override=", "dataset_csv="])
+    assert config["g_override"] is None and config["dataset_csv"] is None
 
 
 @pytest.mark.parametrize("case", CONFIG_ERRORS)

@@ -14,8 +14,11 @@ Each value is the largest relative change of a total rate; the test prints the
 four and bounds each at about twice its value on the engine that set it.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from coldchem import potential, propagator, units
 from coldchem.potential import CollisionSystem
@@ -101,3 +104,76 @@ def test_error_budget(budget, source, capfd):
     for value, bound in zip(measured, BOUNDS[source]):
         if bound is not None:
             assert value <= bound
+
+
+# --- an independent step reference ------------------------------------------------------
+#
+# scipy's DOP853 on psi'' = W psi, W = 2 mu (V - E) from the exact eigenvalues, carries two
+# solutions from R_m to r1 at rtol 1e-12 (within 1.3e-10 in the loss of a run at 1e-13); the
+# table's own wall and match compose them.  Points: single columns L = 0, 1 and 2 at 0 D and
+# the L = 1 rank of the l_max = 7 block alone at 0.3 and 0.5 D, the columns of ``ploss``,
+# each at y = 1 and at y = 0.1 with delta_sr = 1.  A 320/160 all-Magnus build converges on
+# it as h^4 (1.1e-9 at y = 1 and 1.5e-8 at y = 0.1 measured, 160/80 reads 2.3e-7); the
+# default build's distance is printed and bounded at about twice its largest measured value
+# (4.5e-6 at y = 1 and 3.1e-5 at y = 0.1, both on a 0 D column), each as (y = 1, y = 0.1).
+FINE = RadialGrid(points_per_wavelength=320.0, scale_fraction=160.0)
+SEGMENT = propagator._segment_transfers
+FINE_BOUNDS = (1e-8, 3e-8)
+DEFAULT_BOUNDS = (1e-5, 6e-5)
+RTOL = 1e-12
+
+
+def reference_points():
+    """(label, blocks of one column, c3) of every reference point, as ``ploss`` builds them."""
+    points = [(f"L = {L}, 0 D", [(potential.ChannelBasis((potential.Channel(L, 0),), 0, L % 2,
+                                                         L), [0])], 0.0) for L in range(3)]
+    basis = potential.build_basis(0, 1, 7)
+    rank = basis.index(potential.Channel(1, 0))
+    return points + [(f"L = 1 of l_max = 7, {debye} D", [(basis, [rank])],
+                      2.0 * units.dipole_from_debye(debye) ** 2) for debye in (0.3, 0.5)]
+
+
+def dop853_well(blocks):
+    """A ``_segment_transfers`` whose R_m -> r1 segment is DOP853 at ``RTOL``."""
+    ((basis, (rank,)),) = blocks
+
+    def transfers(system, blocks, energy, c3, grid, r_start, r_stop, x_max, wkb=False):
+        if not wkb:
+            return SEGMENT(system, blocks, energy, c3, grid, r_start, r_stop, x_max)
+
+        def rhs(r, u):
+            v = potential._block_eigenvalues(system, basis, r, c3[0])[rank]
+            w = 2.0 * system.reduced_mass * (v - energy[0])
+            return [u[1], w * u[0], u[3], w * u[2]]
+
+        sol = solve_ivp(rhs, (r_start[0], r_stop[0]), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                        rtol=RTOL, atol=1e-16)
+        assert sol.success
+        m = sol.y[:, -1].reshape(2, 2).T  # columns: the two solutions (psi, psi')
+        return m[None, None], np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=int)
+
+    return transfers
+
+
+def all_magnus_well(system, blocks, energy, c3, grid, r_start, r_stop, x_max, wkb=False):
+    """A ``_segment_transfers`` whose R_m -> r1 segment is Magnus alone on the FINE grid."""
+    return SEGMENT(system, blocks, energy, c3, FINE if wkb else grid, r_start, r_stop, x_max)
+
+
+def point_loss(blocks, c3, well=None):
+    """The loss at (y = 1) and (y = 0.1, delta_sr = 1) of one column, R_m -> r1 by ``well``."""
+    with mock.patch.object(propagator, "_segment_transfers", well or SEGMENT):
+        table = build_table(KRB, blocks, 20.0, ENERGY, c3, RadialGrid())
+    return np.array([evaluate(table, y, delta)[1][0, 0] for y, delta in ((1.0, 0.0), (0.1, 1.0))])
+
+
+def test_steps_against_an_independent_reference(capfd):
+    for label, blocks, c3 in reference_points():
+        reference = point_loss(blocks, c3, dop853_well(blocks))
+        fine = np.abs(point_loss(blocks, c3, all_magnus_well) / reference - 1.0)
+        default = np.abs(point_loss(blocks, c3) / reference - 1.0)
+        with capfd.disabled():
+            print(f"\nSTEP REFERENCE {label}: y = 1 {default[0]:.2e}, y = 0.1 {default[1]:.2e}"
+                  f" (320/160 all-Magnus {fine[0]:.1e}, {fine[1]:.1e})", flush=True)
+        assert np.all(fine <= FINE_BOUNDS)
+        assert np.all(default <= DEFAULT_BOUNDS)

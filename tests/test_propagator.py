@@ -27,6 +27,7 @@ from coldchem.propagator import (
     boundary_state,
     calibrate_phase,
     chain_product,
+    evaluate,
     gauss_nodes,
     propagate,
     step_matrices,
@@ -611,6 +612,143 @@ def test_grids_are_built_for_live_rows_only(monkeypatch):
                                               2.0 * MU * c3[i] / 20.0, wkb=True)
         for got, want in zip(together, alone):
             assert np.array_equal(got[row], want)
+
+
+# --- the WKB segment of a row group at Chebyshev energies ------------------------------
+
+
+PLOSS_BLOCKS = [(single_channel_curve(krb(), Channel(L, 0)).basis, [0]) for L in range(4)]
+
+
+def ploss_table(energy, c3):
+    """A ``ploss``-shaped table (one-channel columns L = 0-3), its t and its loss at y = 1."""
+    table = propagator.build_table(krb(), PLOSS_BLOCKS, 20.0, energy, c3, RadialGrid())
+    return (table, *evaluate(table, 1.0, 0.0))
+
+
+def well_transfers(energy, c3):
+    """The R_m -> r1 transfers (m, e) and step counts of ``ploss_table``'s columns."""
+    c3 = np.broadcast_to(c3, np.shape(energy))
+    r1 = RadialGrid().outer_radius(krb(), energy, 20.0, c3)
+    return propagator._segment_transfers(krb(), PLOSS_BLOCKS, energy, c3, RadialGrid(),
+                                         np.full(len(energy), 20.0), r1,
+                                         2.0 * MU * c3.max() / 19.998, wkb=True)
+
+
+def energy_cap(c3):
+    """The largest E of a group at c3 with 2 mu E r_w^2 / _WKB_KAPPA_R^2 at _ENERGY_EPS."""
+    r_w = propagator._wkb_radius(krb(), np.arange(4.0)[:, None], c3, 20.0, np.inf).max()
+    return propagator._ENERGY_EPS * (propagator._WKB_KAPPA_R / r_w) ** 2 / (2.0 * MU)
+
+
+def rows(energy, c3):
+    """(t, loss) of ``ploss_table`` and the transfers of ``well_transfers``."""
+    return ploss_table(energy, c3)[1:], well_transfers(energy, c3)
+
+
+def assert_rows_agree(got, want, rtol=1e-12):
+    """The loss and Im t of ``rows`` within rtol relative, the transfers within rtol of
+    their largest entry, and the same step counts.
+
+    Re t is checked through the transfers: at low k and high L it is the small difference
+    of the match at r1, which the per-row path's own fold length moves by up to 3e-10.
+    """
+    ((t, loss), (m, e, n)), ((t0, loss0), (m0, e0, n0)) = got, want
+    assert np.all(np.abs(loss - loss0) <= rtol * loss0)
+    assert np.all(np.abs(t.imag - t0.imag) <= rtol * t0.imag)
+    rescaled = np.ldexp(m, (e - e0)[..., None, None])
+    assert np.all(np.abs(rescaled - m0) <= rtol * np.abs(m0).max(axis=(-2, -1), keepdims=True))
+    assert np.array_equal(n, n0)
+
+
+def sources(energy, c3):
+    """``_wkb_sources`` of ``ploss_table``'s WKB segment."""
+    c3 = np.broadcast_to(c3, np.shape(energy))
+    r = np.full((4, len(energy)), 20.0)
+    r_w = propagator._wkb_radius(krb(), np.arange(4.0)[:, None], c3, r, np.inf)
+    return propagator._wkb_sources(krb(), energy, c3, r, r_w)
+
+
+def test_energy_group_steps_the_well_at_its_nodes_only(monkeypatch):
+    # 40 rows at zero field and 3 at 0.2 D in one chunk: the zero-field rows share one WKB
+    # grid and step it at the 8 nodes alone; a row at a node energy, E_max included, and
+    # every row outside the group keep bitwise the table row of the per-row path
+    nodes = propagator._ENERGY_NODES
+    e_max = units.energy_from_microkelvin(2400.0)
+    unit = 0.5 - 0.5 * np.cos(np.pi * np.arange(nodes) / (nodes - 1))
+    energy = np.concatenate([units.energy_from_microkelvin(np.geomspace(0.002, 2000.0, 37)),
+                             e_max * unit[[2, 5]], [e_max], np.full(3, e_max / 3.0)])
+    c3 = np.where(np.arange(len(energy)) < 40, 0.0, 2.0 * units.dipole_from_debye(0.2) ** 2)
+    owner, e_src, _, between = sources(energy, c3)
+    assert np.array_equal(owner, [39] * nodes + [40, 41, 42])
+    assert np.array_equal(e_src[:nodes], e_max * unit) and e_src[nodes - 1] == e_max
+    assert len(between) == 1 and len(between[0][0]) == 37
+    grouped, table = rows(energy, c3), ploss_table(energy, c3)[0]
+    monkeypatch.setattr(propagator, "_ENERGY_EPS", -1.0)  # no group: every row its own
+    direct, direct_table = rows(energy, c3), ploss_table(energy, c3)[0]
+    exact = np.arange(37, 43)
+    for got, want in zip((*table, *grouped[0], *grouped[1]),
+                         (*direct_table, *direct[0], *direct[1])):
+        assert np.array_equal(got[exact], want[exact])
+    assert not np.array_equal(grouped[1][0][:37], direct[1][0][:37])  # interpolated
+    assert_rows_agree(grouped, direct)
+    # a row's bits do not depend on the order of the rows or on the eigenvalue cache
+    monkeypatch.undo()
+    propagator._eigen_table.cache_clear()
+    reverse, t, loss = ploss_table(energy[::-1], c3[::-1])
+    for got, want in zip((*reverse, t, loss), (*table, *grouped[0])):
+        assert np.array_equal(got[::-1], want)
+
+
+@pytest.mark.parametrize("debye", [0.0, 0.3])
+def test_energy_group_rows_match_each_row_alone(debye):
+    # random energy sets up to the ceiling: every row of a group agrees with the row built
+    # alone, a table of one row that steps the whole well itself
+    c3 = 2.0 * units.dipole_from_debye(debye) ** 2
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        energy = energy_cap(c3) * 10.0 ** rng.uniform(-7.0, 0.0, 20)
+        assert len(sources(energy, c3)[0]) == propagator._ENERGY_NODES
+        alone = [rows(energy[[i]], c3) for i in range(20)]
+        want = [[np.concatenate(x) for x in zip(*(a[k] for a in alone))] for k in (0, 1)]
+        assert_rows_agree(rows(energy, c3), want)
+
+
+def test_energy_nodes_converge_at_the_ceiling(monkeypatch):
+    # a group whose E_max sits just below the ceiling: 8 and 10 nodes agree within 1e-12,
+    # and both with the per-row path
+    energy = energy_cap(0.0) * np.geomspace(1e-7, 0.999, 60)
+    assert len(sources(energy, 0.0)[0]) == propagator._ENERGY_NODES
+    eight = rows(energy, 0.0)
+    monkeypatch.setattr(propagator, "_ENERGY_NODES", propagator._ENERGY_NODES + 2)
+    assert_rows_agree(rows(energy, 0.0), eight)
+    monkeypatch.setattr(propagator, "_ENERGY_EPS", -1.0)
+    assert_rows_agree(rows(energy, 0.0), eight)
+
+
+def test_energy_group_above_the_ceiling_takes_the_per_row_path(monkeypatch):
+    # ploss up to 1e6 uK, eps = 9: the group steps every row itself, bitwise; 8 nodes
+    # there, with no ceiling, miss a loss by far more than the rounding
+    energy = units.energy_from_microkelvin(np.geomspace(0.002, 1e6, 50))
+    assert len(sources(energy, 0.0)[0]) == 50
+    capped = ploss_table(energy, 0.0)
+    monkeypatch.setattr(propagator, "_ENERGY_EPS", -1.0)
+    direct = ploss_table(energy, 0.0)
+    assert all(np.array_equal(a, b) for a, b in zip((*capped[0], *capped[1:]),
+                                                     (*direct[0], *direct[1:])))
+    monkeypatch.setattr(propagator, "_ENERGY_EPS", math.inf)
+    assert np.max(np.abs(ploss_table(energy, 0.0)[2] / direct[2] - 1.0)) > 1e-3
+
+
+def test_energy_group_failure_names_a_row_of_the_chunk(monkeypatch):
+    # a step budget that the WKB segment alone exceeds: the node sources stand for the
+    # group's top row, which the error names by its own index, d and E
+    energy = units.energy_from_microkelvin(np.geomspace(0.002, 2400.0, 12))
+    assert len(sources(energy, 0.0)[0]) == propagator._ENERGY_NODES
+    monkeypatch.setattr(propagator, "_MAX_STEPS", 5)
+    with pytest.raises(GridError, match=r"budget \(at d = 0 a\.u\., E = 7\.60035e-09") as info:
+        ploss_table(energy, 0.0)
+    assert info.value.row == 11
 
 
 def test_a_rows_wall_is_free_of_its_chunk_and_of_the_cache():
